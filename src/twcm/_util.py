@@ -1,5 +1,5 @@
 """Shared numerical helpers: angle wrapping, the wrapped Cauchy kernel,
-and a vectorized monotone-CDF inverter."""
+and the scalar-in, float-out return contract."""
 
 from __future__ import annotations
 
@@ -16,6 +16,12 @@ _UNIT_CONC_TOL = 1e-12
 def wrap_angle(x):
     """Reduce angles to [0, 2*pi). Accepts scalars or arrays."""
     return np.mod(x, TWO_PI)
+
+
+def float_if_scalar(out):
+    """Return a 0-d result as a Python ``float`` and an array unchanged, so
+    that every density, CDF and quantile maps a scalar to a float."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -39,7 +45,7 @@ def effective_concentration(conc):
         )
     big = np.abs(a) > 1.0
     out = np.where(big, np.divide(1.0, a, out=np.zeros_like(a), where=big), a)
-    return out if out.ndim else float(out)
+    return float_if_scalar(out)
 
 
 def wc_kernel_log_density(x, center, conc):
@@ -53,11 +59,11 @@ def wc_kernel_log_density(x, center, conc):
     num = np.log1p(-a * a)  # a in (-1, 1) after canonicalization
     den = np.log((1.0 + a * a) - 2.0 * a * np.cos(np.asarray(x) - center))
     out = num - den - np.log(TWO_PI)
-    return out if out.ndim else float(out)
+    return float_if_scalar(out)
 
 
 def wc_kernel_density(x, center, conc):
-    return np.exp(wc_kernel_log_density(x, center, conc))
+    return float_if_scalar(np.exp(wc_kernel_log_density(x, center, conc)))
 
 
 def wc_kernel_sample(center, conc, rng: np.random.Generator, size=None):
@@ -71,26 +77,6 @@ def wc_kernel_sample(center, conc, rng: np.random.Generator, size=None):
     # atan2 form of mu + 2*arctan(b*tan(u/2)), continuous across u = pi
     draw = center + 2.0 * np.arctan2(b * np.sin(u / 2.0), np.cos(u / 2.0))
     return wrap_angle(draw)
-
-
-def invert_monotone_cdf(cdf, p, lo, hi, iters=80):
-    """Vectorized bisection for a nondecreasing ``cdf`` on [lo, hi].
-
-    Resolves the root of ``cdf(x) = p`` to interval width
-    ``(hi - lo) * 2**-iters``, far below 1e-10 for one period.
-    """
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    flat = np.atleast_1d(p).astype(float).ravel()
-    lo_arr = np.full(flat.shape, lo, dtype=float)
-    hi_arr = np.full(flat.shape, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo_arr + hi_arr)
-        below = np.asarray(cdf(mid)).ravel() < flat
-        lo_arr = np.where(below, mid, lo_arr)
-        hi_arr = np.where(below, hi_arr, mid)
-    mid = 0.5 * (lo_arr + hi_arr)
-    return float(mid[0]) if scalar else mid.reshape(p.shape)
 
 
 def periodic_grid(n):

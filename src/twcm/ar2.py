@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TWO_PI, as_rng, wc_kernel_density, wc_kernel_sample, wrap_angle
+from ._util import (
+    TWO_PI,
+    as_rng,
+    float_if_scalar,
+    wc_kernel_density,
+    wc_kernel_sample,
+    wrap_angle,
+)
 from .copula import RhoVector, conditional_phi, pairwise_phi, require_valid
 from .errors import InvalidParameterError
 from .marginals import CIRCULAR, Marginal
@@ -65,7 +72,7 @@ def transition_density(params: Ar2Params, theta_t, theta_tm1, theta_tm2):
     u_2 = TWO_PI * np.asarray(f.cdf(theta_tm2))
     ph = conditional_phi(params.rho, 1, u_1, u_2)
     out = TWO_PI * wc_kernel_density(u_t, np.angle(ph), np.abs(ph)) * f.pdf(theta_t)
-    return out if np.ndim(out) else float(out)
+    return float_if_scalar(out)
 
 
 def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):

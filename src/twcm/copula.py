@@ -25,6 +25,7 @@ from ._util import (
     TWO_PI,
     as_rng,
     effective_concentration,
+    float_if_scalar,
     periodic_grid,
     wc_kernel_density,
     wc_kernel_log_density,
@@ -182,11 +183,11 @@ def copula_log_density(u, rho: RhoVector):
     c12, c13, c23 = _cos_diffs(u)
     bracket = cc.c1 + 2.0 * (rho.rho12 * c12 + rho.rho13 * c13 + rho.rho23 * c23)
     out = np.log(cc.c2) - np.log(bracket)
-    return out if np.ndim(out) else float(out)
+    return float_if_scalar(out)
 
 
 def copula_density(u, rho: RhoVector):
-    return np.exp(copula_log_density(u, rho))
+    return float_if_scalar(np.exp(copula_log_density(u, rho)))
 
 
 def denominator_min(rho: RhoVector, grid: int = 64) -> float:
@@ -307,7 +308,7 @@ def copula_cond_1given2(u, rho: RhoVector, i: int):
     j, k = sorted({1, 2, 3} - {i})
     ph = conditional_phi(rho, i, u[..., j - 1], u[..., k - 1])
     out = wc_kernel_density(u[..., i - 1], np.angle(ph), np.abs(ph))
-    return out if np.ndim(out) else float(out)
+    return float_if_scalar(out)
 
 
 def copula_log_cond_1given2(u, rho: RhoVector, i: int):
@@ -316,7 +317,7 @@ def copula_log_cond_1given2(u, rho: RhoVector, i: int):
     j, k = sorted({1, 2, 3} - {i})
     ph = conditional_phi(rho, i, u[..., j - 1], u[..., k - 1])
     out = wc_kernel_log_density(u[..., i - 1], np.angle(ph), np.abs(ph))
-    return out if np.ndim(out) else float(out)
+    return float_if_scalar(out)
 
 
 def copula_sample(n: int, rho: RhoVector, seed=None) -> np.ndarray:

@@ -10,6 +10,8 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.special import i0e, i1e, ive
 
-from ._util import TWO_PI, as_rng, invert_monotone_cdf, wrap_angle
+from ._util import TWO_PI, as_rng, float_if_scalar, wrap_angle
 from .errors import DomainError, InvalidParameterError
 
 KAPPA_MAX = 1e6
@@ -59,7 +61,7 @@ class Marginal:
 
     # -- evaluation ------------------------------------------------------
     def pdf(self, x):
-        return np.exp(self.logpdf(x))
+        return float_if_scalar(np.exp(self.logpdf(x)))
 
     def logpdf(self, x):
         raise NotImplementedError
@@ -123,16 +125,16 @@ class CircularUniform(Marginal):
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -np.log(TWO_PI))
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def cdf(self, x):
         out = wrap_angle(np.asarray(x, dtype=float)) / TWO_PI
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)
         out = TWO_PI * p
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def params_dict(self):
         return {}
@@ -177,7 +179,7 @@ class WrappedCauchy(Marginal):
             - np.log(TWO_PI)
             - np.log(1.0 + xi * xi - 2.0 * xi * np.cos(x - self.mu))
         )
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def cdf(self, x):
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
@@ -185,7 +187,7 @@ class WrappedCauchy(Marginal):
         # atan2 form of (1/pi) arctan(a tan(y/2)) + 1{y > pi}, continuous
         out = np.arctan2(a * np.sin(y / 2.0), np.cos(y / 2.0)) / np.pi
         out = np.where(out < 0.0, out + 2.0, out)  # guard y just below 2*pi
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)
@@ -193,7 +195,7 @@ class WrappedCauchy(Marginal):
         out = wrap_angle(
             self.mu + 2.0 * np.arctan2(b * np.sin(np.pi * p), np.cos(np.pi * p))
         )
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def params_dict(self):
         return {"mu": self.mu, "xi": self.xi}
@@ -233,12 +235,110 @@ def _vonmises_cdf_terms(kappa: float) -> int:
     return int(max(32, kappa + 12.0 * np.sqrt(kappa + 1.0) + 20.0))
 
 
+# Quantile start table: nodes equally spaced in w = kappa (1 - cos y) up to
+# w = 40 (see _vonmises_start_table), then two Newton steps.
+_START_DW = 0.025
+_START_WMAX = 40.0
+_VONMISES_NEWTON_STEPS = 2
+# Newton steps of the cardioid quantile: at |rho_c| one ulp below 1/2 the
+# slowest q measured needs 27 to reach the rounding of the CDF.
+_CARDIOID_NEWTON_STEPS = 40
+
+
+def _sine_series(y, coef):
+    """``sum_k coef[k-1] sin(k y)`` by Clenshaw's recurrence in Reinsch's form.
+
+    Clenshaw's b_k = c_k + 2 cos(y) b_{k+1} - b_{k+2} gives the sum as
+    b_1 sin(y) but loses digits where cos(y) = +-1.  With s = sign(cos y)
+    and t = 2 cos(y) - 2 s, Reinsch's differences d_k = b_k - s b_{k+1}
+    obey d_k = c_k + t b_{k+1} + s d_{k+1}, which stays accurate there.
+    Scaled as B_k = s^k b_k and D_k = s^k d_k this reads
+    D_k = s^k c_k + s t B_{k+1} + D_{k+1}, B_k = B_{k+1} + D_k, with
+    s t = -4 sin^2(y/2) or -4 cos^2(y/2), and the sum is s B_1 sin(y).
+    Memory is a few arrays of y's shape.
+    """
+    y = np.asarray(y, dtype=float)
+    upper = np.cos(y) >= 0.0
+    s = np.where(upper, 1.0, -1.0)
+    st = -4.0 * np.where(upper, np.sin(0.5 * y), np.cos(0.5 * y)) ** 2
+    b = np.zeros_like(y)
+    d = np.zeros_like(y)
+    tmp = np.empty_like(y)
+    for k, c in zip(range(coef.size, 0, -1), coef[::-1].tolist()):
+        d += np.multiply(st, b, out=tmp)
+        d += np.multiply(s, c, out=tmp) if k % 2 else c
+        b += d
+    return s * b * np.sin(y)
+
+
+@functools.lru_cache(maxsize=32)
+def _vonmises_coefficients(kappa: float) -> np.ndarray:
+    """CDF series coefficients I_k(kappa) / (I_0(kappa) k pi) for
+    k = 1 .. _vonmises_cdf_terms(kappa); trailing terms that underflow to
+    zero add nothing and are dropped."""
+    k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
+    coef = np.trim_zeros(ive(k, kappa) / i0e(kappa) / (k * np.pi), "b")
+    coef.flags.writeable = False
+    return coef
+
+
+@functools.lru_cache(maxsize=32)
+def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (F(y_j), y_j) of the CDF on the half-period [0, pi].
+
+    Newton's error constant for F(y) = q is |f'/2f| = kappa sin(y) / 2, so
+    nodes equally spaced in w = kappa (1 - cos y) (dw = kappa sin(y) dy)
+    bound its product with the node spacing by _START_DW at every kappa.
+    Linear interpolation then starts within (_START_DW / 2)^2 of the root
+    in those units and two Newton steps raise that to the 4th power,
+    below the rounding of the CDF.  Past w = 40 the half-period holds less
+    mass than 2^-54, the gap below 1/2, so the last interval [y(40), pi]
+    only meets q = 1/2, where F equals 1/2 to rounding on all of it.
+    """
+    n = math.ceil(min(_START_WMAX, 2.0 * kappa) / _START_DW)
+    half = np.zeros(1)
+    if n:
+        half = np.sqrt(np.minimum(_START_DW * np.arange(n) / (2.0 * kappa), 1.0))
+    y = np.append(2.0 * np.arcsin(half), np.pi)
+    cdf = VonMises(0.0, kappa)._cdf_offset(y)
+    cdf[-1] = 0.5
+    cdf = np.minimum(np.maximum.accumulate(cdf), 0.5)  # rounding in the flat tail
+    for arr in (cdf, y):
+        arr.flags.writeable = False
+    return cdf, y
+
+
+def _newton_quantile(m: Marginal, p, start, steps: int):
+    """Quantile of a circular law symmetric about its origin mu.
+
+    F(2 pi - y) = 1 - F(y) reduces every p to q = min(p, 1 - p) in
+    [0, 1/2] (1 - p is exact for p >= 1/2), whose root lies in [0, pi].
+    ``start(q)`` returns the starting offsets y and bounds lo, hi on the
+    root.  Each of ``steps`` Newton steps for m._cdf_offset(y) = q uses the
+    density at mu + y, is clipped to [lo, hi], and is skipped where the
+    density underflows.
+    """
+    p = m._check_quantile_arg(p)
+    upper = p > 0.5
+    q = np.where(upper, 1.0 - p, p)
+    y, lo, hi = start(q)
+    for _ in range(steps):
+        dens = m.pdf(m.mu + y)
+        resid = m._cdf_offset(y) - q
+        step = np.divide(resid, dens, out=np.zeros_like(resid), where=dens > 0.0)
+        y = np.clip(y - step, lo, hi)
+    return float_if_scalar(wrap_angle(m.mu + np.where(upper, TWO_PI - y, y)))
+
+
 @dataclass(frozen=True)
 class VonMises(Marginal):
     """Von Mises with location mu and concentration kappa >= 0.
 
     The CDF is the exact integral of the Fourier expansion from the origin
-    mu; the quantile inverts it by bracketed bisection.
+    mu, summed by Clenshaw's recurrence in O(n) memory.  The quantile
+    starts from a per-kappa table of the CDF and takes two Newton steps
+    with the closed-form density; series coefficients and table are built
+    once per kappa and cached.
     """
 
     mu: float
@@ -266,29 +366,24 @@ class VonMises(Marginal):
             self.kappa * (np.cos(x - self.mu) - 1.0)
             - np.log(TWO_PI * i0e(self.kappa))
         )
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
+
+    def _cdf_offset(self, y):
+        return y / TWO_PI + _sine_series(y, _vonmises_coefficients(self.kappa))
 
     def cdf(self, x):
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
-        n_terms = _vonmises_cdf_terms(self.kappa)
-        k = np.arange(1, n_terms + 1)
-        ratios = ive(k, self.kappa) / i0e(self.kappa)
-        out = y / TWO_PI + (ratios / k) @ np.sin(np.outer(k, y)) / np.pi
-        out = np.clip(out, 0.0, 1.0)
-        return out if out.ndim else float(out)
+        return float_if_scalar(np.clip(self._cdf_offset(y), 0.0, 1.0))
 
     def quantile(self, p):
-        p = self._check_quantile_arg(p)
-        n_terms = _vonmises_cdf_terms(self.kappa)
-        k = np.arange(1, n_terms + 1)
-        ratios = ive(k, self.kappa) / i0e(self.kappa)
+        nodes_cdf, nodes_y = _vonmises_start_table(self.kappa)
 
-        def cdf_offset(y):
-            return y / TWO_PI + (ratios / k) @ np.sin(np.outer(k, np.atleast_1d(y))) / np.pi
+        def start(q):
+            i = np.searchsorted(nodes_cdf, q, side="right") - 1
+            i = np.clip(i, 0, nodes_cdf.size - 2)
+            return np.interp(q, nodes_cdf, nodes_y), nodes_y[i], nodes_y[i + 1]
 
-        out = invert_monotone_cdf(cdf_offset, p, 0.0, TWO_PI)
-        out = wrap_angle(self.mu + out)
-        return out if np.ndim(out) else float(out)
+        return _newton_quantile(self, p, start, _VONMISES_NEWTON_STEPS)
 
     def params_dict(self):
         return {"mu": self.mu, "kappa": self.kappa}
@@ -360,20 +455,25 @@ class Cardioid(Marginal):
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.log1p(2.0 * self.rho_c * np.cos(x - self.mu)) - np.log(TWO_PI)
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
+
+    def _cdf_offset(self, y):
+        return y / TWO_PI + self.rho_c * np.sin(y) / np.pi
 
     def cdf(self, x):
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
-        out = y / TWO_PI + self.rho_c * np.sin(y) / np.pi
-        return out if out.ndim else float(out)
+        return float_if_scalar(self._cdf_offset(y))
 
     def quantile(self, p):
-        p = self._check_quantile_arg(p)
-        out = invert_monotone_cdf(
-            lambda y: y / TWO_PI + self.rho_c * np.sin(y) / np.pi, p, 0.0, TWO_PI
-        )
-        out = wrap_angle(self.mu + out)
-        return out if np.ndim(out) else float(out)
+        # On [0, pi] the CDF is concave for rho_c > 0 and convex for
+        # rho_c < 0, so Newton from the tangent at y = 0 (clipped to pi)
+        # approaches the root from one side only.  Near |rho_c| = 1/2 the
+        # density almost vanishes at one end of [0, pi] and a step may only
+        # shrink the error by a third, hence the larger step count.
+        def start(q):
+            return np.minimum(TWO_PI * q / (1.0 + 2.0 * self.rho_c), np.pi), 0.0, np.pi
+
+        return _newton_quantile(self, p, start, _CARDIOID_NEWTON_STEPS)
 
     def params_dict(self):
         return {"mu": self.mu, "rho_c": self.rho_c}
@@ -431,18 +531,18 @@ class Weibull(Marginal):
         z = x / lam
         with np.errstate(over="ignore"):  # z**nu -> inf means logpdf -> -inf
             out = np.log(nu / lam) + (nu - 1.0) * np.log(z) - z**nu
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def cdf(self, x):
         x = self._check_domain(x)
         with np.errstate(over="ignore"):
             out = -np.expm1(-((x / self.scale) ** self.shape))
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)
         out = self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
-        return out if out.ndim else float(out)
+        return float_if_scalar(out)
 
     def params_dict(self):
         return {"shape": self.shape, "scale": self.scale}

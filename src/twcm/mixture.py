@@ -63,8 +63,9 @@ class MixtureModel:
         return np.column_stack(cols)
 
     def log_density(self, data):
+        """Mixture log density at one triple or an (n, 3) block."""
         out = logsumexp(self.component_log_densities(data), axis=1)
-        return out if out.ndim else float(out)
+        return float(out[0]) if np.ndim(data) == 1 else out
 
     def loglik(self, data) -> float:
         return float(np.sum(self.log_density(data)))

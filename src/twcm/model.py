@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TWO_PI, as_rng, wc_kernel_density
+from ._util import TWO_PI, as_rng, float_if_scalar, wc_kernel_density
 from .copula import (
     ConditionalWCSpec,
     RhoVector,
@@ -82,7 +82,10 @@ class TwcmModel:
 
     def pseudo_observations(self, data) -> np.ndarray:
         """Copula-scale data u_i = 2*pi*F_i(theta_i), shape (n, 3)."""
-        data = self.validate_data(data)
+        return self._pseudo_observations(self.validate_data(data))
+
+    def _pseudo_observations(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`pseudo_observations` of data already validated."""
         return np.column_stack(
             [TWO_PI * m.cdf(data[:, i]) for i, m in enumerate(self.marginals)]
         )
@@ -93,7 +96,7 @@ class TwcmModel:
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
         data = self.validate_data(theta)
-        u = self.pseudo_observations(data)
+        u = self._pseudo_observations(data)
         cc = constants(self.rho)
         bracket = cc.c1 + 2.0 * (
             self.rho.rho12 * np.cos(u[:, 0] - u[:, 1])
@@ -106,7 +109,7 @@ class TwcmModel:
         return float(out[0]) if single else out
 
     def density(self, theta):
-        return np.exp(self.log_density(theta))
+        return float_if_scalar(np.exp(self.log_density(theta)))
 
     def loglik(self, data) -> float:
         """Sum of log densities; raises on rows with vanishing density."""
@@ -129,7 +132,7 @@ class TwcmModel:
         uj = TWO_PI * np.asarray(mj.cdf(x_j))
         kern = wc_kernel_density(ui - uj, 0.0, phi.phi) / TWO_PI  # t_2
         out = 4.0 * np.pi**2 * kern * mi.pdf(x_i) * mj.pdf(x_j)
-        return out if np.ndim(out) else float(out)
+        return float_if_scalar(out)
 
     def cond_density_2given1(self, theta, given: int):
         """Density of the two remaining coordinates given coordinate
@@ -149,7 +152,7 @@ class TwcmModel:
         ui = TWO_PI * np.asarray(mi.cdf(x_i))
         uj = TWO_PI * np.asarray(mj.cdf(x_j))
         out = TWO_PI * wc_kernel_density(ui, uj, phi.phi) * mi.pdf(x_i)
-        return out if np.ndim(out) else float(out)
+        return float_if_scalar(out)
 
     def conditional_spec(self, i: int, theta_j, theta_k) -> ConditionalWCSpec:
         """Kernel parameters of coordinate i given the other two, whose
@@ -166,7 +169,7 @@ class TwcmModel:
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
         data = self.validate_data(theta)
-        u = self.pseudo_observations(data)
+        u = self._pseudo_observations(data)
         j, k = sorted({1, 2, 3} - {i})
         ph = conditional_phi(self.rho, i, u[:, j - 1], u[:, k - 1])
         mi = self.marginals[i - 1]
@@ -273,4 +276,4 @@ def kato_pewsey_bivariate_density(phi: float, wc_i: WrappedCauchy, wc_j: Wrapped
     g3 = -4.0 * (1.0 + p2) * xi_i * xi_j + 2.0 * phi * (1.0 + xi_i**2) * (1.0 + xi_j**2)
     g4 = 2.0 * phi * (1.0 - xi_i**2) * (1.0 - xi_j**2)
     out = gam / (g0 - g1 * ci - g2 * cj - g3 * ci * cj - g4 * si * sj)
-    return out if np.ndim(out) else float(out)
+    return float_if_scalar(out)

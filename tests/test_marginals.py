@@ -1,11 +1,14 @@
 """Marginal family checks: densities, CDFs, quantiles, sampling, and
 weighted maximum likelihood."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import i0e, ive
 from scipy.stats import kstest
 
 from twcm import (
@@ -18,6 +21,7 @@ from twcm import (
     WrappedCauchy,
     fit_mle,
 )
+from twcm import marginals
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,7 +141,11 @@ class TestQuantile:
         m = Weibull(shape=2.0, scale=1.0)
         assert m.quantile(1.0 - np.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("m", ALL_MODELS, ids=IDS)
+    @pytest.mark.parametrize(
+        "m",
+        ALL_MODELS + [Cardioid(mu=2.0, rho_c=0.499), Cardioid(mu=2.0, rho_c=-0.499)],
+        ids=IDS + ["cardioid_near_half", "cardioid_near_minus_half"],
+    )
     def test_round_trip(self, m):
         rng = np.random.default_rng(42)
         p = rng.uniform(1e-6, 1.0 - 1e-6, 1000)
@@ -176,6 +184,55 @@ class TestQuantile:
             m.quantile(1.0)
         with pytest.raises(DomainError):
             m.quantile(-0.1)
+
+
+class TestVonMisesAcrossKappa:
+    """Exact round trip and bounded memory from the uniform law up to the
+    concentration cap the fitter itself produces."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_caches(self):
+        # per-kappa coefficients and start tables are built inside each test
+        marginals._vonmises_coefficients.cache_clear()
+        marginals._vonmises_start_table.cache_clear()
+
+    @staticmethod
+    def _peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.8, 5.0, 84.4, 1e3, 1e4, 1e5])
+    def test_round_trip(self, kappa):
+        m = VonMises(mu=2.0, kappa=kappa)
+        p = np.random.default_rng(17).random(2000)
+        x = m.quantile(p)
+        assert np.all((x >= 0.0) & (x < TWO_PI))
+        assert np.max(np.abs(m.cdf(x) - p)) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.8, 27.6, 84.4, 1e3])
+    def test_cdf_matches_direct_series(self, kappa):
+        # the series y/2pi + sum_k I_k/I_0 sin(k y)/(k pi) summed term by
+        # term over the same terms; the two sums differ only in rounding
+        x = TWO_PI * np.random.default_rng(20).random(300)
+        k = np.arange(1, marginals._vonmises_cdf_terms(kappa) + 1)
+        ratios = ive(k, kappa) / i0e(kappa)
+        direct = x / TWO_PI + (ratios / k) @ np.sin(np.outer(k, x)) / np.pi
+        m = VonMises(mu=0.0, kappa=kappa)
+        np.testing.assert_allclose(m.cdf(x), direct, rtol=0, atol=1e-14)
+
+    def test_memory_bounded_at_kappa_1e5(self):
+        m = VonMises(mu=2.0, kappa=1e5)
+        p = np.random.default_rng(18).random(2000)
+        assert self._peak_mb(lambda: m.cdf(m.quantile(p))) <= 64.0
+
+    def test_cdf_memory_bounded_at_kappa_max(self):
+        m = VonMises(mu=2.0, kappa=marginals.KAPPA_MAX)
+        x = TWO_PI * np.random.default_rng(19).random(16)
+        assert self._peak_mb(lambda: m.cdf(x)) <= 64.0
 
 
 class TestSampling:
