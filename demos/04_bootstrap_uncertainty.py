@@ -25,8 +25,7 @@ point = fit_ifm(data, families, FitConfig(seed=9))
 print(f"point estimate rho: {np.round(point.model.rho.as_array(), 3)}")
 
 B = 60  # enough for a demo; use hundreds for reported numbers
-boot = bootstrap_se(data, families, FitConfig(seed=9, bootstrap_b=B,
-                                              restarts=2))
+boot = bootstrap_se(data, families, FitConfig(seed=9, bootstrap_b=B))
 print(f"bootstrap with B = {B}: {boot.b_failed} replicate failures\n")
 
 print(f"{'parameter':<10}{'estimate':>12}{'bootstrap SE':>14}")

@@ -95,7 +95,8 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
     rejected and reported with their 1-based file line numbers.  Circular
     degrees are converted to radians and all angles reduced mod 2*pi.
     """
-    rows = []
+    linenos: list[int] = []
+    rows: list[tuple[float, float, float]] = []
     rejected: list[tuple[int, str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         header_seen = False
@@ -109,29 +110,30 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
                 rejected.append((lineno, "fewer than 3 fields"))
                 continue
             try:
-                vals = [float(record[i]) for i in range(3)]
+                rows.append((float(record[0]), float(record[1]), float(record[2])))
             except ValueError:
                 rejected.append((lineno, "non-numeric value"))
                 continue
-            ok = True
-            for i, spec in enumerate(specs):
-                if not np.isfinite(vals[i]):
-                    rejected.append((lineno, f"non-finite value in {spec.name}"))
-                    ok = False
-                    break
-                if spec.domain == CIRCULAR:
-                    if spec.unit == "degrees":
-                        vals[i] = np.deg2rad(vals[i])
-                    vals[i] = float(wrap_angle(vals[i]))
-                elif vals[i] <= 0.0:
-                    rejected.append((lineno, f"nonpositive value in {spec.name}"))
-                    ok = False
-                    break
-            if ok:
-                rows.append(vals)
-    if not rows:
+            linenos.append(lineno)
+    data = np.asarray(rows, dtype=float).reshape(-1, 3)
+    nonfinite = ~np.isfinite(data)
+    linear = np.array([spec.domain != CIRCULAR for spec in specs])
+    failing = nonfinite | (linear & (data <= 0.0))
+    bad = failing.any(axis=1)
+    for r in np.flatnonzero(bad):
+        i = int(np.argmax(failing[r]))
+        kind = "non-finite" if nonfinite[r, i] else "nonpositive"
+        rejected.append((linenos[r], f"{kind} value in {specs[i].name}"))
+    rejected.sort()
+    data = data[~bad]
+    for i, spec in enumerate(specs):
+        if spec.domain == CIRCULAR:
+            if spec.unit == "degrees":
+                data[:, i] = np.deg2rad(data[:, i])
+            data[:, i] = wrap_angle(data[:, i])
+    if not data.shape[0]:
         raise DomainError(f"no valid data rows in {path}")
-    return np.asarray(rows, dtype=float), rejected
+    return data, rejected
 
 
 def _write_csv(path_or_stdout, header, rows, comments=()):
@@ -218,8 +220,7 @@ def _ingest_for(args, families):
 def cmd_fit(args) -> int:
     families = _families_from_arg(args.marginals)
     data = _ingest_for(args, families)
-    config = FitConfig(seed=_resolve_seed(args), restarts=args.restarts)
-    result = fit_ifm(data, families, config)
+    result = fit_ifm(data, families, FitConfig(seed=_resolve_seed(args)))
     payload = json.dumps(result.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -319,8 +320,7 @@ def cmd_mixture(args) -> int:
 def cmd_bootstrap(args) -> int:
     families = _families_from_arg(args.marginals)
     data = _ingest_for(args, families)
-    config = FitConfig(seed=_resolve_seed(args), bootstrap_b=args.B,
-                       restarts=args.restarts)
+    config = FitConfig(seed=_resolve_seed(args), bootstrap_b=args.B)
     point = fit_ifm(data, families, config)
     boot = bootstrap_se(data, families, config)
     for note in boot.warnings:
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", default=None,
                    help="name:domain[:unit] x3, comma separated")
     p.add_argument("--marginals", required=True, help="three family tags")
-    p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--out", default=None)
     add_seed(p)
     p.set_defaults(func=cmd_fit)
@@ -468,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", default=None)
     p.add_argument("--marginals", required=True)
     p.add_argument("--B", type=int, default=1000)
-    p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--out", default=None)
     add_seed(p)
     p.set_defaults(func=cmd_bootstrap)

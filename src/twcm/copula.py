@@ -144,17 +144,24 @@ class CopulaConstants:
     c2: float
 
 
+def c1_and_radicand(r12, r13, r23):
+    """c1 and the radicand of c2 (c2 = sqrt(radicand) / (2 pi)^3).
+
+    Both are symmetric in the three arguments, which may be arrays of
+    equal shape.
+    """
+    a = r12 * r13 / r23
+    b = r12 * r23 / r13
+    d = r13 * r23 / r12
+    return a + b + d, a * a + b * b + d * d - 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)
+
+
 def constants(rho: RhoVector) -> CopulaConstants:
     """Compute c1 and c2.  Both are positive and homogeneous of degree 1
     in rho; c2's radicand must be strictly positive for the density to
     exist."""
     require_valid(rho)
-    r12, r13, r23 = rho.rho12, rho.rho13, rho.rho23
-    a = r12 * r13 / r23
-    b = r12 * r23 / r13
-    d = r13 * r23 / r12
-    c1 = a + b + d
-    radicand = a * a + b * b + d * d - 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)
+    c1, radicand = c1_and_radicand(rho.rho12, rho.rho13, rho.rho23)
     if radicand <= 0.0:
         raise InvalidParameterError(
             f"degenerate copula parameters {rho}: nonpositive radicand {radicand}"

@@ -1,25 +1,33 @@
 """Two-step maximum likelihood (marginals first, copula second on the
 pseudo-observations), bootstrap standard errors, and AIC/BIC.
 
-The copula step searches the identifiable manifold rho12*rho13*rho23 = 1:
-two free parameters (log|rho12|, log|rho13|) per sign pattern, with the
-four sign patterns of positive product enumerated exhaustively.  Validity
-violations are penalized, not barriered, so the simplex search remains
-total.
+The copula step maximizes over the valid region of rho directly.  That
+region is 12 connected pieces, and in each the log-likelihood is smooth in
+two unconstrained coordinates and falls to -inf at the boundary (the c2
+radicand vanishes there), so it is its own barrier.  A batched Newton
+ascent with analytic derivatives runs in all 12 pieces from fixed starts;
+the result does not depend on any seed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._util import TWO_PI, wrap_angle
-from .copula import RhoVector, normalize_rho
-from .errors import FitFailureError, InvalidParameterError
+from .copula import (
+    RhoVector,
+    _cos_diffs,
+    c1_and_radicand,
+    copula_log_density,
+    normalize_rho,
+    require_valid,
+    validate_rho,
+)
+from .errors import DegenerateDataError, FitFailureError, InvalidParameterError
 from .marginals import CIRCULAR, FAMILIES, Marginal, fit_mle
 from .model import TwcmModel
 
@@ -33,23 +41,34 @@ def _family_class(fam) -> type[Marginal]:
 
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
-_PENALTY = 1e12
+# In the piece that singles out coordinate i, the pairs play the roles
+# (ij, ik, jk); _ROLES[i] gives each role's index in (rho12, rho13, rho23).
+_ROLES = {1: (0, 1, 2), 2: (0, 2, 1), 3: (1, 2, 0)}
+_PIECES = tuple((signs, i) for signs in SIGN_PATTERNS for i in (1, 2, 3))
+_PIECE_ROLES = np.array([_ROLES[i] for _, i in _PIECES])
+_PIECE_SIGNS = np.array([[sg[r] for r in _ROLES[i]] for sg, i in _PIECES], dtype=float)
+# exponents of log|rho| (role order) in the three monomials summing to c1
+_C1_EXPONENTS = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+_C1_OUTER = np.einsum("ka,kb->kab", _C1_EXPONENTS, _C1_EXPONENTS)
+_T_CAP = 40.0  # past this a piece is walking to a limit of its region
+_STEP_MAX = 8.0
+_EIG_FLOOR = 1e-10  # relative to the total weight
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 50
 _NEAR_LIMIT = 1e3
-_ANCHOR = (math.log(3.0), math.log(3.0))  # |rho| = (3, 3, 1/9), valid for all signs
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the optimizer, restarts, and the bootstrap."""
+    """Knobs of the copula optimizer and the bootstrap."""
 
     max_iter: int = 2000
     tol: float = 1e-8
-    restarts: int = 3
     bootstrap_b: int = 1000
     seed: int | None = None
 
     def __post_init__(self):
-        if min(self.max_iter, self.restarts, self.bootstrap_b) < 1 or self.tol <= 0:
+        if min(self.max_iter, self.bootstrap_b) < 1 or self.tol <= 0:
             raise InvalidParameterError("config values must be positive")
 
 
@@ -89,30 +108,6 @@ def information_criteria(loglik: float, p: int, n: int) -> tuple[float, float]:
     return -2.0 * loglik + 2.0 * p, -2.0 * loglik + p * math.log(n)
 
 
-def _feasibility_violation(abs_rho: np.ndarray) -> float:
-    """Zero inside the valid region; grows with the distance from it.
-
-    Combines the best permutation-condition ratio with the relative
-    deficit of the c2 radicand so a penalized search can descend back to
-    feasibility.
-    """
-    a12, a13, a23 = abs_rho
-    perm = min(
-        a23 * (a12 + a13) / (a12 * a13),
-        a13 * (a12 + a23) / (a12 * a23),
-        a12 * (a13 + a23) / (a13 * a23),
-    )
-    viol = max(0.0, perm - 1.0)
-    a = a12 * a13 / a23
-    b = a12 * a23 / a13
-    d = a13 * a23 / a12
-    radicand = a * a + b * b + d * d - 2.0 * (a12**2 + a13**2 + a23**2)
-    norm = a * a + b * b + d * d
-    if radicand <= 0.0:
-        viol += 1.0 - radicand / norm
-    return viol
-
-
 @dataclass(frozen=True)
 class CopulaFit:
     rho: RhoVector
@@ -123,92 +118,199 @@ class CopulaFit:
     near_limit: bool
 
 
-def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
-               initial_points=None) -> CopulaFit:
-    """Maximize the copula log-likelihood over the identifiable manifold.
+class _Pieces:
+    """The weighted copula log-likelihood on the 12 pieces of the valid
+    region, in each piece's unconstrained coordinates t = (t1, t2).
 
-    ``u`` is an (n, 3) array of copula-scale angles.  Per sign pattern the
-    search runs from a fixed anchor plus random restarts; the best feasible
-    optimum over all patterns wins.
+    Piece (signs, i) holds the rho with those signs whose permutation
+    check singles out coordinate i.  Its pairs play the roles (ij, ik, jk)
+    and, with |rho_ij rho_ik| = 1 fixing the scale,
+
+        t1 = log(|rho_ij| / |rho_ik|),
+        t2 = logit s,  s = |rho_jk| (|rho_ij| + |rho_ik|) / |rho_ij rho_ik|,
+
+    so the piece is exactly t in R^2 (s < 1 is its permutation check).
+    The bracket is coef . phi with phi = (1, C12, C13, C23) per row, and
+    the data enter the derivatives only through the weighted sums of
+    phi / D and phi phi^T / D^2.
+    """
+
+    def __init__(self, u: np.ndarray, w: np.ndarray):
+        self.phi = np.column_stack([np.ones(u.shape[0]), *_cos_diffs(u)])
+        self.phi2 = (self.phi[:, :, None] * self.phi[:, None, :]).reshape(-1, 16)
+        self.w = w
+        self.wsum = float(w.sum())
+
+    def rho(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Signed rho of pieces ``k`` at ``t``, in role order."""
+        return _PIECE_SIGNS[k] * np.exp(_log_abs_rho(t))
+
+    def value(self, t: np.ndarray, k: np.ndarray):
+        """Log-likelihood of pieces ``k`` at ``t`` (less the constant
+        -3 W log 2 pi; -inf outside the numerically valid set) and the
+        brackets, shape (len(k), n)."""
+        rho = self.rho(t, k)
+        c1, radicand = c1_and_radicand(rho[:, 0], rho[:, 1], rho[:, 2])
+        coef = np.zeros((len(k), 4))
+        coef[:, 0] = c1
+        np.put_along_axis(coef, 1 + _PIECE_ROLES[k], 2.0 * rho, axis=1)
+        bracket = coef @ self.phi.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = 0.5 * self.wsum * np.log(radicand) - np.log(bracket) @ self.w
+        f[~np.isfinite(f)] = -np.inf
+        return f, bracket
+
+    def ascent(self, t: np.ndarray, k: np.ndarray, bracket: np.ndarray):
+        """Gradient and modified Newton step of pieces ``k`` at ``t``."""
+        m = len(k)
+        ell = _log_abs_rho(t)
+        x = np.exp(ell)
+        rho = _PIECE_SIGNS[k] * x
+        # c1 and the radicand are sums of monomials in |rho|: derivatives
+        # in ell = log|rho| first, then the chain rule to t
+        mono = np.exp(ell @ _C1_EXPONENTS.T)
+        c1_l = mono @ _C1_EXPONENTS
+        c1_ll = np.tensordot(mono, _C1_OUTER, axes=1)
+        _, radicand = c1_and_radicand(rho[:, 0], rho[:, 1], rho[:, 2])
+        lr_l = (2.0 * mono**2 @ _C1_EXPONENTS - 4.0 * x**2) / radicand[:, None]
+        lr_ll = (
+            (4.0 * np.tensordot(mono**2, _C1_OUTER, axes=1) - 8.0 * _diag(x**2))
+            / radicand[:, None, None]
+            - lr_l[:, :, None] * lr_l[:, None, :]
+        )
+        q = self.w / bracket
+        feat = np.column_stack([np.zeros(m, dtype=int), 1 + _PIECE_ROLES[k]])
+        s1 = np.take_along_axis(q @ self.phi, feat, axis=1)
+        s2 = ((q / bracket) @ self.phi2).reshape(m, 4, 4)
+        s2 = s2[np.arange(m)[:, None, None], feat[:, :, None], feat[:, None, :]]
+        # bracket derivatives in ell, as coefficients of (1, C_ij, C_ik, C_jk)
+        b = np.zeros((m, 3, 4))
+        b[:, :, 0] = c1_l
+        b[:, :, 1:] = _diag(2.0 * rho)
+        half_w = 0.5 * self.wsum
+        g_l = half_w * lr_l - np.einsum("mac,mc->ma", b, s1)
+        h_l = (half_w * lr_ll - c1_ll * s1[:, 0, None, None]
+               - _diag(2.0 * rho * s1[:, 1:]) + b @ s2 @ b.transpose(0, 2, 1))
+        th = np.tanh(0.5 * t[:, 0])
+        s = np.exp(-np.logaddexp(0.0, -t[:, 1]))
+        jac = np.zeros((m, 3, 2))
+        jac[:, 0, 0], jac[:, 1, 0] = 0.5, -0.5
+        jac[:, 2, 0], jac[:, 2, 1] = -0.5 * th, 1.0 - s
+        grad = np.einsum("mai,ma->mi", jac, g_l)
+        # only log|rho_jk| is nonlinear in t
+        hess = (np.einsum("mai,mab,mbj->mij", jac, h_l, jac)
+                + g_l[:, 2, None, None] * _diag(np.column_stack(
+                    [-0.25 * (1.0 - th * th), -s * (1.0 - s)])))
+        # ascend along |eigenvalues| so the step is uphill wherever the
+        # Hessian is not negative definite
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.maximum(np.abs(lam), _EIG_FLOOR * self.wsum)
+        step = np.einsum("mab,mb->ma", vec, np.einsum("mab,ma->mb", vec, grad) / lam)
+        norm = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, _STEP_MAX / np.maximum(norm, 1e-300))[:, None]
+        return grad, step
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices from the rows of ``v``."""
+    out = np.zeros(v.shape + (v.shape[-1],))
+    idx = np.arange(v.shape[-1])
+    out[..., idx, idx] = v
+    return out
+
+
+def _log_abs_rho(t: np.ndarray) -> np.ndarray:
+    """log|rho| in role order at piece coordinates ``t`` (m, 2)."""
+    h = 0.5 * t[:, 0]
+    log_s = -np.logaddexp(0.0, -t[:, 1])
+    return np.column_stack([h, -h, log_s - np.logaddexp(h, -h)])
+
+
+def _piece_of(rho: RhoVector) -> tuple[int, np.ndarray]:
+    """Index in ``_PIECES`` and coordinates of a valid rho."""
+    require_valid(rho)
+    i = validate_rho(rho).passing_permutations[0]
+    signs = tuple(int(np.sign(v)) for v in rho.as_array())
+    x, y, z = np.abs(rho.as_array())[list(_ROLES[i])]
+    s = z * (x + y) / (x * y)
+    return _PIECES.index((signs, i)), np.array([math.log(x / y), math.log(s / (1.0 - s))])
+
+
+def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
+               start: RhoVector | None = None) -> CopulaFit:
+    """Maximize the copula log-likelihood over the valid region.
+
+    ``u`` is an (n, 3) array of copula-scale angles.  The valid region is
+    12 connected pieces (4 sign patterns of positive product times the 3
+    permutation checks); each gets unconstrained coordinates in which the
+    log-likelihood, scale-invariant in rho, needs no product constraint and
+    falls to -inf at the piece's boundary.  All pieces run a batched
+    Newton ascent with analytic derivatives from t = 0, or from ``start``
+    (a valid rho) in the piece that contains it, so that piece ends no
+    lower than ``start``.  A piece stops after two successive relative
+    gains <= config.tol, or when a coordinate passes |t| = 40, walking to
+    a limit of the region; a winner stopped that way is reported as not
+    converged.  The result is deterministic and normalized to product 1.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
         raise InvalidParameterError("pseudo-observations must be a nonempty (n, 3) array")
-    if weights is None:
-        w = np.ones(u.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-    wsum = w.sum()
-    cosd = np.column_stack(
-        [np.cos(u[:, 0] - u[:, 1]), np.cos(u[:, 0] - u[:, 2]), np.cos(u[:, 1] - u[:, 2])]
-    )
-    rng = np.random.default_rng(config.seed)
+    w = np.ones(u.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    pieces = _Pieces(u, w)
+    n_pieces = len(_PIECES)
+    k_all = np.arange(n_pieces)
+    t = np.zeros((n_pieces, 2))
+    if start is not None:
+        k0, t0 = _piece_of(start)
+        t[k0] = t0
+    f, bracket = pieces.value(t, k_all)
+    iterations = np.zeros(n_pieces, dtype=int)
+    converged = np.zeros(n_pieces, dtype=bool)
+    was_small = np.zeros(n_pieces, dtype=bool)
+    active = k_all[np.isfinite(f) & (np.abs(t).max(axis=1) <= _T_CAP)]
+    while active.size:
+        grad, step = pieces.ascent(t[active], active, bracket[active])
+        slope = np.sum(grad * step, axis=1)
+        f_old = f[active]
+        moved = np.zeros(active.size, dtype=bool)
+        alpha = 1.0
+        pending = np.arange(active.size)
+        for _ in range(_MAX_HALVINGS):
+            k = active[pending]
+            trial = t[k] + alpha * step[pending]
+            f_try, b_try = pieces.value(trial, k)
+            ok = f_try >= f[k] + _ARMIJO * alpha * slope[pending]
+            t[k[ok]], f[k[ok]], bracket[k[ok]] = trial[ok], f_try[ok], b_try[ok]
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            alpha *= 0.5
+        iterations[active] += 1
+        gain = f[active] - f_old
+        # a gain this small ends Newton's fast phase; one more step then
+        # lands within rounding of the optimum
+        small = gain <= config.tol * np.maximum(np.abs(f[active]), pieces.wsum)
+        flat = ~moved | (small & was_small[active])
+        was_small[active] = small
+        out = np.abs(t[active]).max(axis=1) > _T_CAP
+        converged[active[flat & ~out]] = True
+        active = active[~(flat | out) & (iterations[active] < config.max_iter)]
 
-    def neg_loglik(x, signs):
-        a, b = x
-        if abs(a) > 40.0 or abs(b) > 40.0:
-            return _PENALTY * (1.0 + abs(a) + abs(b))
-        abs_rho = np.array([math.exp(a), math.exp(b), math.exp(-a - b)])
-        viol = _feasibility_violation(abs_rho)
-        if viol > 0.0:
-            return _PENALTY * (1.0 + viol)
-        r = abs_rho * signs
-        aa = r[0] * r[1] / r[2]
-        bb = r[0] * r[2] / r[1]
-        dd = r[1] * r[2] / r[0]
-        radicand = aa * aa + bb * bb + dd * dd - 2.0 * np.dot(r, r)
-        c1 = aa + bb + dd
-        denom = c1 + 2.0 * (cosd @ r)
-        if radicand <= 0.0 or np.any(denom <= 0.0):
-            return _PENALTY
-        c2 = math.sqrt(radicand) / TWO_PI**3
-        return -(wsum * math.log(c2) - w @ np.log(denom))
-
-    best = None
-    best_infeasible = None
-    for signs in SIGN_PATTERNS:
-        signs_arr = np.array(signs, dtype=float)
-        if initial_points is not None:
-            starts = [np.asarray(x0, dtype=float) for x0 in initial_points]
-        else:
-            starts = [np.asarray(_ANCHOR)] + [
-                rng.uniform(-2.0, 4.0, size=2) for _ in range(config.restarts - 1)
-            ]
-        for x0 in starts:
-            res = minimize(
-                neg_loglik, x0, args=(signs_arr,), method="Nelder-Mead",
-                options={"maxiter": config.max_iter, "xatol": config.tol,
-                         "fatol": config.tol},
-            )
-            feasible = res.fun < _PENALTY / 2.0
-            cand = (res.fun, signs, res)
-            if feasible:
-                if best is None or res.fun < best[0]:
-                    best = cand
-            elif best_infeasible is None or res.fun < best_infeasible[0]:
-                best_infeasible = cand
-
-    if best is None:
-        a, b = best_infeasible[2].x if best_infeasible else (float("nan"),) * 2
-        raise FitFailureError(
-            "no valid copula parameters found in any sign pattern",
-            best_candidate=(math.exp(a), math.exp(b)),
-        )
-    fun, signs, res = best
-    a, b = res.x
-    rho = normalize_rho(
-        RhoVector(
-            signs[0] * math.exp(a), signs[1] * math.exp(b), signs[2] * math.exp(-a - b)
-        )
-    )
-    near_limit = bool(np.max(np.abs(rho.as_array())) > _NEAR_LIMIT)
+    best = int(np.argmax(f))
+    if not np.isfinite(f[best]):
+        raise FitFailureError("no valid copula parameters found in any piece")
+    signs, _ = _PIECES[best]
+    r = np.empty(3)
+    r[_PIECE_ROLES[best]] = pieces.rho(t[best:best + 1], np.array([best]))[0]
+    rho = normalize_rho(RhoVector(*r))
     return CopulaFit(
         rho=rho,
-        loglik=-fun,
+        loglik=float(w @ copula_log_density(u, rho)),
         sign_pattern=signs,
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        near_limit=near_limit,
+        converged=bool(converged[best]),
+        iterations=int(iterations[best]),
+        near_limit=bool(np.max(np.abs(rho.as_array())) > _NEAR_LIMIT),
     )
 
 
@@ -224,11 +326,18 @@ def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None) -> Fi
     )
     cop = fit_copula(u, config, weights=weights)
     model = TwcmModel(rho=cop.rho, marginals=margs)
-    if weights is None:
-        loglik = model.loglik(data)
-    else:
-        loglik = float(np.dot(weights, model.log_density(data)))
+    # the joint log density is the copula's plus 3 log 2 pi plus the
+    # marginal log densities, so the marginal CDFs are not evaluated again
+    marg_ll = sum(m.logpdf(data[:, i]) for i, m in enumerate(margs))
+    finite = np.isfinite(marg_ll)
+    if not finite.all():
+        rows = np.flatnonzero(~finite)
+        raise DegenerateDataError(
+            f"zero density at rows {rows.tolist()[:20]}", rows=rows
+        )
     n = data.shape[0]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    loglik = cop.loglik + 3.0 * w.sum() * math.log(TWO_PI) + float(w @ marg_ll)
     p = model.n_free_params
     aic, bic = information_criteria(loglik, p, n)
     return FitResult(
@@ -279,10 +388,7 @@ def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapRe
     failed = 0
     for rep in range(b):
         idx = rng.integers(0, n, size=n)
-        rep_cfg = FitConfig(
-            max_iter=config.max_iter, tol=config.tol, restarts=config.restarts,
-            bootstrap_b=config.bootstrap_b, seed=int(seeds[rep]),
-        )
+        rep_cfg = replace(config, seed=int(seeds[rep]))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -135,13 +135,7 @@ def _weighted_component_fit(data, families, weights, config, warm_rho):
     side when a previous estimate exists."""
     margs = tuple(fit_mle(f, data[:, i], weights) for i, f in enumerate(families))
     u = np.column_stack([TWO_PI * m.cdf(data[:, i]) for i, m in enumerate(margs)])
-    initial_points = None
-    if warm_rho is not None:
-        initial_points = [
-            np.log(np.abs([warm_rho.rho12, warm_rho.rho13])),
-            np.array([np.log(3.0), np.log(3.0)]),
-        ]
-    cop = fit_copula(u, config, weights=weights, initial_points=initial_points)
+    cop = fit_copula(u, config, weights=weights, start=warm_rho)
     return TwcmModel(rho=cop.rho, marginals=margs)
 
 
@@ -195,11 +189,7 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
 
 def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol):
     n = data.shape[0]
-    inner_cfg = FitConfig(
-        max_iter=config.max_iter, tol=config.tol, restarts=config.restarts,
-        bootstrap_b=config.bootstrap_b,
-        seed=int(rng.integers(0, 2**63 - 1)),
-    )
+    inner_cfg = replace(config, seed=int(rng.integers(0, 2**63 - 1)))
 
     # hard random assignment guarantees every component a nonempty first fit
     while True:
@@ -292,9 +282,8 @@ def select_k(data, k_values, families, config: FitConfig = FitConfig(), *,
     rows = []
     best = None
     for idx, k in enumerate(k_values):
-        cfg = FitConfig(max_iter=config.max_iter, tol=config.tol,
-                        restarts=config.restarts, bootstrap_b=config.bootstrap_b,
-                        seed=int(np.random.default_rng(seeds[idx]).integers(0, 2**63 - 1)))
+        cfg = replace(config, seed=int(
+            np.random.default_rng(seeds[idx]).integers(0, 2**63 - 1)))
         model, report = em_fit(data, k, families, cfg, restarts=restarts,
                                max_iter=max_iter, rel_tol=rel_tol)
         p = mixture_parameter_count(k, families)

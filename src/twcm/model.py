@@ -20,6 +20,7 @@ from .copula import (
     RhoVector,
     conditional_phi,
     constants,
+    copula_log_density,
     copula_sample,
     normalize_rho,
     pairwise_phi,
@@ -97,13 +98,7 @@ class TwcmModel:
         single = theta.ndim == 1
         data = self.validate_data(theta)
         u = self._pseudo_observations(data)
-        cc = constants(self.rho)
-        bracket = cc.c1 + 2.0 * (
-            self.rho.rho12 * np.cos(u[:, 0] - u[:, 1])
-            + self.rho.rho13 * np.cos(u[:, 0] - u[:, 2])
-            + self.rho.rho23 * np.cos(u[:, 1] - u[:, 2])
-        )
-        out = 3.0 * np.log(TWO_PI) + np.log(cc.c2) - np.log(bracket)
+        out = 3.0 * np.log(TWO_PI) + copula_log_density(u, self.rho)
         for i, m in enumerate(self.marginals):
             out = out + m.logpdf(data[:, i])
         return float(out[0]) if single else out

@@ -232,7 +232,7 @@ def _run_reference_bootstrap():
             warnings.simplefilter("ignore")
             BOOT_RESULT["res"] = bootstrap_se(
                 data, ["von_mises"] * 3,
-                FitConfig(seed=71, bootstrap_b=200, restarts=2),
+                FitConfig(seed=71, bootstrap_b=200),
             )
     return BOOT_RESULT["res"]
 

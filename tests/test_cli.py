@@ -90,6 +90,36 @@ class TestIngest:
         data, _ = ingest(path, parse_column_specs(CIRC3))
         assert data.shape == (1, 3)
 
+    def test_mixed_file_exact_result(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "# synthetic\n"
+            "a,b,h\n"
+            "\n"
+            "400,-0.5,2.0\n"
+            "10,7.0\n"
+            "# a comment between rows\n"
+            "x,1.0,1.0\n"
+            "nan,1.0,1.0\n"
+            "10,inf,-1.0\n"
+            "-90,1.0,0.0\n"
+            "-90,6.5,3.5\n"
+        )
+        specs = parse_column_specs("a:circular:degrees,b:circular,h:linear")
+        data, rejected = ingest(path, specs)
+        assert rejected == [
+            (5, "fewer than 3 fields"),
+            (7, "non-numeric value"),
+            (8, "non-finite value in a"),
+            (9, "non-finite value in b"),
+            (10, "nonpositive value in h"),
+        ]
+        expected = np.array([
+            [np.mod(np.deg2rad(400.0), TWO_PI), np.mod(-0.5, TWO_PI), 2.0],
+            [np.mod(np.deg2rad(-90.0), TWO_PI), np.mod(6.5, TWO_PI), 3.5],
+        ])
+        np.testing.assert_array_equal(data, expected)
+
     def test_all_rows_invalid_is_hard_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("w,v,h\n1.0,2.0,-1.0\n")

@@ -77,7 +77,7 @@ class TestParameterCounting:
             data[:, 2] = np.abs(data[:, 2]) + 0.1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = fit_ifm(data, families, FitConfig(seed=2, restarts=2))
+            res = fit_ifm(data, families, FitConfig(seed=2))
         assert res.p == expected
 
 
@@ -103,13 +103,25 @@ class TestFitCopula:
         ll_truth = float(np.sum(copula_log_density(u, RHO_333)))
         assert res.loglik >= ll_truth - 1e-8
 
-    def test_penalty_start_escapes_to_feasible_region(self):
-        # (1, 1, 1) violates the permutation condition; the shaped penalty
-        # must still let the simplex walk back into the valid set
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+    def test_start_in_every_piece_only_improves(self, signs, i):
+        # a start whose permutation check singles out coordinate i, with
+        # the given signs: one of the 12 pieces of the valid region
         u = copula_sample(500, RHO_333, seed=3)
-        res = fit_copula(u, FitConfig(seed=4), initial_points=[(0.0, 0.0)])
+        abs_rho = np.full(3, 2.0)
+        abs_rho[3 - i] = 0.5  # the pair not containing i
+        start = RhoVector(*(np.array(signs) * abs_rho))
+        assert validate_rho(start).passing_permutations == (i,)
+        res = fit_copula(u, FitConfig(), start=start)
         assert validate_rho(res.rho).valid
-        assert res.loglik > -1e11
+        assert res.rho.identifiable
+        assert res.loglik >= float(np.sum(copula_log_density(u, start))) - 1e-9
+
+    def test_invalid_start_rejected(self):
+        u = copula_sample(50, RHO_333, seed=3)
+        with pytest.raises(InvalidParameterError):
+            fit_copula(u, start=RhoVector(1.0, 1.0, 1.0))
 
     def test_constant_weights_match_unweighted(self):
         u = copula_sample(800, RHO_333, seed=5)
@@ -175,7 +187,7 @@ class TestFitIfm:
 
     def test_result_serialization_block(self):
         u = copula_sample(300, RHO_333, seed=41)
-        res = fit_ifm(u, ["uniform"] * 3, FitConfig(seed=9, restarts=2))
+        res = fit_ifm(u, ["uniform"] * 3, FitConfig(seed=9))
         d = res.to_dict()
         assert set(d) == {"rho", "marginals", "fit"}
         assert set(d["fit"]) == {
@@ -186,6 +198,27 @@ class TestFitIfm:
         assert d["fit"]["aic"] == pytest.approx(aic)
         assert d["fit"]["bic"] == pytest.approx(bic)
 
+    def test_result_does_not_depend_on_config_seed(self):
+        # this sample has local optima at loglik 2109.4319 and 2110.8549;
+        # the fit must reach the higher one whatever the config seed
+        data = protein_model().sample(2000, seed=102)
+        logliks = {
+            fit_ifm(data, ["von_mises"] * 3, FitConfig(seed=s)).loglik
+            for s in range(6)
+        }
+        assert len(logliks) == 1
+        assert logliks.pop() >= 2110.8549
+
+    def test_fit_loglik_matches_model_loglik(self):
+        data = protein_model().sample(700, seed=17)
+        res = fit_ifm(data, ["von_mises"] * 3)
+        assert res.loglik == pytest.approx(res.model.loglik(data), rel=1e-9)
+        w = np.random.default_rng(4).random(len(data))
+        res = fit_ifm(data, ["von_mises"] * 3, weights=w)
+        assert res.loglik == pytest.approx(
+            float(w @ res.model.log_density(data)), rel=1e-9
+        )
+
 
 class TestBootstrap:
     def _tiny_dataset(self):
@@ -193,7 +226,7 @@ class TestBootstrap:
 
     def test_deterministic_given_seed(self):
         data = self._tiny_dataset()
-        cfg = FitConfig(seed=3, bootstrap_b=8, restarts=2)
+        cfg = FitConfig(seed=3, bootstrap_b=8)
         a = bootstrap_se(data, ["von_mises"] * 3, cfg)
         b = bootstrap_se(data, ["von_mises"] * 3, cfg)
         assert a.se == b.se
@@ -201,7 +234,7 @@ class TestBootstrap:
     def test_reports_all_parameters(self):
         data = self._tiny_dataset()
         res = bootstrap_se(data, ["von_mises"] * 3,
-                           FitConfig(seed=4, bootstrap_b=6, restarts=2))
+                           FitConfig(seed=4, bootstrap_b=6))
         assert set(res.se) == {
             "rho12", "rho13", "rho23", "mu1", "kappa1", "mu2", "kappa2",
             "mu3", "kappa3",
@@ -211,7 +244,7 @@ class TestBootstrap:
     def test_single_replicate_flagged_degenerate(self):
         data = self._tiny_dataset()
         res = bootstrap_se(data, ["von_mises"] * 3,
-                           FitConfig(seed=5, bootstrap_b=1, restarts=2))
+                           FitConfig(seed=5, bootstrap_b=1))
         assert any("degenerate" in w for w in res.warnings)
         assert all(v == 0.0 for v in res.se.values())
 
