@@ -28,16 +28,8 @@ from .copula import (
     validate_rho,
 )
 from .errors import DegenerateDataError, FitFailureError, InvalidParameterError
-from .marginals import CIRCULAR, FAMILIES, Marginal, fit_mle
+from .marginals import CIRCULAR, family_class, fit_mle
 from .model import TwcmModel
-
-
-def _family_class(fam) -> type[Marginal]:
-    if isinstance(fam, str):
-        return FAMILIES[fam]
-    if isinstance(fam, type) and issubclass(fam, Marginal):
-        return fam
-    return type(fam)
 
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
@@ -314,9 +306,10 @@ def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
     )
 
 
-def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None) -> FitResult:
+def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None,
+            start: RhoVector | None = None) -> FitResult:
     """Two-step fit: weighted marginal MLE per coordinate, then copula MLE
-    on the pseudo-observations u = 2*pi*F_hat(theta)."""
+    on u = 2*pi*F_hat(theta), started from ``start`` as :func:`fit_copula` is."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
         raise InvalidParameterError("data must be a nonempty (n, 3) array")
@@ -324,7 +317,7 @@ def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None) -> Fi
     u = np.column_stack(
         [TWO_PI * m.cdf(data[:, i]) for i, m in enumerate(margs)]
     )
-    cop = fit_copula(u, config, weights=weights)
+    cop = fit_copula(u, config, weights=weights, start=start)
     model = TwcmModel(rho=cop.rho, marginals=margs)
     # the joint log density is the copula's plus 3 log 2 pi plus the
     # marginal log densities, so the marginal CDFs are not evaluated again
@@ -382,6 +375,11 @@ def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapRe
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n = data.shape[0]
     b = config.bootstrap_b
+    circular_locs = {
+        f"mu{i}"
+        for i, fam in enumerate(families, start=1)
+        if family_class(fam).domain == CIRCULAR
+    }
     rng = np.random.default_rng(config.seed)
     seeds = rng.integers(0, 2**63 - 1, size=b)
     estimates: dict[str, list[float]] = {}
@@ -404,11 +402,6 @@ def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapRe
         notes.append(f"{failed} of {b} bootstrap replicates failed to fit")
     if b - failed < 2:
         notes.append("fewer than 2 successful replicates: standard errors are degenerate")
-    circular_locs = {
-        f"mu{i}"
-        for i, fam in enumerate(families, start=1)
-        if _family_class(fam).domain == CIRCULAR
-    }
     se = {}
     est_arrays = {}
     for name, vals in estimates.items():

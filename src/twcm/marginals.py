@@ -6,6 +6,13 @@ quantile, sampling by inverse transform, and weighted maximum-likelihood
 fitting.  The circular CDF origin is the location parameter mu, so the
 copula pseudo-observations u = 2*pi*F(theta) are well defined and
 reproducible.
+
+Each fit is one deterministic solver: the von Mises mean direction in
+closed form and kappa by Newton on A1(kappa) = rbar; the wrapped Cauchy
+by Kent & Tyler's (1988) fixed point; the cardioid by Newton ascent on
+its concave log-likelihood, exact at the cap |rho_c| = RHO_C_MAX; the
+Weibull shape by Newton on the profile equation inside the bracket its
+sign gives, and the scale in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import i0e, i1e, ive
 
 from ._util import TWO_PI, as_rng, float_if_scalar, wrap_angle
@@ -26,6 +32,15 @@ from .errors import DomainError, InvalidParameterError
 KAPPA_MAX = 1e6
 XI_MAX = 1.0 - 1e-9
 RHO_C_MAX = 0.5 - 1e-9
+
+# Kent-Tyler stops once psi moves by less than RTOL (1 - xi) plus about
+# two ulps, the Newton solves once their step is below _NEWTON_TOL
+_KENT_TYLER_RTOL = 1e-10
+_NEWTON_TOL = 1e-12
+_MAX_ITER = 10_000
+_HESSIAN_FLOOR = 1e-12  # relative to the total weight
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 CIRCULAR = "circular"
 LINEAR = "linear"
@@ -44,6 +59,10 @@ def _weights_or_ones(data, weights):
         if np.any(w < 0) or w.sum() <= 0:
             raise DomainError("weights must be nonnegative with positive sum")
     return data, w
+
+
+def _warn_capped(what: str) -> None:
+    warnings.warn(f"degenerate circular data: {what} capped", RuntimeWarning)
 
 
 def _weighted_circular_moment(theta, w):
@@ -174,10 +193,12 @@ class WrappedCauchy(Marginal):
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
         xi = self.xi
+        # 1 + xi^2 - 2 xi cos(x - mu), written so that it keeps its digits
+        # as xi -> 1 (the fitter's cap XI_MAX puts x = mu at (1 - xi)^2)
         out = (
             np.log1p(-xi * xi)
             - np.log(TWO_PI)
-            - np.log(1.0 + xi * xi - 2.0 * xi * np.cos(x - self.mu))
+            - np.log((1.0 - xi) ** 2 + 4.0 * xi * np.sin(0.5 * (x - self.mu)) ** 2)
         )
         return float_if_scalar(out)
 
@@ -203,32 +224,36 @@ class WrappedCauchy(Marginal):
     @classmethod
     def fit(cls, data, weights=None):
         theta, w = _weights_or_ones(data, weights)
-        mu0, rbar = _weighted_circular_moment(theta, w)
-        if rbar >= XI_MAX:
-            warnings.warn(
-                "degenerate circular data: wrapped Cauchy xi capped", RuntimeWarning
-            )
-            return cls(mu=mu0, xi=XI_MAX)
-        # derivative-free search over (mu, atanh(xi))
-        z_cap = np.arctanh(XI_MAX)
-
-        def nll(params):
-            mu, z = params
-            xi = np.tanh(np.clip(z, -z_cap, z_cap))
-            return -np.sum(
-                w
-                * (
-                    np.log1p(-xi * xi)
-                    - np.log(1.0 + xi * xi - 2.0 * xi * np.cos(theta - mu))
-                )
-            )
-
-        x0 = np.array([mu0, np.arctanh(np.clip(rbar, -0.999, 0.999))])
-        res = minimize(nll, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000})
-        mu_hat = wrap_angle(res.x[0])
-        xi_hat = float(np.tanh(np.clip(res.x[1], -z_cap, z_cap)))
-        return cls(mu=float(mu_hat), xi=xi_hat)
+        mu, xi = _weighted_circular_moment(theta, w)
+        atoms, inverse = np.unique(wrap_angle(theta), return_inverse=True)
+        atom_w = np.bincount(inverse, weights=w)
+        if 2.0 * atom_w.max() >= w.sum():
+            # an angle holding half the weight makes the likelihood
+            # unbounded as xi -> 1 there (Kent & Tyler 1988)
+            mu, xi = float(atoms[np.argmax(atom_w)]), 1.0
+        elif xi < XI_MAX:
+            # Kent & Tyler's fixed point: with psi = xi e^{i mu} and
+            # eta = 2 psi / (1 + |psi|^2), the likelihood equations read
+            # eta = sum u_j x_j / sum u_j, u_j = w_j / |x_j - psi|^2.  Each
+            # step maps eta back by xi = (1 - sqrt(1 - |eta|^2)) / |eta|,
+            # written in g = 1 - |eta| = sum u_j |x_j - m|^2 / (2 sum u_j)
+            # (m the unit vector along eta) so no digits cancel as xi -> 1.
+            c, s = np.cos(theta), np.sin(theta)
+            psi = xi * np.array([math.cos(mu), math.sin(mu)])
+            for _ in range(_MAX_ITER):
+                u = w / ((c - psi[0]) ** 2 + (s - psi[1]) ** 2)
+                m = np.array([u @ c, u @ s])
+                m /= math.hypot(*m)
+                g = 0.5 * float(u @ ((c - m[0]) ** 2 + (s - m[1]) ** 2) / u.sum())
+                xi = (1.0 - g) / (1.0 + math.sqrt(g * (2.0 - g)))
+                psi, old = xi * m, psi
+                if math.hypot(*(psi - old)) <= _KENT_TYLER_RTOL * (1.0 - xi) + 4e-16:
+                    break
+            mu = math.atan2(m[1], m[0])
+        if xi >= XI_MAX:
+            _warn_capped("wrapped Cauchy xi")
+            xi = XI_MAX
+        return cls(mu=mu, xi=xi)
 
 
 def _vonmises_cdf_terms(kappa: float) -> int:
@@ -396,22 +421,16 @@ class VonMises(Marginal):
         return cls(mu=float(mu_hat), kappa=kappa_hat)
 
 
-def _vonmises_a1(kappa):
-    return i1e(kappa) / i0e(kappa)
-
-
 def _solve_vonmises_kappa(rbar: float) -> float:
     """Solve A1(kappa) = rbar by Newton from the standard starting value."""
     if rbar <= 0.0:
         return 0.0
     if rbar >= 1.0 - 1e-12:
-        warnings.warn(
-            "degenerate circular data: von Mises kappa capped", RuntimeWarning
-        )
+        _warn_capped("von Mises kappa")
         return KAPPA_MAX
     kappa = rbar * (2.0 - rbar**2) / (1.0 - rbar**2)
     for _ in range(100):
-        a1 = _vonmises_a1(kappa)
+        a1 = i1e(kappa) / i0e(kappa)
         # d A1 / d kappa
         deriv = 1.0 - a1 * a1 - a1 / max(kappa, 1e-12)
         if deriv <= 0.0:
@@ -423,9 +442,7 @@ def _solve_vonmises_kappa(rbar: float) -> float:
         if abs(step) < 1e-12 * max(1.0, kappa):
             break
     if kappa > KAPPA_MAX:
-        warnings.warn(
-            "degenerate circular data: von Mises kappa capped", RuntimeWarning
-        )
+        _warn_capped("von Mises kappa")
         kappa = KAPPA_MAX
     return float(kappa)
 
@@ -480,26 +497,59 @@ class Cardioid(Marginal):
 
     @classmethod
     def fit(cls, data, weights=None):
+        # The log-likelihood sum w log(1 + 2 p . x) is concave in
+        # p = rho_c (cos mu, sin mu), so a damped Newton ascent finds the
+        # optimum over the cap disk |p| <= RHO_C_MAX.  Steps are cut at the
+        # cap circle; on it, where the Newton step points out of the disk,
+        # the ascent moves along the circle in mu instead.  It stops where
+        # that move vanishes, so the gradient points outward: the KKT point.
         theta, w = _weights_or_ones(data, weights)
-        mu0, rbar = _weighted_circular_moment(theta, w)
-        z_cap = np.arctanh(2.0 * RHO_C_MAX)
+        mu, rbar = _weighted_circular_moment(theta, w)
+        x = np.stack([np.cos(theta), np.sin(theta)])
+        floor = _HESSIAN_FLOOR * w.sum()
 
-        def nll(params):
-            mu, z = params
-            rc = 0.5 * np.tanh(np.clip(z, -z_cap, z_cap))
-            return -np.sum(w * np.log1p(2.0 * rc * np.cos(theta - mu)))
+        def value(p):
+            return float(w @ np.log1p(2.0 * (p @ x)))
 
-        rc0 = np.clip(rbar, -0.45, 0.45)
-        x0 = np.array([mu0, np.arctanh(2.0 * rc0)])
-        res = minimize(nll, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-10, "maxiter": 2000})
-        rc_hat = float(0.5 * np.tanh(np.clip(res.x[1], -z_cap, z_cap)))
-        if abs(rc_hat) >= RHO_C_MAX:
+        p = min(rbar, 0.45) * np.array([math.cos(mu), math.sin(mu)])
+        f, on_cap = value(p), False
+        for _ in range(_MAX_ITER):
+            d = 1.0 + 2.0 * (p @ x)
+            grad = 2.0 * (x @ (w / d))
+            neg_hess = 4.0 * (x * (w / d**2)) @ x.T
+            step = np.linalg.solve(neg_hess + floor * np.eye(2), grad)
+            along_cap = on_cap and p @ step >= 0.0
+            if along_cap:  # Newton in mu on the cap circle
+                tangent = np.array([-p[1], p[0]])
+                curv = tangent @ neg_hess @ tangent + grad @ p
+                step = tangent * (grad @ tangent) / max(abs(curv), floor)
+            if math.hypot(*step) <= _NEWTON_TOL:
+                break
+            # the step reaches the cap circle at alpha = reach
+            pd, dd = p @ step, step @ step
+            room = max(RHO_C_MAX**2 - p @ p, 0.0)
+            reach = 0.0 if along_cap else (math.sqrt(pd * pd + dd * room) - pd) / dd
+            alpha, slope = (1.0 if along_cap else min(1.0, reach)), grad @ step
+            for _ in range(_MAX_HALVINGS):
+                trial = p + alpha * step
+                if alpha >= reach:
+                    trial *= RHO_C_MAX / math.hypot(*trial)
+                f_trial = value(trial)
+                # Armijo's test, blind to the rounding of f, which hides
+                # the gain of the last Newton steps
+                if f_trial >= f + _ARMIJO * alpha * slope - 1e-15 * abs(f):
+                    break
+                alpha *= 0.5
+            else:
+                break  # no ascent left above rounding
+            p, f, on_cap = trial, f_trial, alpha >= reach
+        if on_cap:
             warnings.warn(
                 "cardioid concentration at its cap: data too peaked for the family",
                 RuntimeWarning,
             )
-        return cls(mu=float(wrap_angle(res.x[0])), rho_c=rc_hat)
+        rho_c = RHO_C_MAX if on_cap else math.hypot(*p)
+        return cls(mu=math.atan2(p[1], p[0]), rho_c=rho_c)
 
 
 @dataclass(frozen=True)
@@ -552,44 +602,43 @@ class Weibull(Marginal):
         x, w = _weights_or_ones(data, weights)
         if np.any(x <= 0.0):
             raise DomainError("Weibull data must be positive")
-        logx = np.log(x)
-        wsum = w.sum()
-        mean_logx = np.dot(w, logx) / wsum
+        # Newton in s = log(nu) on the profile equation
+        # g(nu) = E_nu[log x] - mean(log x) - 1/nu = 0, where E_nu weights
+        # by w x^nu.  g rises strictly from -inf to max(log x) - mean(log x),
+        # so its sign at each iterate bounds the root; a step that leaves
+        # those bounds is replaced by their midpoint.  Powers are taken
+        # relative to the largest x, so they cannot overflow.
+        positive = w > 0.0  # rows of weight 0 drop out of every sum
+        logx, w = np.log(x[positive]), w[positive]
+        top = logx.max()
+        if not top > logx.min():
+            raise InvalidParameterError(
+                "Weibull MLE does not exist: all weighted observations are equal"
+            )
+        dev = logx - top
+        mean_dev = np.average(dev, weights=w)
 
-        def profile_eq(nu):
-            xw = x**nu
-            s = np.dot(w, xw)
-            return np.dot(w, xw * logx) / s - mean_logx - 1.0 / nu
+        def profile(s):
+            nu = math.exp(s)
+            e = w * np.exp(nu * dev)
+            e /= e.sum()
+            m1 = e @ dev
+            return m1 - mean_dev - 1.0 / nu, nu * (e @ (dev - m1) ** 2) + 1.0 / nu
 
-        def profile_deriv(nu):
-            xw = x**nu
-            s = np.dot(w, xw)
-            s1 = np.dot(w, xw * logx)
-            s2 = np.dot(w, xw * logx * logx)
-            return (s2 * s - s1 * s1) / (s * s) + 1.0 / (nu * nu)
-
-        # moment-style start, then Newton on the profile shape equation
-        sd_logx = np.sqrt(max(np.dot(w, (logx - mean_logx) ** 2) / wsum, 1e-12))
-        nu = float(np.clip((np.pi / np.sqrt(6.0)) / sd_logx, 1e-3, 1e3))
-        converged = False
-        for _ in range(100):
-            g = profile_eq(nu)
-            step = g / profile_deriv(nu)
-            nu_new = nu - step
-            if nu_new <= 0.0:
-                nu_new = nu / 2.0
-            if abs(nu_new - nu) < 1e-12 * max(1.0, nu):
-                nu = nu_new
-                converged = True
+        sd = math.sqrt(max(np.average((dev - mean_dev) ** 2, weights=w), 1e-24))
+        s = math.log(min(max((math.pi / math.sqrt(6.0)) / sd, 1e-3), 1e3))
+        lo, hi = -math.inf, math.inf
+        for _ in range(_MAX_ITER):
+            g, dg = profile(s)
+            lo, hi = (s, hi) if g < 0.0 else (lo, s)
+            step = g / dg
+            if abs(step) <= _NEWTON_TOL:
+                s -= step
                 break
-            nu = nu_new
-        if not converged and abs(profile_eq(nu)) > 1e-8:
-            # bracketed fallback for hard cases
-            lo, hi = 1e-3, 1e3
-            if profile_eq(lo) * profile_eq(hi) < 0:
-                nu = brentq(profile_eq, lo, hi, xtol=1e-12)
-        lam = float((np.dot(w, x**nu) / wsum) ** (1.0 / nu))
-        return cls(shape=float(nu), scale=lam)
+            s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+        nu = math.exp(s)
+        lam = math.exp(top) * float(np.average(np.exp(nu * dev), weights=w)) ** (1.0 / nu)
+        return cls(shape=nu, scale=lam)
 
 
 FAMILIES: dict[str, type[Marginal]] = {
@@ -603,23 +652,25 @@ def marginal_from_dict(d: dict) -> Marginal:
     return cls(**d.get("params", {}))
 
 
+def family_class(family) -> type[Marginal]:
+    """The marginal class named by a family tag, a class or an instance."""
+    if isinstance(family, str):
+        try:
+            return FAMILIES[family]
+        except KeyError:
+            raise InvalidParameterError(
+                f"unknown marginal family {family!r}; choose from {sorted(FAMILIES)}"
+            ) from None
+    cls = family if isinstance(family, type) else type(family)
+    if not issubclass(cls, Marginal):
+        raise InvalidParameterError(f"not a marginal family: {family!r}")
+    return cls
+
+
 def fit_mle(family, data, weights=None) -> Marginal:
     """Weighted maximum-likelihood fit for a family given by tag or class.
 
     Uniform weights reproduce the plain MLE; integer weights k reproduce
     the fit on k-fold replicated data.
     """
-    if isinstance(family, str):
-        try:
-            cls = FAMILIES[family]
-        except KeyError:
-            raise InvalidParameterError(
-                f"unknown marginal family {family!r}; choose from {sorted(FAMILIES)}"
-            ) from None
-    elif isinstance(family, type) and issubclass(family, Marginal):
-        cls = family
-    else:
-        cls = type(family)
-        if not issubclass(cls, Marginal):
-            raise InvalidParameterError(f"not a marginal family: {family!r}")
-    return cls.fit(data, weights)
+    return family_class(family).fit(data, weights)

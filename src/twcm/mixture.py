@@ -9,18 +9,17 @@ report instead of raising.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from ._util import TWO_PI, as_rng
+from ._util import as_rng
 from .errors import ComponentCollapseError, InvalidParameterError
-from .fit import FitConfig, _family_class, fit_copula, fit_ifm, information_criteria
-from .marginals import fit_mle
-from .model import TwcmModel
+from .fit import FitConfig, fit_ifm, information_criteria
+from .marginals import family_class
+from .model import JsonFile, TwcmModel
 
 _WEIGHT_SUM_TOL = 1e-12
 _LOG_FLOOR = np.log(1e-300)
@@ -29,7 +28,7 @@ _MONOTONE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
-class MixtureModel:
+class MixtureModel(JsonFile):
     """K component weights plus K component models."""
 
     weights: tuple[float, ...]
@@ -94,16 +93,6 @@ class MixtureModel:
             components=tuple(TwcmModel.from_dict(c) for c in d["components"]),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "MixtureModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def responsibilities(model: MixtureModel, data) -> np.ndarray:
     """Posterior component probabilities per row, computed in log space."""
@@ -126,17 +115,8 @@ class EmReport:
 def mixture_parameter_count(k: int, families) -> int:
     """Free parameters: K copies of (2 copula + marginal params) plus the
     K - 1 free weights."""
-    per_comp = 2 + sum(_family_class(f).n_params for f in families)
+    per_comp = 2 + sum(family_class(f).n_params for f in families)
     return k * per_comp + (k - 1)
-
-
-def _weighted_component_fit(data, families, weights, config, warm_rho):
-    """Weighted two-step fit of one component, warm-started on the copula
-    side when a previous estimate exists."""
-    margs = tuple(fit_mle(f, data[:, i], weights) for i, f in enumerate(families))
-    u = np.column_stack([TWO_PI * m.cdf(data[:, i]) for i, m in enumerate(margs)])
-    cop = fit_copula(u, config, weights=weights, start=warm_rho)
-    return TwcmModel(rho=cop.rho, marginals=margs)
 
 
 def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
@@ -197,14 +177,8 @@ def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol)
         if np.all(np.bincount(assign, minlength=k) >= 5):
             break
 
-    comps: list[TwcmModel] = []
-    weights = np.zeros(k)
-    for j in range(k):
-        mask = assign == j
-        comps.append(
-            _weighted_component_fit(data[mask], families, None, inner_cfg, None)
-        )
-        weights[j] = mask.mean()
+    comps = [fit_ifm(data[assign == j], families, inner_cfg).model for j in range(k)]
+    weights = np.bincount(assign, minlength=k) / n
 
     trace: list[float] = []
     flags: list[str] = []
@@ -227,17 +201,15 @@ def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol)
                             f"component {j} collapsed twice: reduce k below {k}"
                         )
                     block = rng.choice(n, size=max(20, n // (5 * k)), replace=False)
-                    comps[j] = _weighted_component_fit(
-                        data[block], families, None, inner_cfg, None
-                    )
+                    comps[j] = fit_ifm(data[block], families, inner_cfg).model
                     resp[:, j] = 1.0 / k
                     resp /= resp.sum(axis=1, keepdims=True)
                     mass = resp.sum(axis=0)
 
             weights = mass / n
             comps = [
-                _weighted_component_fit(data, families, resp[:, j], inner_cfg,
-                                        comps[j].rho)
+                fit_ifm(data, families, inner_cfg, weights=resp[:, j],
+                        start=comps[j].rho).model
                 for j in range(k)
             ]
             model = MixtureModel(weights=tuple(weights / weights.sum()),
@@ -271,7 +243,7 @@ class SelectKResult:
 def select_k(data, k_values, families, config: FitConfig = FitConfig(), *,
              restarts: int = 10, max_iter: int = 500, rel_tol: float = 1e-6,
              ) -> SelectKResult:
-    """Sweep component counts and pick the BIC minimizer."""
+    """Sweep component counts and pick the one with the smallest BIC."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n = data.shape[0]
     k_values = list(k_values)

@@ -30,8 +30,22 @@ from .errors import DegenerateDataError, DomainError, InvalidParameterError
 from .marginals import CIRCULAR, Marginal, WrappedCauchy, marginal_from_dict
 
 
+class JsonFile:
+    """JSON persistence through the class's ``to_dict``/``from_dict``."""
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass(frozen=True)
-class TwcmModel:
+class TwcmModel(JsonFile):
     """Copula parameters plus exactly three marginals.
 
     The stored rho is always the identifiable representative (product 1);
@@ -196,16 +210,6 @@ class TwcmModel:
         rho = RhoVector(*map(float, d["rho"]))
         margs = tuple(marginal_from_dict(m) for m in d["marginals"])
         return cls(rho=rho, marginals=margs)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "TwcmModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def wc_closed_form_log_density(rho: RhoVector, wc_marginals, theta):

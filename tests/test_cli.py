@@ -3,10 +3,14 @@ codes, determinism, and file round trips."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twcm
 from twcm.cli import ColumnSpec, ingest, main, parse_column_specs
 from twcm.errors import DomainError
 from twcm.presets import independence_like_model
@@ -22,6 +26,16 @@ def run(capsys, *argv):
 
 CIRC3 = "a:circular,b:circular,c:circular"
 CYL = "wave_dir:circular,wind_dir:circular,height:linear"
+
+
+def test_import_does_not_load_scipy_optimize():
+    # every CLI process pays for what `import twcm` loads
+    src = str(Path(twcm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, twcm; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestColumnSpecs:

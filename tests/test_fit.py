@@ -248,6 +248,14 @@ class TestBootstrap:
         assert any("degenerate" in w for w in res.warnings)
         assert all(v == 0.0 for v in res.se.values())
 
+    def test_unknown_family_rejected_before_refits(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(twcm.fit, "fit_ifm", lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidParameterError):
+            bootstrap_se(self._tiny_dataset(), ["von_mises", "kato_jones", "von_mises"],
+                         FitConfig(seed=6, bootstrap_b=4))
+        assert calls == []
+
     def test_circular_locations_use_circular_spread(self):
         # artificial angle estimates straddling the wrap point must not
         # blow up the spread the way a linear SD would

@@ -275,6 +275,9 @@ class TestFit:
             ("cardioid", Cardioid(mu=1.0, rho_c=0.25)),
             ("weibull", Weibull(shape=1.7, scale=2.2)),
             ("uniform", CircularUniform()),
+            ("wrapped_cauchy", WrappedCauchy(mu=4.44, xi=0.882)),
+            ("cardioid", Cardioid(mu=2.0, rho_c=0.45)),
+            ("cardioid", Cardioid(mu=2.0, rho_c=-0.45)),
         ],
     )
     def test_fit_beats_truth(self, family, true):
@@ -288,6 +291,7 @@ class TestFit:
             ("wrapped_cauchy", WrappedCauchy(mu=2.0, xi=0.6)),
             ("von_mises", VonMises(mu=4.0, kappa=5.0)),
             ("weibull", Weibull(shape=1.7, scale=2.2)),
+            ("cardioid", Cardioid(mu=1.0, rho_c=0.25)),
         ],
     )
     def test_constant_weights_match_unweighted(self, family, true):
@@ -323,9 +327,42 @@ class TestFit:
             m = fit_mle("wrapped_cauchy", data)
         assert abs(m.xi) >= 1.0 - 1e-8
 
+    def test_zero_weight_rows_drop_out(self):
+        # a far row of weight 0 must not reach the sums, where x**nu
+        # overflows and 0 * inf would turn them into nan
+        data = Weibull(shape=50.0, scale=1.0).sample(200, seed=1)
+        w = np.append(np.ones(200), 0.0)
+        assert fit_mle("weibull", np.append(data, 1e9), w) == fit_mle("weibull", data)
+
+    def test_half_weight_at_one_angle_caps_xi(self):
+        # with 600 of 1000 points at one angle the wrapped Cauchy likelihood
+        # grows without bound as xi -> 1 there
+        data = WrappedCauchy(mu=3.0, xi=0.5).sample(1000, seed=8)
+        data[:600] = 1.0
+        with pytest.warns(RuntimeWarning, match="xi capped"):
+            m = fit_mle("wrapped_cauchy", data)
+        assert m.xi == marginals.XI_MAX
+        assert m.mu == 1.0
+
+    def test_cardioid_optimum_on_the_cap(self):
+        # at this seed the unconstrained optimum lies beyond |rho_c| =
+        # RHO_C_MAX, so the fit must end on the cap circle, at the best mu
+        true = Cardioid(mu=2.0, rho_c=0.499)
+        data = true.sample(1000, seed=1)
+        with pytest.warns(RuntimeWarning, match="cap"):
+            m = fit_mle("cardioid", data)
+        assert m.rho_c == marginals.RHO_C_MAX
+        on_cap = max(
+            Cardioid(mu=mu, rho_c=marginals.RHO_C_MAX).loglik(data)
+            for mu in np.linspace(1.9, 2.1, 2001)
+        )
+        assert m.loglik(data) >= max(on_cap, true.loglik(data)) - 1e-9
+
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParameterError):
             fit_mle("kato_jones", np.array([1.0, 2.0]))
+        with pytest.raises(InvalidParameterError):
+            marginals.family_class(np.float64)
 
     def test_empty_data_rejected(self):
         with pytest.raises(DomainError):

@@ -202,6 +202,8 @@ class TestSelectK:
         assert mixture_parameter_count(4, FAMS) == 35
         assert mixture_parameter_count(1, ("uniform",) * 3) == 2
         assert mixture_parameter_count(3, ("von_mises",) * 3) == 26
+        with pytest.raises(InvalidParameterError):
+            mixture_parameter_count(2, ("kato_jones", "von_mises", "von_mises"))
 
     def test_singleton_range(self):
         data = two_cluster_data(300, seed=11)[0]
