@@ -31,6 +31,20 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+def require_nonsingular(conc) -> None:
+    """Raise :class:`SingularKernelError` if any concentration is within
+    ``_UNIT_CONC_TOL`` of modulus 1."""
+    if np.any(np.abs(np.abs(conc) - 1.0) <= _UNIT_CONC_TOL):
+        raise SingularKernelError(
+            "wrapped Cauchy kernel is singular at unit concentration"
+        )
+
+
+def reflect_concentration(a):
+    """``a`` or ``1/a``, whichever has modulus at most 1; unchecked."""
+    return np.divide(1.0, a, out=a.copy(), where=np.abs(a) > 1.0)
+
+
 def effective_concentration(conc):
     """Map a kernel concentration to its representative in (-1, 1).
 
@@ -39,13 +53,8 @@ def effective_concentration(conc):
     representative inside the unit interval.
     """
     a = np.asarray(conc, dtype=float)
-    if np.any(np.abs(np.abs(a) - 1.0) <= _UNIT_CONC_TOL):
-        raise SingularKernelError(
-            "wrapped Cauchy kernel is singular at unit concentration"
-        )
-    big = np.abs(a) > 1.0
-    out = np.where(big, np.divide(1.0, a, out=np.zeros_like(a), where=big), a)
-    return float_if_scalar(out)
+    require_nonsingular(a)
+    return float_if_scalar(reflect_concentration(a))
 
 
 def wc_kernel_log_density(x, center, conc):
@@ -72,11 +81,22 @@ def wc_kernel_sample(center, conc, rng: np.random.Generator, size=None):
     xi = np.asarray(effective_concentration(conc), dtype=float)
     if size is None:
         size = np.broadcast(np.asarray(center), xi).shape
-    u = TWO_PI * rng.random(size)
+    return moebius_map(center, xi, *half_angle_sincos(rng.random(size)))
+
+
+def half_angle_sincos(v):
+    """sin and cos of half the uniform angle 2*pi*v, the input of
+    :func:`moebius_map`."""
+    half = TWO_PI * v / 2.0
+    return np.sin(half), np.cos(half)
+
+
+def moebius_map(center, xi, sin_half, cos_half):
+    """Wrapped Cauchy draw at ``center`` with concentration ``xi`` in
+    (-1, 1) (unchecked) from a uniform angle's :func:`half_angle_sincos`."""
     b = (1.0 - xi) / (1.0 + xi)
     # atan2 form of mu + 2*arctan(b*tan(u/2)), continuous across u = pi
-    draw = center + 2.0 * np.arctan2(b * np.sin(u / 2.0), np.cos(u / 2.0))
-    return wrap_angle(draw)
+    return wrap_angle(center + 2.0 * np.arctan2(b * sin_half, cos_half))
 
 
 def periodic_grid(n):

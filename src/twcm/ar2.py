@@ -6,7 +6,11 @@ marginal f, mapping time lags onto coordinates (1, 2, 3) =
 (t, t-1, t-2).  Strict stationarity of consecutive pairs additionally
 requires the two lag-1 links to carry the same parameter
 (rho_t_tm1 == rho_tm1_tm2); a warning is emitted otherwise.
-"""
+
+The chain runs on the copula scale u_t = 2*pi*F(theta_t), where each step
+is one wrapped Cauchy draw whose parameters depend only on u_{t-1} and
+u_{t-2}.  The parameters are validated once, when ``Ar2Params`` is built,
+and the marginal is inverted once, for the whole simulated block."""
 
 from __future__ import annotations
 
@@ -18,14 +22,22 @@ import numpy as np
 from ._util import (
     TWO_PI,
     as_rng,
-    float_if_scalar,
-    wc_kernel_density,
-    wc_kernel_sample,
+    half_angle_sincos,
+    moebius_map,
+    reflect_concentration,
+    require_nonsingular,
     wrap_angle,
 )
-from .copula import RhoVector, conditional_phi, pairwise_phi, require_valid
+from .copula import (
+    RhoVector,
+    conditional_links,
+    pairwise_phi,
+    phi_from_unit,
+    require_valid,
+)
 from .errors import InvalidParameterError
 from .marginals import CIRCULAR, Marginal
+from .model import composed_cond_1given2
 
 
 @dataclass(frozen=True)
@@ -66,44 +78,51 @@ def transition_density(params: Ar2Params, theta_t, theta_tm1, theta_tm2):
     common marginal F.  Integrates to 1 in theta_t for every conditioning
     pair.
     """
-    f = params.marginal
-    u_t = TWO_PI * np.asarray(f.cdf(theta_t))
-    u_1 = TWO_PI * np.asarray(f.cdf(theta_tm1))
-    u_2 = TWO_PI * np.asarray(f.cdf(theta_tm2))
-    ph = conditional_phi(params.rho, 1, u_1, u_2)
-    out = TWO_PI * wc_kernel_density(u_t, np.angle(ph), np.abs(ph)) * f.pdf(theta_t)
-    return float_if_scalar(out)
+    theta = np.stack(np.broadcast_arrays(theta_t, theta_tm1, theta_tm2), axis=-1)
+    return composed_cond_1given2(params.rho, (params.marginal,) * 3, theta, 1)
 
 
 def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):
     """Simulate chains of length ``n``.
 
-    The initial pair is drawn from the bivariate marginal of the
-    (t-1, t-2) coordinates (common marginal f, pairwise concentration
-    phi_23): theta_0 ~ f, then theta_1 from the pairwise kernel.  Each
-    later step draws the copula-scale angle from the one-given-two kernel
-    and maps back through the marginal quantile.  Returns shape (n,) or
+    The chain runs on the copula scale u_t = 2*pi*F(theta_t) and keeps the
+    unit vectors e^{i u_t} as its state.  The initial pair is drawn from
+    the bivariate marginal of the (t-1, t-2) coordinates (common marginal
+    f, pairwise concentration phi_23): theta_0 ~ f, then u_1 from the
+    pairwise kernel centred at u_0.  Each later step computes
+    phi_{1|23} from the two previous unit vectors and takes one Moebius
+    draw.  theta_t feeds nothing back, so the marginal quantile is applied
+    once, to the whole block of u / 2pi.  Returns shape (n,) or
     (n_chains, n).
     """
     if n < 2:
         raise InvalidParameterError("need chain length n >= 2")
     rng = as_rng(seed)
     f = params.marginal
-    rho = params.rho
     m = 1 if n_chains is None else int(n_chains)
     if m < 1:
         raise InvalidParameterError("n_chains must be >= 1")
 
-    theta = np.empty((m, n))
-    u = np.empty((m, n))
-    theta[:, 0] = f.quantile(rng.random(m))
-    u[:, 0] = TWO_PI * np.asarray(f.cdf(theta[:, 0]))
-    phi23 = pairwise_phi(rho, (2, 3)).phi
-    u[:, 1] = wc_kernel_sample(u[:, 0], np.full(m, phi23), rng)
-    theta[:, 1] = f.quantile(u[:, 1] / TWO_PI)
+    theta_0 = f.quantile(rng.random(m))
+    # the uniforms of steps 1 .. n-1 in stream order, as Moebius inputs
+    sin_half, cos_half = half_angle_sincos(rng.random((n - 1, m)))
+    u = np.empty((n, m))
+    u[0] = TWO_PI * np.asarray(f.cdf(theta_0))
+    phi_23 = pairwise_phi(params.rho, (2, 3)).phi
+    u[1] = moebius_map(u[0], phi_23, sin_half[0], cos_half[0])
+    links = conditional_links(params.rho, 1)
+    delta = np.empty((n - 2, m))
+    z_tm2, z_tm1 = np.exp(1j * u[0]), np.exp(1j * u[1])
     for t in range(2, n):
-        ph = conditional_phi(rho, 1, u[:, t - 1], u[:, t - 2])
-        u[:, t] = wc_kernel_sample(np.angle(ph), np.abs(ph), rng)
-        theta[:, t] = f.quantile(u[:, t] / TWO_PI)
+        ph = phi_from_unit(links, z_tm1, z_tm2)
+        delta[t - 2] = np.abs(ph)
+        xi = reflect_concentration(delta[t - 2])
+        u[t] = moebius_map(np.angle(ph), xi, sin_half[t - 1], cos_half[t - 1])
+        z_tm2, z_tm1 = z_tm1, np.exp(1j * u[t])
+    require_nonsingular(delta)
+
+    theta = np.empty((m, n))
+    theta[:, 0] = theta_0
+    theta[:, 1:] = f.quantile(u[1:].T / TWO_PI)
     theta = wrap_angle(theta)
     return theta[0] if n_chains is None else theta

@@ -282,6 +282,19 @@ class ConditionalWCSpec:
         return float(effective_concentration(self.delta))
 
 
+def conditional_links(rho: RhoVector, i: int) -> tuple[float, float, float]:
+    """(rho_jk, rho_ik, rho_ij) for coordinate i given j < k, the other two."""
+    j, k = sorted({1, 2, 3} - {i})
+    return rho.pair(j, k), rho.pair(i, k), rho.pair(i, j)
+
+
+def phi_from_unit(links, z_j, z_k):
+    """phi_{i|jk} from ``links = conditional_links(rho, i)`` and the unit
+    vectors ``z = e^{iu}`` of the two conditioning angles; unchecked."""
+    rjk, rik, rij = links
+    return -rjk * (z_j / rik + z_k / rij)
+
+
 def conditional_phi(rho: RhoVector, i: int, u_j, u_k):
     """Complex kernel parameter phi_{i|jk} for coordinate i given the other
     two, whose values are ``u_j`` and ``u_k`` in increasing coordinate
@@ -294,11 +307,9 @@ def conditional_phi(rho: RhoVector, i: int, u_j, u_k):
     require_valid(rho)
     if i not in (1, 2, 3):
         raise InvalidParameterError(f"invalid coordinate index {i}")
-    j, k = sorted({1, 2, 3} - {i})
-    rjk, rik, rij = rho.pair(j, k), rho.pair(i, k), rho.pair(i, j)
     u_j = np.asarray(u_j, dtype=float)
     u_k = np.asarray(u_k, dtype=float)
-    return -rjk * (np.exp(1j * u_j) / rik + np.exp(1j * u_k) / rij)
+    return phi_from_unit(conditional_links(rho, i), np.exp(1j * u_j), np.exp(1j * u_k))
 
 
 def conditional_spec(rho: RhoVector, i: int, u_j, u_k) -> ConditionalWCSpec:

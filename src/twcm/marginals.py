@@ -260,6 +260,11 @@ def _vonmises_cdf_terms(kappa: float) -> int:
     return int(max(32, kappa + 12.0 * np.sqrt(kappa + 1.0) + 20.0))
 
 
+# The CDF series drops trailing terms that sum to at most _SERIES_TAIL in
+# absolute value, and runs over blocks of _SERIES_BLOCK values.
+_SERIES_TAIL = 2.0**-60
+_SERIES_BLOCK = 4096
+
 # Quantile start table: nodes equally spaced in w = kappa (1 - cos y) up to
 # w = 40 (see _vonmises_start_table), then two Newton steps.
 _START_DW = 0.025
@@ -280,29 +285,38 @@ def _sine_series(y, coef):
     Scaled as B_k = s^k b_k and D_k = s^k d_k this reads
     D_k = s^k c_k + s t B_{k+1} + D_{k+1}, B_k = B_{k+1} + D_k, with
     s t = -4 sin^2(y/2) or -4 cos^2(y/2), and the sum is s B_1 sin(y).
-    Memory is a few arrays of y's shape.
+    The recurrence runs over blocks of _SERIES_BLOCK values, so its
+    working arrays stay in cache whatever the size of y.
     """
     y = np.asarray(y, dtype=float)
-    upper = np.cos(y) >= 0.0
-    s = np.where(upper, 1.0, -1.0)
-    st = -4.0 * np.where(upper, np.sin(0.5 * y), np.cos(0.5 * y)) ** 2
-    b = np.zeros_like(y)
-    d = np.zeros_like(y)
-    tmp = np.empty_like(y)
-    for k, c in zip(range(coef.size, 0, -1), coef[::-1].tolist()):
-        d += np.multiply(st, b, out=tmp)
-        d += np.multiply(s, c, out=tmp) if k % 2 else c
-        b += d
-    return s * b * np.sin(y)
+    flat = y.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _SERIES_BLOCK):
+        block = flat[start:start + _SERIES_BLOCK]
+        upper = np.cos(block) >= 0.0
+        s = np.where(upper, 1.0, -1.0)
+        st = -4.0 * np.where(upper, np.sin(0.5 * block), np.cos(0.5 * block)) ** 2
+        b = np.zeros_like(block)
+        d = np.zeros_like(block)
+        tmp = np.empty_like(block)
+        for k, c in zip(range(coef.size, 0, -1), coef[::-1].tolist()):
+            d += np.multiply(st, b, out=tmp)
+            d += np.multiply(s, c, out=tmp) if k % 2 else c
+            b += d
+        out[start:start + block.size] = s * b * np.sin(block)
+    return out.reshape(y.shape)
 
 
 @functools.lru_cache(maxsize=32)
 def _vonmises_coefficients(kappa: float) -> np.ndarray:
     """CDF series coefficients I_k(kappa) / (I_0(kappa) k pi) for
-    k = 1 .. _vonmises_cdf_terms(kappa); trailing terms that underflow to
-    zero add nothing and are dropped."""
+    k = 1 .. _vonmises_cdf_terms(kappa), less the trailing terms whose
+    absolute sum is at most _SERIES_TAIL: a bound on what they add to
+    the CDF, far below its rounding."""
     k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
-    coef = np.trim_zeros(ive(k, kappa) / i0e(kappa) / (k * np.pi), "b")
+    coef = ive(k, kappa) / i0e(kappa) / (k * np.pi)
+    tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+    coef = coef[: np.count_nonzero(tail > _SERIES_TAIL)]
     coef.flags.writeable = False
     return coef
 

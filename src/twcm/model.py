@@ -20,6 +20,7 @@ from .copula import (
     RhoVector,
     conditional_phi,
     constants,
+    copula_cond_1given2,
     copula_log_density,
     copula_sample,
     normalize_rho,
@@ -97,13 +98,7 @@ class TwcmModel(JsonFile):
 
     def pseudo_observations(self, data) -> np.ndarray:
         """Copula-scale data u_i = 2*pi*F_i(theta_i), shape (n, 3)."""
-        return self._pseudo_observations(self.validate_data(data))
-
-    def _pseudo_observations(self, data: np.ndarray) -> np.ndarray:
-        """:meth:`pseudo_observations` of data already validated."""
-        return np.column_stack(
-            [TWO_PI * m.cdf(data[:, i]) for i, m in enumerate(self.marginals)]
-        )
+        return copula_scale(self.marginals, self.validate_data(data))
 
     # -- densities ---------------------------------------------------------
     def log_density(self, theta):
@@ -111,7 +106,7 @@ class TwcmModel(JsonFile):
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
         data = self.validate_data(theta)
-        u = self._pseudo_observations(data)
+        u = copula_scale(self.marginals, data)
         out = 3.0 * np.log(TWO_PI) + copula_log_density(u, self.rho)
         for i, m in enumerate(self.marginals):
             out = out + m.logpdf(data[:, i])
@@ -177,16 +172,7 @@ class TwcmModel(JsonFile):
         full triple(s)."""
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
-        data = self.validate_data(theta)
-        u = self._pseudo_observations(data)
-        j, k = sorted({1, 2, 3} - {i})
-        ph = conditional_phi(self.rho, i, u[:, j - 1], u[:, k - 1])
-        mi = self.marginals[i - 1]
-        out = (
-            TWO_PI
-            * wc_kernel_density(u[:, i - 1], np.angle(ph), np.abs(ph))
-            * mi.pdf(data[:, i - 1])
-        )
+        out = composed_cond_1given2(self.rho, self.marginals, self.validate_data(theta), i)
         return float(out[0]) if single else out
 
     # -- sampling -----------------------------------------------------------
@@ -210,6 +196,26 @@ class TwcmModel(JsonFile):
         rho = RhoVector(*map(float, d["rho"]))
         margs = tuple(marginal_from_dict(m) for m in d["marginals"])
         return cls(rho=rho, marginals=margs)
+
+
+def copula_scale(marginals, theta) -> np.ndarray:
+    """u_i = 2*pi*F_i(theta_i) for triples ``theta`` of shape (..., 3);
+    the domains are not checked."""
+    theta = np.asarray(theta, dtype=float)
+    return np.stack(
+        [TWO_PI * np.asarray(m.cdf(theta[..., i])) for i, m in enumerate(marginals)],
+        axis=-1,
+    )
+
+
+def composed_cond_1given2(rho: RhoVector, marginals, theta, i: int):
+    """Density of coordinate i given the other two at triples ``theta`` of
+    shape (..., 3): 2*pi t_{1|2}(u) f_i(theta_i) with u the copula scale.
+    The domains are not checked; a single triple gives a float."""
+    theta = np.asarray(theta, dtype=float)
+    u = copula_scale(marginals, theta)
+    out = TWO_PI * copula_cond_1given2(u, rho, i) * marginals[i - 1].pdf(theta[..., i - 1])
+    return float_if_scalar(out)
 
 
 def wc_closed_form_log_density(rho: RhoVector, wc_marginals, theta):

@@ -1,17 +1,23 @@
 """Circular AR(2) checks: the transition kernel against the model
-conditional, normalization, and stationarity of simulated chains."""
+conditional, normalization, stationarity of simulated chains, and the
+simulator against the step-at-a-time algorithm."""
 
+import dataclasses
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import twcm.ar2
 from twcm import (
     Ar2Params,
     CircularUniform,
     InvalidParameterError,
     RhoVector,
+    SingularKernelError,
     TwcmModel,
     VonMises,
     Weibull,
@@ -20,6 +26,8 @@ from twcm import (
     simulate,
     transition_density,
 )
+from twcm._util import wc_kernel_sample
+from twcm.copula import conditional_phi, pairwise_phi
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,6 +37,28 @@ STATIONARY = Ar2Params(rho_t_tm1=2.0, rho_t_tm2=0.25, rho_tm1_tm2=2.0,
                        marginal=WC)
 HIGH_DELTA = Ar2Params(rho_t_tm1=3.0, rho_t_tm2=1.0 / 9.0, rho_tm1_tm2=3.0,
                        marginal=WC)
+MARGINALS = {"wc": WC, "uniform": CircularUniform(), "vm": VonMises(mu=1.0, kappa=5.0)}
+
+
+def step_by_step(params, n, seed, n_chains=None):
+    """Reference simulator: one public conditional_phi, one kernel draw and
+    one marginal quantile per time step."""
+    rng = np.random.default_rng(seed)
+    f, rho = params.marginal, params.rho
+    m = 1 if n_chains is None else n_chains
+    theta = np.empty((m, n))
+    u = np.empty((m, n))
+    theta[:, 0] = f.quantile(rng.random(m))
+    u[:, 0] = TWO_PI * np.asarray(f.cdf(theta[:, 0]))
+    phi23 = pairwise_phi(rho, (2, 3)).phi
+    u[:, 1] = wc_kernel_sample(u[:, 0], np.full(m, phi23), rng)
+    theta[:, 1] = f.quantile(u[:, 1] / TWO_PI)
+    for t in range(2, n):
+        ph = conditional_phi(rho, 1, u[:, t - 1], u[:, t - 2])
+        u[:, t] = wc_kernel_sample(np.angle(ph), np.abs(ph), rng)
+        theta[:, t] = f.quantile(u[:, t] / TWO_PI)
+    theta = np.mod(theta, TWO_PI)
+    return theta[0] if n_chains is None else theta
 
 
 class TestParams:
@@ -86,6 +116,16 @@ class TestTransitionDensity:
                 ) * TWO_PI
                 assert mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_broadcasts_its_arguments(self):
+        rng = np.random.default_rng(10)
+        theta_t = TWO_PI * rng.random((4, 1))
+        theta_tm1 = TWO_PI * rng.random((1, 5))
+        out = transition_density(STATIONARY, theta_t, theta_tm1, 2.0)
+        assert out.shape == (4, 5)
+        each = [[transition_density(STATIONARY, a, b, 2.0) for b in theta_tm1[0]]
+                for a in theta_t[:, 0]]
+        np.testing.assert_array_equal(out, each)
+
     def test_closed_form_marginal_needs_no_quadrature(self):
         # wrapped Cauchy F is evaluated in closed form: a single call costs
         # O(1) evaluations, so a large batch completes instantly
@@ -105,9 +145,66 @@ class TestSimulate:
         assert np.all((chain >= 0.0) & (chain < TWO_PI))
 
     def test_short_chain_prefix_of_long_chain_initial_pair(self):
-        a = simulate(STATIONARY, 2, seed=5)
-        b = simulate(STATIONARY, 10, seed=5)
-        np.testing.assert_allclose(a, b[:2], rtol=1e-15)
+        for n_chains in (None, 3):
+            long = simulate(STATIONARY, 60, seed=5, n_chains=n_chains)
+            for n in (2, 10):
+                short = simulate(STATIONARY, n, seed=5, n_chains=n_chains)
+                np.testing.assert_array_equal(short, long[..., :n])
+
+    @pytest.mark.parametrize("shape", [(2, None), (3, None), (50, None), (40, 7)],
+                             ids=["n2", "n3", "n50", "n40x7"])
+    @pytest.mark.parametrize("family", sorted(MARGINALS))
+    @pytest.mark.parametrize("rho", [STATIONARY, HIGH_DELTA],
+                             ids=["moderate", "high_delta"])
+    def test_matches_step_by_step_reference(self, rho, family, shape):
+        params = dataclasses.replace(rho, marginal=MARGINALS[family])
+        n, n_chains = shape
+        got = simulate(params, n, seed=11, n_chains=n_chains)
+        want = step_by_step(params, n, 11, n_chains)
+        if family == "vm":
+            # the von Mises quantile is a Newton solve: agreement to 1e-12 rad
+            assert np.max(np.abs(np.angle(np.exp(1j * (got - want))))) <= 1e-12
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("family", ["wc", "vm"])
+    def test_cost_does_not_grow_with_length(self, family, monkeypatch):
+        # the marginal is inverted once for the whole block and the
+        # validated conditional_phi is not called per step
+        params = dataclasses.replace(STATIONARY, marginal=MARGINALS[family])
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cls = type(params.marginal)
+        monkeypatch.setattr(cls, "quantile", counted("quantile", cls.quantile))
+        orig = twcm.copula.conditional_phi
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("twcm") and getattr(mod, "conditional_phi", None) is orig:
+                monkeypatch.setattr(mod, "conditional_phi", counted("conditional_phi", orig))
+        simulate(params, 500, seed=12, n_chains=3)
+        assert calls["quantile"] <= 2
+        assert calls["conditional_phi"] <= 1
+
+    def test_singular_step_detected(self, monkeypatch):
+        # a unit-modulus kernel parameter at the last step still raises
+        n = 30
+        orig = twcm.ar2.phi_from_unit
+        steps = Counter()
+
+        def unit_at_last_step(*args):
+            ph = orig(*args)
+            steps["n"] += 1
+            return ph / np.abs(ph) if steps["n"] == n - 2 else ph
+
+        monkeypatch.setattr(twcm.ar2, "phi_from_unit", unit_at_last_step)
+        with pytest.raises(SingularKernelError):
+            simulate(STATIONARY, n, seed=13)
+        assert steps["n"] == n - 2
 
     def test_seed_determinism(self):
         np.testing.assert_array_equal(

@@ -224,6 +224,42 @@ class TestVonMisesAcrossKappa:
         m = VonMises(mu=0.0, kappa=kappa)
         np.testing.assert_allclose(m.cdf(x), direct, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("kappa", [0.8, 5.0, 84.4, 1e3, 1e5])
+    def test_trimmed_series_matches_full_series(self, kappa):
+        # the dropped tail adds at most 2^-60; the rest is rounding
+        y = TWO_PI * np.random.default_rng(21).random(300)
+        k = np.arange(1, marginals._vonmises_cdf_terms(kappa) + 1)
+        full = ive(k, kappa) / i0e(kappa) / (k * np.pi)
+        untrimmed = np.clip(y / TWO_PI + marginals._sine_series(y, full), 0.0, 1.0)
+        m = VonMises(mu=0.0, kappa=kappa)
+        np.testing.assert_allclose(m.cdf(y), untrimmed, rtol=0, atol=1e-15)
+
+    def test_trimmed_term_count(self):
+        assert marginals._vonmises_coefficients(84.4).size <= 90
+
+    @pytest.mark.parametrize("method", ["cdf", "quantile"])
+    def test_blocked_series_matches_block_by_block(self, method):
+        fn = getattr(VonMises(mu=1.0, kappa=84.4), method)
+        block = marginals._SERIES_BLOCK
+        scale = TWO_PI if method == "cdf" else 1.0
+        data = scale * np.random.default_rng(22).random((3, block + 77))
+
+        def block_by_block(x):
+            flat = x.ravel()
+            parts = [fn(flat[s:s + block].copy()) for s in range(0, flat.size, block)]
+            return np.concatenate(parts).reshape(x.shape)
+
+        for x in (data, data.T):  # C-contiguous and a transposed view
+            np.testing.assert_array_equal(fn(x), block_by_block(x))
+        scalar = fn(float(data[1, 2]))
+        assert isinstance(scalar, float)
+        assert scalar == fn(data[1, 2:3])[0]
+
+    def test_cdf_memory_bounded_at_one_million_points(self):
+        m = VonMises(mu=2.0, kappa=84.4)
+        x = TWO_PI * np.random.default_rng(23).random(1_000_000)
+        assert self._peak_mb(lambda: m.cdf(x)) <= 64.0
+
     def test_memory_bounded_at_kappa_1e5(self):
         m = VonMises(mu=2.0, kappa=1e5)
         p = np.random.default_rng(18).random(2000)
