@@ -1,11 +1,11 @@
 """Shared numerical helpers: angle wrapping, the wrapped Cauchy kernel,
-and the scalar-in, float-out return contract."""
+the scalar-in, float-out return contract and the zero-density check."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularKernelError
+from .errors import DegenerateDataError, SingularKernelError
 
 TWO_PI = 2.0 * np.pi
 
@@ -22,6 +22,23 @@ def float_if_scalar(out):
     """Return a 0-d result as a Python ``float`` and an array unchanged, so
     that every density, CDF and quantile maps a scalar to a float."""
     return float(out) if np.ndim(out) == 0 else out
+
+
+def float_if_triple(theta, out):
+    """Return ``out[0]`` as a Python ``float`` when ``theta`` is a single
+    1-D triple and ``out`` unchanged otherwise: one triple in, float out."""
+    return float(out[0]) if np.ndim(theta) == 1 else out
+
+
+def require_positive_density(log_values) -> None:
+    """Raise :class:`DegenerateDataError` naming the rows whose log density
+    is not finite."""
+    finite = np.isfinite(log_values)
+    if not finite.all():
+        rows = np.flatnonzero(~finite)
+        raise DegenerateDataError(
+            f"zero density at rows {rows.tolist()[:20]}", rows=rows
+        )
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

@@ -37,7 +37,7 @@ from .copula import (
 )
 from .errors import InvalidParameterError
 from .marginals import CIRCULAR, Marginal
-from .model import composed_cond_1given2
+from .model import composed_cond_1given2, to_copula_scale
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):
     # the uniforms of steps 1 .. n-1 in stream order, as Moebius inputs
     sin_half, cos_half = half_angle_sincos(rng.random((n - 1, m)))
     u = np.empty((n, m))
-    u[0] = TWO_PI * np.asarray(f.cdf(theta_0))
+    u[0] = to_copula_scale(f, theta_0)
     phi_23 = pairwise_phi(params.rho, (2, 3)).phi
     u[1] = moebius_map(u[0], phi_23, sin_half[0], cos_half[0])
     links = conditional_links(params.rho, 1)

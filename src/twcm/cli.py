@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TWO_PI, wrap_angle
+from ._util import periodic_grid, wrap_angle
 from .ar2 import Ar2Params, simulate
 from .errors import (
     ComponentCollapseError,
@@ -37,12 +37,7 @@ from .fit import (
     parameter_vector,
 )
 from .marginals import CIRCULAR, FAMILIES, LINEAR, marginal_from_dict
-from .mixture import (
-    MixtureModel,
-    mixture_parameter_count,
-    responsibilities,
-    select_k,
-)
+from .mixture import MixtureModel, responsibilities, select_k
 from .model import TwcmModel
 from .presets import PRESETS
 
@@ -81,10 +76,8 @@ def parse_column_specs(text: str) -> tuple[ColumnSpec, ColumnSpec, ColumnSpec]:
     return tuple(specs)
 
 
-def specs_for_families(families) -> tuple[ColumnSpec, ColumnSpec, ColumnSpec]:
-    return tuple(
-        ColumnSpec(f"c{i + 1}", FAMILIES[f].domain) for i, f in enumerate(families)
-    )
+def specs_for_domains(domains) -> tuple[ColumnSpec, ColumnSpec, ColumnSpec]:
+    return tuple(ColumnSpec(f"c{i + 1}", d) for i, d in enumerate(domains))
 
 
 def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
@@ -205,21 +198,24 @@ def _families_from_arg(text):
     return fams
 
 
-def _ingest_for(args, families):
-    specs = (
-        parse_column_specs(args.columns)
-        if args.columns
-        else specs_for_families(families)
-    )
+def _ingest_for(args, domains):
+    """Read ``args.data`` against ``--columns``, or by default against
+    unnamed columns of ``domains``, reporting rejected lines on stderr."""
+    specs = parse_column_specs(args.columns) if args.columns else specs_for_domains(domains)
     data, rejected = ingest(args.data, specs)
     for lineno, reason in rejected:
         print(f"rejected line {lineno}: {reason}", file=sys.stderr)
     return data
 
 
-def cmd_fit(args) -> int:
+def _families_and_data(args):
+    """The ``--marginals`` families and the data read for their domains."""
     families = _families_from_arg(args.marginals)
-    data = _ingest_for(args, families)
+    return families, _ingest_for(args, [FAMILIES[f].domain for f in families])
+
+
+def cmd_fit(args) -> int:
+    families, data = _families_and_data(args)
     result = fit_ifm(data, families, FitConfig(seed=_resolve_seed(args)))
     payload = json.dumps(result.to_dict(), indent=2)
     if args.out:
@@ -250,36 +246,14 @@ def cmd_loglik(args) -> int:
     if not paths:
         raise DomainError("provide --model or --models")
     models = [_load_any_model(p) for p in paths]
-    domains = None
-    for m in models:
-        d = (
-            tuple(c.domains for c in m.components)[0]
-            if isinstance(m, MixtureModel)
-            else m.domains
-        )
-        if domains is None:
-            domains = d
-        elif d != domains:
-            raise DomainError("all models must share the same coordinate domains")
-    if args.columns:
-        specs = parse_column_specs(args.columns)
-    else:
-        specs = tuple(
-            ColumnSpec(f"c{i + 1}", dom) for i, dom in enumerate(domains)
-        )
-    data, rejected = ingest(args.data, specs)
-    for lineno, reason in rejected:
-        print(f"rejected line {lineno}: {reason}", file=sys.stderr)
+    if len({m.domains for m in models}) > 1:
+        raise DomainError("all models must share the same coordinate domains")
+    data = _ingest_for(args, models[0].domains)
     n = data.shape[0]
     rows = []
     for path, m in zip(paths, models):
-        if isinstance(m, MixtureModel):
-            ll = m.loglik(data)
-            fams = [c.family for c in m.components[0].marginals]
-            p = mixture_parameter_count(m.k, fams)
-        else:
-            ll = m.loglik(data)
-            p = m.n_free_params
+        ll = m.loglik(data)
+        p = m.n_free_params
         aic, bic = information_criteria(ll, p, n)
         rows.append([path, _format_float(ll), _format_float(aic),
                      _format_float(bic), str(p), str(n)])
@@ -296,8 +270,7 @@ def _parse_k_range(text):
 
 
 def cmd_mixture(args) -> int:
-    families = _families_from_arg(args.marginals)
-    data = _ingest_for(args, families)
+    families, data = _families_and_data(args)
     config = FitConfig(seed=_resolve_seed(args))
     result = select_k(
         data, _parse_k_range(args.k), families, config, restarts=args.restarts
@@ -318,8 +291,7 @@ def cmd_mixture(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    families = _families_from_arg(args.marginals)
-    data = _ingest_for(args, families)
+    families, data = _families_and_data(args)
     config = FitConfig(seed=_resolve_seed(args), bootstrap_b=args.B)
     point = fit_ifm(data, families, config)
     boot = bootstrap_se(data, families, config)
@@ -339,7 +311,7 @@ def cmd_bootstrap(args) -> int:
 
 def _grid_axis(marginal, res: int) -> np.ndarray:
     if marginal.domain == CIRCULAR:
-        return TWO_PI * (np.arange(res) + 0.5) / res
+        return periodic_grid(res)
     lo = marginal.quantile(5e-4)
     hi = marginal.quantile(1.0 - 5e-4)
     return np.linspace(lo, hi, res)

@@ -170,6 +170,12 @@ def constants(rho: RhoVector) -> CopulaConstants:
     return CopulaConstants(c1, c2)
 
 
+def _bracket(cc: CopulaConstants, rho: RhoVector, c12, c13, c23):
+    """The density denominator c1 + 2 (rho12 C12 + rho13 C13 + rho23 C23)
+    at the cosines of the pairwise differences."""
+    return cc.c1 + 2.0 * (rho.rho12 * c12 + rho.rho13 * c13 + rho.rho23 * c23)
+
+
 def _cos_diffs(u):
     """cos of the three pairwise angle differences; u is (..., 3)."""
     u = np.asarray(u, dtype=float)
@@ -187,9 +193,7 @@ def copula_log_density(u, rho: RhoVector):
     rotation of all three angles and under positive scaling of rho.
     """
     cc = constants(rho)
-    c12, c13, c23 = _cos_diffs(u)
-    bracket = cc.c1 + 2.0 * (rho.rho12 * c12 + rho.rho13 * c13 + rho.rho23 * c23)
-    out = np.log(cc.c2) - np.log(bracket)
+    out = np.log(cc.c2) - np.log(_bracket(cc, rho, *_cos_diffs(u)))
     return float_if_scalar(out)
 
 
@@ -206,11 +210,7 @@ def denominator_min(rho: RhoVector, grid: int = 64) -> float:
     cc = constants(rho)
     g = periodic_grid(grid)
     d12, d13 = np.meshgrid(g, g, indexing="ij")
-    bracket = cc.c1 + 2.0 * (
-        rho.rho12 * np.cos(d12)
-        + rho.rho13 * np.cos(d13)
-        + rho.rho23 * np.cos(d13 - d12)
-    )
+    bracket = _bracket(cc, rho, np.cos(d12), np.cos(d13), np.cos(d13 - d12))
     return float(bracket.min())
 
 
@@ -319,23 +319,19 @@ def conditional_spec(rho: RhoVector, i: int, u_j, u_k) -> ConditionalWCSpec:
     return ConditionalWCSpec(eta=float(wrap_angle(np.angle(ph))), delta=float(np.abs(ph)))
 
 
-def copula_cond_1given2(u, rho: RhoVector, i: int):
-    """Conditional copula density t_{1|2} of coordinate i at ``u[..., i-1]``
-    given the other two coordinates of the triple(s) ``u``."""
-    u = np.asarray(u, dtype=float)
-    j, k = sorted({1, 2, 3} - {i})
-    ph = conditional_phi(rho, i, u[..., j - 1], u[..., k - 1])
-    out = wc_kernel_density(u[..., i - 1], np.angle(ph), np.abs(ph))
-    return float_if_scalar(out)
-
-
 def copula_log_cond_1given2(u, rho: RhoVector, i: int):
-    """Log of :func:`copula_cond_1given2`, evaluated without exponentiating."""
+    """Log of the conditional copula density t_{1|2} of coordinate i at
+    ``u[..., i-1]`` given the other two coordinates of the triple(s) ``u``."""
     u = np.asarray(u, dtype=float)
     j, k = sorted({1, 2, 3} - {i})
     ph = conditional_phi(rho, i, u[..., j - 1], u[..., k - 1])
-    out = wc_kernel_log_density(u[..., i - 1], np.angle(ph), np.abs(ph))
-    return float_if_scalar(out)
+    return wc_kernel_log_density(u[..., i - 1], np.angle(ph), np.abs(ph))
+
+
+def copula_cond_1given2(u, rho: RhoVector, i: int):
+    """Conditional copula density t_{1|2}: the exp of
+    :func:`copula_log_cond_1given2`."""
+    return float_if_scalar(np.exp(copula_log_cond_1given2(u, rho, i)))
 
 
 def copula_sample(n: int, rho: RhoVector, seed=None) -> np.ndarray:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import TWO_PI, wrap_angle
+from ._util import TWO_PI, require_positive_density, wrap_angle
 from .copula import (
     RhoVector,
     _cos_diffs,
@@ -27,9 +27,9 @@ from .copula import (
     require_valid,
     validate_rho,
 )
-from .errors import DegenerateDataError, FitFailureError, InvalidParameterError
+from .errors import FitFailureError, InvalidParameterError
 from .marginals import CIRCULAR, family_class, fit_mle
-from .model import TwcmModel
+from .model import TwcmModel, copula_scale
 
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
@@ -48,20 +48,25 @@ _EIG_FLOOR = 1e-10  # relative to the total weight
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 _NEAR_LIMIT = 1e3
+_MAX_ITER = 2000  # Newton iterations per piece
+_TOL = 1e-8  # relative gain that counts as small
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the copula optimizer and the bootstrap."""
+    """Replicate count and seed of the resampling methods.
 
-    max_iter: int = 2000
-    tol: float = 1e-8
+    ``bootstrap_b`` is the number of bootstrap replicates.  ``seed`` seeds
+    the bootstrap resamples and, in :mod:`twcm.mixture`, EM's random
+    starts; the fits themselves are deterministic and read neither.
+    """
+
     bootstrap_b: int = 1000
     seed: int | None = None
 
     def __post_init__(self):
-        if min(self.max_iter, self.bootstrap_b) < 1 or self.tol <= 0:
-            raise InvalidParameterError("config values must be positive")
+        if self.bootstrap_b < 1:
+            raise InvalidParameterError("bootstrap_b must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,8 +233,7 @@ def _piece_of(rho: RhoVector) -> tuple[int, np.ndarray]:
     return _PIECES.index((signs, i)), np.array([math.log(x / y), math.log(s / (1.0 - s))])
 
 
-def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
-               start: RhoVector | None = None) -> CopulaFit:
+def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     """Maximize the copula log-likelihood over the valid region.
 
     ``u`` is an (n, 3) array of copula-scale angles.  The valid region is
@@ -240,9 +244,10 @@ def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
     Newton ascent with analytic derivatives from t = 0, or from ``start``
     (a valid rho) in the piece that contains it, so that piece ends no
     lower than ``start``.  A piece stops after two successive relative
-    gains <= config.tol, or when a coordinate passes |t| = 40, walking to
-    a limit of the region; a winner stopped that way is reported as not
-    converged.  The result is deterministic and normalized to product 1.
+    gains <= 1e-8, after 2000 iterations, or when a coordinate passes
+    |t| = 40, walking to a limit of the region; a winner stopped either of
+    the last two ways is reported as not converged.  The result is
+    deterministic and normalized to product 1.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
@@ -282,12 +287,12 @@ def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
         gain = f[active] - f_old
         # a gain this small ends Newton's fast phase; one more step then
         # lands within rounding of the optimum
-        small = gain <= config.tol * np.maximum(np.abs(f[active]), pieces.wsum)
+        small = gain <= _TOL * np.maximum(np.abs(f[active]), pieces.wsum)
         flat = ~moved | (small & was_small[active])
         was_small[active] = small
         out = np.abs(t[active]).max(axis=1) > _T_CAP
         converged[active[flat & ~out]] = True
-        active = active[~(flat | out) & (iterations[active] < config.max_iter)]
+        active = active[~(flat | out) & (iterations[active] < _MAX_ITER)]
 
     best = int(np.argmax(f))
     if not np.isfinite(f[best]):
@@ -309,25 +314,19 @@ def fit_copula(u, config: FitConfig = FitConfig(), weights=None,
 def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None,
             start: RhoVector | None = None) -> FitResult:
     """Two-step fit: weighted marginal MLE per coordinate, then copula MLE
-    on u = 2*pi*F_hat(theta), started from ``start`` as :func:`fit_copula` is."""
+    on u = 2*pi*F_hat(theta), started from ``start`` as :func:`fit_copula` is.
+
+    The fit is deterministic and does not read ``config``."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
         raise InvalidParameterError("data must be a nonempty (n, 3) array")
     margs = tuple(fit_mle(fam, data[:, i], weights) for i, fam in enumerate(families))
-    u = np.column_stack(
-        [TWO_PI * m.cdf(data[:, i]) for i, m in enumerate(margs)]
-    )
-    cop = fit_copula(u, config, weights=weights, start=start)
+    cop = fit_copula(copula_scale(margs, data), weights=weights, start=start)
     model = TwcmModel(rho=cop.rho, marginals=margs)
     # the joint log density is the copula's plus 3 log 2 pi plus the
     # marginal log densities, so the marginal CDFs are not evaluated again
     marg_ll = sum(m.logpdf(data[:, i]) for i, m in enumerate(margs))
-    finite = np.isfinite(marg_ll)
-    if not finite.all():
-        rows = np.flatnonzero(~finite)
-        raise DegenerateDataError(
-            f"zero density at rows {rows.tolist()[:20]}", rows=rows
-        )
+    require_positive_density(marg_ll)
     n = data.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     loglik = cop.loglik + 3.0 * w.sum() * math.log(TWO_PI) + float(w @ marg_ll)
@@ -381,16 +380,14 @@ def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapRe
         if family_class(fam).domain == CIRCULAR
     }
     rng = np.random.default_rng(config.seed)
-    seeds = rng.integers(0, 2**63 - 1, size=b)
     estimates: dict[str, list[float]] = {}
     failed = 0
-    for rep in range(b):
+    for _ in range(b):
         idx = rng.integers(0, n, size=n)
-        rep_cfg = replace(config, seed=int(seeds[rep]))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = fit_ifm(data[idx], families, rep_cfg)
+                res = fit_ifm(data[idx], families, config)
         except (FitFailureError, InvalidParameterError):
             failed += 1
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from ._util import as_rng
+from ._util import as_rng, float_if_triple
 from .errors import ComponentCollapseError, InvalidParameterError
 from .fit import FitConfig, fit_ifm, information_criteria
 from .marginals import family_class
@@ -52,6 +52,16 @@ class MixtureModel(JsonFile):
     def k(self) -> int:
         return len(self.components)
 
+    @property
+    def domains(self) -> tuple[str, str, str]:
+        """The coordinate domains, shared by every component."""
+        return self.components[0].domains
+
+    @property
+    def n_free_params(self) -> int:
+        """Free parameters of the mixture, see :func:`mixture_parameter_count`."""
+        return mixture_parameter_count(self.k, [m.family for m in self.components[0].marginals])
+
     def component_log_densities(self, data) -> np.ndarray:
         """(n, K) matrix of log(pi_k) + log f_k, floored to avoid -inf."""
         data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -63,8 +73,7 @@ class MixtureModel(JsonFile):
 
     def log_density(self, data):
         """Mixture log density at one triple or an (n, 3) block."""
-        out = logsumexp(self.component_log_densities(data), axis=1)
-        return float(out[0]) if np.ndim(data) == 1 else out
+        return float_if_triple(data, logsumexp(self.component_log_densities(data), axis=1))
 
     def loglik(self, data) -> float:
         return float(np.sum(self.log_density(data)))
@@ -124,11 +133,11 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
            ) -> tuple[MixtureModel, EmReport]:
     """Fit a K-component mixture by EM with random hard-assignment starts.
 
-    Runs ``restarts`` independent initializations and keeps the one with
-    the highest final log-likelihood.  A component whose responsibility
-    mass drops below 1e-3 * n is refitted from a random data block; a
-    second collapse of the same component raises
-    :class:`ComponentCollapseError`.
+    Runs ``restarts`` independent initializations, seeded by
+    ``config.seed``, and keeps the one with the highest final
+    log-likelihood.  A component whose responsibility mass drops below
+    1e-3 * n is refitted from a random data block; a second collapse of the
+    same component raises :class:`ComponentCollapseError`.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n = data.shape[0]
@@ -169,7 +178,6 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
 
 def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol):
     n = data.shape[0]
-    inner_cfg = replace(config, seed=int(rng.integers(0, 2**63 - 1)))
 
     # hard random assignment guarantees every component a nonempty first fit
     while True:
@@ -177,7 +185,7 @@ def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol)
         if np.all(np.bincount(assign, minlength=k) >= 5):
             break
 
-    comps = [fit_ifm(data[assign == j], families, inner_cfg).model for j in range(k)]
+    comps = [fit_ifm(data[assign == j], families, config).model for j in range(k)]
     weights = np.bincount(assign, minlength=k) / n
 
     trace: list[float] = []
@@ -201,14 +209,14 @@ def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol)
                             f"component {j} collapsed twice: reduce k below {k}"
                         )
                     block = rng.choice(n, size=max(20, n // (5 * k)), replace=False)
-                    comps[j] = fit_ifm(data[block], families, inner_cfg).model
+                    comps[j] = fit_ifm(data[block], families, config).model
                     resp[:, j] = 1.0 / k
                     resp /= resp.sum(axis=1, keepdims=True)
                     mass = resp.sum(axis=0)
 
             weights = mass / n
             comps = [
-                fit_ifm(data, families, inner_cfg, weights=resp[:, j],
+                fit_ifm(data, families, config, weights=resp[:, j],
                         start=comps[j].rho).model
                 for j in range(k)
             ]

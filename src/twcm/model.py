@@ -14,12 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import TWO_PI, as_rng, float_if_scalar, wc_kernel_density
+from ._util import (
+    TWO_PI,
+    as_rng,
+    float_if_scalar,
+    float_if_triple,
+    require_positive_density,
+)
 from .copula import (
     ConditionalWCSpec,
     RhoVector,
-    conditional_phi,
+    conditional_spec,
     constants,
+    copula_bivariate_density,
+    copula_cond_1given1,
     copula_cond_1given2,
     copula_log_density,
     copula_sample,
@@ -27,7 +35,7 @@ from .copula import (
     pairwise_phi,
     require_valid,
 )
-from .errors import DegenerateDataError, DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 from .marginals import CIRCULAR, Marginal, WrappedCauchy, marginal_from_dict
 
 
@@ -103,14 +111,12 @@ class TwcmModel(JsonFile):
     # -- densities ---------------------------------------------------------
     def log_density(self, theta):
         """Joint log density at one triple or an (n, 3) block."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
         data = self.validate_data(theta)
         u = copula_scale(self.marginals, data)
         out = 3.0 * np.log(TWO_PI) + copula_log_density(u, self.rho)
         for i, m in enumerate(self.marginals):
             out = out + m.logpdf(data[:, i])
-        return float(out[0]) if single else out
+        return float_if_triple(theta, out)
 
     def density(self, theta):
         return float_if_scalar(np.exp(self.log_density(theta)))
@@ -118,62 +124,51 @@ class TwcmModel(JsonFile):
     def loglik(self, data) -> float:
         """Sum of log densities; raises on rows with vanishing density."""
         values = self.log_density(np.atleast_2d(np.asarray(data, dtype=float)))
-        finite = np.isfinite(values)
-        if not finite.all():
-            rows = np.flatnonzero(~finite)
-            raise DegenerateDataError(
-                f"zero density at rows {rows.tolist()[:20]}", rows=rows
-            )
+        require_positive_density(values)
         return float(values.sum())
 
     # -- marginal and conditional laws --------------------------------------
     def bivariate_density(self, pair: tuple[int, int], x_i, x_j):
         """Bivariate marginal density of coordinates ``pair`` (1-based)."""
         i, j = pair
-        phi = pairwise_phi(self.rho, pair)
         mi, mj = self.marginals[i - 1], self.marginals[j - 1]
-        ui = TWO_PI * np.asarray(mi.cdf(x_i))
-        uj = TWO_PI * np.asarray(mj.cdf(x_j))
-        kern = wc_kernel_density(ui - uj, 0.0, phi.phi) / TWO_PI  # t_2
+        kern = copula_bivariate_density(
+            to_copula_scale(mi, x_i), to_copula_scale(mj, x_j), pairwise_phi(self.rho, pair)
+        )
         out = 4.0 * np.pi**2 * kern * mi.pdf(x_i) * mj.pdf(x_j)
         return float_if_scalar(out)
 
     def cond_density_2given1(self, theta, given: int):
         """Density of the two remaining coordinates given coordinate
         ``given`` (1-based); ``theta`` holds the full triple(s)."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
         data = self.validate_data(theta)
         out = np.exp(self.log_density(data)) / self.marginals[given - 1].pdf(
             data[:, given - 1]
         )
-        return float(out[0]) if single else out
+        return float_if_triple(theta, out)
 
     def cond_density_1given1(self, i: int, x_i, j: int, x_j):
         """Density of coordinate i at ``x_i`` given coordinate j at ``x_j``."""
         phi = pairwise_phi(self.rho, (min(i, j), max(i, j)))
         mi, mj = self.marginals[i - 1], self.marginals[j - 1]
-        ui = TWO_PI * np.asarray(mi.cdf(x_i))
-        uj = TWO_PI * np.asarray(mj.cdf(x_j))
-        out = TWO_PI * wc_kernel_density(ui, uj, phi.phi) * mi.pdf(x_i)
-        return float_if_scalar(out)
+        kern = copula_cond_1given1(to_copula_scale(mi, x_i), to_copula_scale(mj, x_j), phi)
+        return float_if_scalar(TWO_PI * kern * mi.pdf(x_i))
 
     def conditional_spec(self, i: int, theta_j, theta_k) -> ConditionalWCSpec:
         """Kernel parameters of coordinate i given the other two, whose
         values are passed in increasing coordinate order."""
         j, k = sorted({1, 2, 3} - {i})
-        uj = TWO_PI * float(self.marginals[j - 1].cdf(theta_j))
-        uk = TWO_PI * float(self.marginals[k - 1].cdf(theta_k))
-        ph = complex(conditional_phi(self.rho, i, uj, uk))
-        return ConditionalWCSpec(eta=float(np.angle(ph) % TWO_PI), delta=abs(ph))
+        return conditional_spec(
+            self.rho, i,
+            to_copula_scale(self.marginals[j - 1], theta_j),
+            to_copula_scale(self.marginals[k - 1], theta_k),
+        )
 
     def cond_density_1given2(self, theta, i: int):
         """Density of coordinate i given the other two; ``theta`` holds the
         full triple(s)."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
         out = composed_cond_1given2(self.rho, self.marginals, self.validate_data(theta), i)
-        return float(out[0]) if single else out
+        return float_if_triple(theta, out)
 
     # -- sampling -----------------------------------------------------------
     def sample(self, n: int, seed=None) -> np.ndarray:
@@ -198,13 +193,18 @@ class TwcmModel(JsonFile):
         return cls(rho=rho, marginals=margs)
 
 
+def to_copula_scale(marginal: Marginal, x) -> np.ndarray:
+    """The pseudo-observation u = 2*pi*F(x) of one marginal; the domain is
+    not checked."""
+    return TWO_PI * np.asarray(marginal.cdf(x))
+
+
 def copula_scale(marginals, theta) -> np.ndarray:
     """u_i = 2*pi*F_i(theta_i) for triples ``theta`` of shape (..., 3);
     the domains are not checked."""
     theta = np.asarray(theta, dtype=float)
     return np.stack(
-        [TWO_PI * np.asarray(m.cdf(theta[..., i])) for i, m in enumerate(marginals)],
-        axis=-1,
+        [to_copula_scale(m, theta[..., i]) for i, m in enumerate(marginals)], axis=-1
     )
 
 
@@ -231,11 +231,10 @@ def wc_closed_form_log_density(rho: RhoVector, wc_marginals, theta):
     wc = tuple(wc_marginals)
     if len(wc) != 3 or not all(isinstance(m, WrappedCauchy) for m in wc):
         raise InvalidParameterError("closed form needs three wrapped Cauchy marginals")
-    single = np.asarray(theta).ndim == 1
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    rows = np.atleast_2d(np.asarray(theta, dtype=float))
     cc = constants(rho)
-    cos_d = [np.cos(theta[:, i] - wc[i].mu) for i in range(3)]
-    sin_d = [np.sin(theta[:, i] - wc[i].mu) for i in range(3)]
+    cos_d = [np.cos(rows[:, i] - wc[i].mu) for i in range(3)]
+    sin_d = [np.sin(rows[:, i] - wc[i].mu) for i in range(3)]
     xi = [m.xi for m in wc]
     g = [1.0 + xi[i] ** 2 - 2.0 * xi[i] * cos_d[i] for i in range(3)]
 
@@ -255,7 +254,7 @@ def wc_closed_form_log_density(rho: RhoVector, wc_marginals, theta):
     )
     num = np.log(cc.c2) + sum(np.log1p(-x * x) for x in xi)
     out = num - np.log(denom)
-    return float(out[0]) if single else out
+    return float_if_triple(theta, out)
 
 
 def kato_pewsey_bivariate_density(phi: float, wc_i: WrappedCauchy, wc_j: WrappedCauchy,

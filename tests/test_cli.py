@@ -222,6 +222,31 @@ class TestCommands:
                                               abs=1e-6)
         assert float(row[1]) == pytest.approx(-11027.26, abs=0.01)
 
+    def test_loglik_scores_single_and_mixture_models(self, tmp_path, capsys):
+        from twcm.presets import buoy_mixture
+
+        mix = buoy_mixture()
+        models = {"single.json": mix.components[0], "mix.json": mix}
+        for name, m in models.items():
+            m.save(tmp_path / name)
+        data = tmp_path / "d.csv"
+        assert run(capsys, "synth", "--preset", "buoy", "--n", "300",
+                   "--seed", "51", "--out", str(data))[0] == 0
+        rows_in, _ = ingest(data, [ColumnSpec(c, d) for c, d in
+                                   zip("abc", mix.domains)])
+        paths = ",".join(str(tmp_path / name) for name in models)
+        code, out, _ = run(capsys, "loglik", "--models", paths, "--data", str(data))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "model,loglik,aic,bic,p,n"
+        for line, (name, m) in zip(lines[1:], models.items()):
+            path, ll, _, _, p, n = line.split(",")
+            assert path == str(tmp_path / name)
+            assert float(ll) == m.loglik(rows_in)
+            assert int(p) == m.n_free_params
+            assert int(n) == 300
+        assert len(lines) == 3
+
     def test_grid_res_two_emits_four_rows(self, tmp_path, capsys):
         model = tmp_path / "m.json"
         independence_like_model().save(model)
@@ -332,6 +357,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "fit", "--data", str(data),
                          "--marginals", "kato_jones,uniform,uniform")
         assert code == 1
+
+    def test_models_with_different_domains_rejected(self, tmp_path, capsys):
+        from twcm.presets import buoy_mixture, protein_model
+
+        torus, cylinder = tmp_path / "torus.json", tmp_path / "cyl.json"
+        protein_model().save(torus)
+        buoy_mixture().save(cylinder)
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,c\n1,2,3\n")
+        code, out, err = run(capsys, "loglik", "--models", f"{torus},{cylinder}",
+                             "--data", str(data))
+        assert code == 1
+        assert "share the same coordinate domains" in err
+        assert out == ""
 
     def test_bad_pair_rejected(self, tmp_path, capsys):
         model = tmp_path / "m.json"

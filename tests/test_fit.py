@@ -18,6 +18,7 @@ from twcm import (
     fit_copula,
     fit_ifm,
     information_criteria,
+    parameter_vector,
     validate_rho,
 )
 from twcm.presets import protein_model
@@ -86,20 +87,20 @@ class TestFitCopula:
         # the likelihood has a shallow ridge trading rho12 against rho13,
         # so the componentwise 10% box holds for this pinned realization
         u = copula_sample(5000, RHO_333, seed=34)
-        res = fit_copula(u, FitConfig(seed=100))
+        res = fit_copula(u)
         rel = np.abs(res.rho.as_array() - RHO_333.as_array()) / RHO_333.as_array()
         assert np.all(rel < 0.10)
         assert res.sign_pattern == (1, 1, 1)
 
     def test_fitted_product_is_one_and_valid(self):
         u = copula_sample(2000, RHO_333, seed=6)
-        res = fit_copula(u, FitConfig(seed=1))
+        res = fit_copula(u)
         assert abs(res.rho.product - 1.0) <= 1e-9
         assert validate_rho(res.rho).valid
 
     def test_optimum_beats_truth(self):
         u = copula_sample(3000, RHO_333, seed=9)
-        res = fit_copula(u, FitConfig(seed=2))
+        res = fit_copula(u)
         ll_truth = float(np.sum(copula_log_density(u, RHO_333)))
         assert res.loglik >= ll_truth - 1e-8
 
@@ -113,7 +114,7 @@ class TestFitCopula:
         abs_rho[3 - i] = 0.5  # the pair not containing i
         start = RhoVector(*(np.array(signs) * abs_rho))
         assert validate_rho(start).passing_permutations == (i,)
-        res = fit_copula(u, FitConfig(), start=start)
+        res = fit_copula(u, start=start)
         assert validate_rho(res.rho).valid
         assert res.rho.identifiable
         assert res.loglik >= float(np.sum(copula_log_density(u, start))) - 1e-9
@@ -125,8 +126,8 @@ class TestFitCopula:
 
     def test_constant_weights_match_unweighted(self):
         u = copula_sample(800, RHO_333, seed=5)
-        a = fit_copula(u, FitConfig(seed=11))
-        b = fit_copula(u, FitConfig(seed=11), weights=np.full(len(u), 2.0))
+        a = fit_copula(u)
+        b = fit_copula(u, weights=np.full(len(u), 2.0))
         np.testing.assert_allclose(a.rho.as_array(), b.rho.as_array(), rtol=1e-6)
 
     def test_bad_input_shape(self):
@@ -156,7 +157,7 @@ class TestFitIfm:
     def test_uniform_marginals_reduce_to_copula_mle(self):
         u = copula_sample(1500, RHO_333, seed=21)
         ifm = fit_ifm(u, ["uniform"] * 3, FitConfig(seed=31))
-        direct = fit_copula(u, FitConfig(seed=31))
+        direct = fit_copula(u)
         np.testing.assert_allclose(
             ifm.model.rho.as_array(), direct.rho.as_array(), rtol=1e-12
         )
@@ -230,6 +231,21 @@ class TestBootstrap:
         a = bootstrap_se(data, ["von_mises"] * 3, cfg)
         b = bootstrap_se(data, ["von_mises"] * 3, cfg)
         assert a.se == b.se
+
+    def test_replicates_follow_one_resample_stream(self):
+        # replicate r refits the r-th successive resample drawn from
+        # default_rng(config.seed): no other draw may enter the stream
+        data = self._tiny_dataset()
+        n = len(data)
+        families = ["von_mises"] * 3
+        res = bootstrap_se(data, families, FitConfig(seed=12, bootstrap_b=3))
+        assert res.b_failed == 0
+        rng = np.random.default_rng(12)
+        for r in range(3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ref = parameter_vector(fit_ifm(data[rng.integers(0, n, n)], families))
+            assert {name: vals[r] for name, vals in res.estimates.items()} == ref
 
     def test_reports_all_parameters(self):
         data = self._tiny_dataset()

@@ -85,6 +85,14 @@ class TestMixtureModel:
         b = TRUE_MIX.sample(100, seed=1)
         np.testing.assert_array_equal(a, b)
 
+    def test_domains_and_parameter_count(self):
+        # the CLI scores single models and mixtures through these two
+        assert TRUE_MIX.domains == COMP_A.domains == ("circular", "circular", "linear")
+        assert TRUE_MIX.n_free_params == mixture_parameter_count(2, FAMS)
+        single = MixtureModel(weights=(1.0,), components=(COMP_B,))
+        assert single.n_free_params == mixture_parameter_count(1, FAMS)
+        assert single.n_free_params == COMP_B.n_free_params
+
     def test_serialization_round_trip(self, tmp_path):
         path = tmp_path / "mix.json"
         TRUE_MIX.save(path)
