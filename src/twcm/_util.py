@@ -110,10 +110,12 @@ def half_angle_sincos(v):
 
 def moebius_map(center, xi, sin_half, cos_half):
     """Wrapped Cauchy draw at ``center`` with concentration ``xi`` in
-    (-1, 1) (unchecked) from a uniform angle's :func:`half_angle_sincos`."""
+    (-1, 1) (unchecked) from a uniform angle's :func:`half_angle_sincos`.
+    Takes arrays or scalars."""
     b = (1.0 - xi) / (1.0 + xi)
-    # atan2 form of mu + 2*arctan(b*tan(u/2)), continuous across u = pi
-    return wrap_angle(center + 2.0 * np.arctan2(b * sin_half, cos_half))
+    # atan2 form of mu + 2*arctan(b*tan(u/2)), continuous across u = pi;
+    # `%` is np.mod on arrays and skips a ufunc call on a NumPy scalar
+    return (center + 2.0 * np.arctan2(b * sin_half, cos_half)) % TWO_PI
 
 
 def periodic_grid(n):

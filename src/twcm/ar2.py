@@ -10,10 +10,15 @@ requires the two lag-1 links to carry the same parameter
 The chain runs on the copula scale u_t = 2*pi*F(theta_t), where each step
 is one wrapped Cauchy draw whose parameters depend only on u_{t-1} and
 u_{t-2}.  The parameters are validated once, when ``Ar2Params`` is built,
-and the marginal is inverted once, for the whole simulated block."""
+and the marginal is inverted once, for the whole simulated block.  One
+step is written once: many chains run it on arrays, and a single chain
+runs it on Python complex numbers and NumPy scalars, where only arctan2
+and the complex modulus are ufunc calls, and those round as the array
+calls do.  Both loops give the same chain bit for bit."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,6 +99,9 @@ def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):
     draw.  theta_t feeds nothing back, so the marginal quantile is applied
     once, to the whole block of u / 2pi.  Returns shape (n,) or
     (n_chains, n).
+
+    One chain (``n_chains`` None or 1) steps on Python floats and many
+    chains step on arrays; a chain does not depend on which loop ran it.
     """
     if n < 2:
         raise InvalidParameterError("need chain length n >= 2")
@@ -111,18 +119,52 @@ def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):
     phi_23 = pairwise_phi(params.rho, (2, 3)).phi
     u[1] = moebius_map(u[0], phi_23, sin_half[0], cos_half[0])
     links = conditional_links(params.rho, 1)
-    delta = np.empty((n - 2, m))
-    z_tm2, z_tm1 = np.exp(1j * u[0]), np.exp(1j * u[1])
-    for t in range(2, n):
-        ph = phi_from_unit(links, z_tm1, z_tm2)
-        delta[t - 2] = np.abs(ph)
-        xi = reflect_concentration(delta[t - 2])
-        u[t] = moebius_map(np.angle(ph), xi, sin_half[t - 1], cos_half[t - 1])
-        z_tm2, z_tm1 = z_tm1, np.exp(1j * u[t])
+    if m == 1:
+        steps, delta = _steps(links, u[0, 0], u[1, 0], sin_half[1:, 0].tolist(),
+                              cos_half[1:, 0].tolist(), _float_unit, _float_reflect)
+    else:
+        steps, delta = _steps(links, u[0], u[1], sin_half[1:], cos_half[1:],
+                              _array_unit, reflect_concentration)
     require_nonsingular(delta)
+    u[2:] = np.reshape(steps, (n - 2, m))
 
     theta = np.empty((m, n))
     theta[:, 0] = theta_0
     theta[:, 1:] = f.quantile(u[1:].T / TWO_PI)
     theta = wrap_angle(theta)
     return theta[0] if n_chains is None else theta
+
+
+def _steps(links, u_0, u_1, sin_half, cos_half, unit, reflect):
+    """Steps 2 .. n-1 from the first two angles: phi_{1|23} from the two
+    previous unit vectors, then one Moebius draw per uniform at the centre
+    arg(phi) and the concentration |phi| reflected into the unit interval.
+    ``unit`` (e^{iu}) and ``reflect`` are the array or the float versions.
+    Returns the angles and the moduli |phi| per step.
+
+    One chain steps on Python complex numbers and NumPy scalars:
+    np.absolute and np.arctan2 on a scalar run the same inner loops as on
+    an array, and the rest is plain float arithmetic."""
+    z_tm2, z_tm1 = unit(u_0), unit(u_1)
+    steps, delta = [], []
+    for s_half, c_half in zip(sin_half, cos_half):
+        ph = phi_from_unit(links, z_tm1, z_tm2)
+        d = np.absolute(ph)
+        u_t = moebius_map(np.arctan2(ph.imag, ph.real), reflect(d), s_half, c_half)
+        steps.append(u_t)
+        delta.append(d)
+        z_tm2, z_tm1 = z_tm1, unit(u_t)
+    return steps, delta
+
+
+def _array_unit(u):
+    return np.exp(1j * u)
+
+
+def _float_unit(u):
+    # math.cos/math.sin round as the parts of np.exp(1j * u)
+    return complex(math.cos(u), math.sin(u))
+
+
+def _float_reflect(d):
+    return 1.0 / d if d > 1.0 else d

@@ -283,16 +283,21 @@ class ConditionalWCSpec:
 
 
 def conditional_links(rho: RhoVector, i: int) -> tuple[float, float, float]:
-    """(rho_jk, rho_ik, rho_ij) for coordinate i given j < k, the other two."""
+    """(rho_jk, 1/rho_ik, 1/rho_ij) for coordinate i given j < k, the other
+    two."""
     j, k = sorted({1, 2, 3} - {i})
-    return rho.pair(j, k), rho.pair(i, k), rho.pair(i, j)
+    return rho.pair(j, k), 1.0 / rho.pair(i, k), 1.0 / rho.pair(i, j)
 
 
 def phi_from_unit(links, z_j, z_k):
     """phi_{i|jk} from ``links = conditional_links(rho, i)`` and the unit
-    vectors ``z = e^{iu}`` of the two conditioning angles; unchecked."""
-    rjk, rik, rij = links
-    return -rjk * (z_j / rik + z_k / rij)
+    vectors ``z = e^{iu}`` of the two conditioning angles; unchecked.
+
+    Takes NumPy arrays or Python complex numbers and rounds the same on
+    both: NumPy divides a complex by a real as a product with the
+    reciprocal, which is the product written here."""
+    rjk, inv_ik, inv_ij = links
+    return -rjk * (z_j * inv_ik + z_k * inv_ij)
 
 
 def conditional_phi(rho: RhoVector, i: int, u_j, u_k):

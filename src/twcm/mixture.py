@@ -13,16 +13,14 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._util import as_rng, float_if_triple
+from ._util import as_rng, float_if_triple, require_positive_density
 from .errors import ComponentCollapseError, InvalidParameterError
 from .fit import FitConfig, fit_ifm, information_criteria
 from .marginals import family_class
 from .model import JsonFile, TwcmModel
 
 _WEIGHT_SUM_TOL = 1e-12
-_LOG_FLOOR = np.log(1e-300)
 _COLLAPSE_FRACTION = 1e-3
 _MONOTONE_SLACK = 1e-8
 
@@ -63,20 +61,20 @@ class MixtureModel(JsonFile):
         return mixture_parameter_count(self.k, [m.family for m in self.components[0].marginals])
 
     def component_log_densities(self, data) -> np.ndarray:
-        """(n, K) matrix of log(pi_k) + log f_k, floored to avoid -inf."""
+        """(n, K) matrix of log(pi_k) + log f_k; -inf where f_k is zero."""
         data = np.atleast_2d(np.asarray(data, dtype=float))
-        cols = []
-        for w, comp in zip(self.weights, self.components):
-            ld = np.maximum(comp.log_density(data), _LOG_FLOOR)
-            cols.append(np.log(w) + ld)
-        return np.column_stack(cols)
+        return np.column_stack([np.log(w) + comp.log_density(data)
+                                for w, comp in zip(self.weights, self.components)])
 
     def log_density(self, data):
         """Mixture log density at one triple or an (n, 3) block."""
-        return float_if_triple(data, logsumexp(self.component_log_densities(data), axis=1))
+        return float_if_triple(data, log_sum_exp(self.component_log_densities(data)))
 
     def loglik(self, data) -> float:
-        return float(np.sum(self.log_density(data)))
+        """Sum of log densities; raises on rows with vanishing density."""
+        values = self.log_density(np.atleast_2d(np.asarray(data, dtype=float)))
+        require_positive_density(values)
+        return float(values.sum())
 
     def sample(self, n: int, seed=None, return_labels: bool = False):
         """Draw n observations; optionally also return component labels."""
@@ -103,10 +101,28 @@ class MixtureModel(JsonFile):
         )
 
 
+def log_sum_exp(a) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of an (n, K) array, by the formula of
+    ``scipy.special.logsumexp``: the terms equal to the row maximum stay
+    out of the sum, which is then log(1 + rest/count) + log(count) + max.
+    A row whose maximum is not finite gives that maximum (-inf where every
+    term is -inf)."""
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + a_max
+    return np.where(np.isfinite(a_max), out, a_max)[:, 0]
+
+
 def responsibilities(model: MixtureModel, data) -> np.ndarray:
-    """Posterior component probabilities per row, computed in log space."""
+    """Posterior component probabilities per row, computed in log space;
+    raises on rows where every component has zero density."""
     log_wd = model.component_log_densities(data)
-    return np.exp(log_wd - logsumexp(log_wd, axis=1, keepdims=True))
+    total = log_sum_exp(log_wd)
+    require_positive_density(total)
+    return np.exp(log_wd - total[:, None])
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ conditional, normalization, stationarity of simulated chains, and the
 simulator against the step-at-a-time algorithm."""
 
 import dataclasses
+import math
 import sys
 import warnings
 from collections import Counter
@@ -151,8 +152,9 @@ class TestSimulate:
                 short = simulate(STATIONARY, n, seed=5, n_chains=n_chains)
                 np.testing.assert_array_equal(short, long[..., :n])
 
-    @pytest.mark.parametrize("shape", [(2, None), (3, None), (50, None), (40, 7)],
-                             ids=["n2", "n3", "n50", "n40x7"])
+    @pytest.mark.parametrize("shape", [(2, None), (3, None), (50, None), (40, 7),
+                                       (2000, None), (50, 1)],
+                             ids=["n2", "n3", "n50", "n40x7", "n2000", "n50x1"])
     @pytest.mark.parametrize("family", sorted(MARGINALS))
     @pytest.mark.parametrize("rho", [STATIONARY, HIGH_DELTA],
                              ids=["moderate", "high_delta"])
@@ -190,8 +192,10 @@ class TestSimulate:
         assert calls["quantile"] <= 2
         assert calls["conditional_phi"] <= 1
 
-    def test_singular_step_detected(self, monkeypatch):
-        # a unit-modulus kernel parameter at the last step still raises
+    @pytest.mark.parametrize("n_chains", [None, 3])
+    def test_singular_step_detected(self, monkeypatch, n_chains):
+        # a unit-modulus kernel parameter at the last step still raises, on
+        # the float loop of one chain and on the array loop of many
         n = 30
         orig = twcm.ar2.phi_from_unit
         steps = Counter()
@@ -203,8 +207,32 @@ class TestSimulate:
 
         monkeypatch.setattr(twcm.ar2, "phi_from_unit", unit_at_last_step)
         with pytest.raises(SingularKernelError):
-            simulate(STATIONARY, n, seed=13)
+            simulate(STATIONARY, n, seed=13, n_chains=n_chains)
         assert steps["n"] == n - 2
+
+    def test_float_primitives_round_as_numpy(self):
+        # a single chain steps on Python complex numbers and NumPy scalars
+        # and is bit-identical to the array loop only if these primitives
+        # round as NumPy's array calls
+        rng = np.random.default_rng(14)
+        u = TWO_PI * rng.random(100_000)
+        x = 50.0 * rng.standard_normal(100_000)
+        z = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
+        unit = np.exp(1j * u)
+        checks = {
+            "math.cos vs np.exp(1j*u).real": ([math.cos(v) for v in u.tolist()], unit.real),
+            "math.sin vs np.exp(1j*u).imag": ([math.sin(v) for v in u.tolist()], unit.imag),
+            "np.float64 % 2pi vs np.mod": ([v % TWO_PI for v in x], np.mod(x, TWO_PI)),
+            "0-d np.arctan2 vs array": (
+                [np.arctan2(a, b) for a, b in zip(z.imag.tolist(), z.real.tolist())],
+                np.arctan2(z.imag, z.real)),
+            "0-d np.absolute vs array": ([np.absolute(v) for v in z.tolist()], np.absolute(z)),
+        }
+        for name, (scalar, array) in checks.items():
+            mismatches = np.count_nonzero(np.asarray(scalar) != array)
+            assert mismatches == 0, (
+                f"{name}: {mismatches} of 100000 differ, so one-chain "
+                "simulate no longer matches the many-chain array loop")
 
     def test_seed_determinism(self):
         np.testing.assert_array_equal(

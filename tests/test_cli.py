@@ -295,7 +295,9 @@ class TestCommands:
         lines = out.splitlines()
         assert lines[0].startswith("#") and "seed=21" in lines[0]
         assert lines[1] == "theta"
-        assert len(lines) == 2 + 40
+        params = twcm.Ar2Params(2.0, 0.25, 2.0, marginal=twcm.WrappedCauchy(3.0, 0.5))
+        chain = twcm.simulate(params, 40, seed=21)
+        assert lines[2:] == [repr(float(v)) for v in chain]
 
     def test_mixture_command_writes_artifacts(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

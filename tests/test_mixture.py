@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import logsumexp, roots_legendre
 
 import twcm
 from twcm import (
@@ -23,6 +23,8 @@ from twcm import (
     responsibilities,
     select_k,
 )
+from twcm.mixture import log_sum_exp
+from twcm.presets import buoy_mixture
 
 TWO_PI = 2.0 * np.pi
 FAMS = ("wrapped_cauchy", "wrapped_cauchy", "weibull")
@@ -93,6 +95,43 @@ class TestMixtureModel:
         assert single.n_free_params == mixture_parameter_count(1, FAMS)
         assert single.n_free_params == COMP_B.n_free_params
 
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 1.0, 1000.0), (1.0, 2.0, 1.0)],  # far below any density floor
+        [(1.0, 2.0, 1e200)],                    # zero Weibull density
+        [(1.0, 2.0, 1.0), (1.0, 2.0, 0.0)],     # outside the linear domain
+    ], ids=["tiny", "zero", "domain"])
+    def test_single_component_is_the_component(self, rows):
+        comp = buoy_mixture().components[0]
+        single = MixtureModel(weights=(1.0,), components=(comp,))
+        rows = np.asarray(rows)
+        outcomes = []
+        for model in (comp, single):
+            try:
+                outcomes.append((model.log_density(rows), None))
+            except twcm.TwcmError as exc:
+                outcomes.append((None, type(exc)))
+            try:
+                outcomes.append((model.loglik(rows), None))
+            except twcm.TwcmError as exc:
+                outcomes.append((None, type(exc)))
+        (comp_ld, comp_ld_err), (comp_ll, comp_ll_err), (mix_ld, mix_ld_err), \
+            (mix_ll, mix_ll_err) = outcomes
+        assert (mix_ld_err, mix_ll_err) == (comp_ld_err, comp_ll_err)
+        if comp_ld_err is None:
+            np.testing.assert_array_equal(mix_ld, comp_ld)
+        if comp_ll_err is None:
+            assert mix_ll == comp_ll
+
+    def test_zero_density_row_raises(self):
+        single = MixtureModel(weights=(1.0,), components=(buoy_mixture().components[0],))
+        rows = np.array([(1.0, 2.0, 1.0), (1.0, 2.0, 1e200)])
+        assert single.log_density(rows)[1] == -np.inf
+        with pytest.raises(twcm.DegenerateDataError) as err:
+            single.loglik(rows)
+        assert err.value.rows == (1,)
+        with pytest.raises(twcm.DegenerateDataError):
+            responsibilities(single, rows)
+
     def test_serialization_round_trip(self, tmp_path):
         path = tmp_path / "mix.json"
         TRUE_MIX.save(path)
@@ -132,6 +171,19 @@ class TestResponsibilities:
         np.testing.assert_allclose(a, b[:, ::-1], rtol=1e-12)
         assert TRUE_MIX.loglik(data) == pytest.approx(swapped.loglik(data),
                                                       rel=1e-14)
+
+
+class TestLogSumExp:
+    def test_matches_scipy_on_em_rows(self):
+        mix = buoy_mixture()
+        log_wd = mix.component_log_densities(mix.sample(20_000, seed=15))
+        np.testing.assert_array_equal(log_sum_exp(log_wd), logsumexp(log_wd, axis=1))
+
+    def test_matches_scipy_on_ties_and_infinities(self):
+        a = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, -2.0], [-np.inf, 3.0, 3.0],
+                      [5.0, -np.inf, 2.0], [-700.0, -1e4, -750.0],
+                      [-np.inf, -np.inf, -np.inf], [np.inf, 1.0, 0.0]])
+        np.testing.assert_array_equal(log_sum_exp(a), logsumexp(a, axis=1))
 
 
 class TestEmFit:
