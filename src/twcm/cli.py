@@ -147,11 +147,19 @@ def _write_csv(path_or_stdout, header, rows, comments=()):
             fh.close()
 
 
+def _parse_number(text, kind, what):
+    """``kind(text)`` for a command-line value, or a DomainError naming it."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"malformed {what} {text!r}") from None
+
+
 def _resolve_seed(args) -> int | None:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("TWCM_SEED")
-    return int(env) if env else None
+    return _parse_number(env, int, "TWCM_SEED") if env else None
 
 
 def _load_any_model(path):
@@ -216,7 +224,7 @@ def _families_and_data(args):
 
 def cmd_fit(args) -> int:
     families, data = _families_and_data(args)
-    result = fit_ifm(data, families, FitConfig(seed=_resolve_seed(args)))
+    result = fit_ifm(data, families)
     payload = json.dumps(result.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -264,9 +272,9 @@ def cmd_loglik(args) -> int:
 
 def _parse_k_range(text):
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        lo, hi = (_parse_number(x, int, "--k") for x in text.split("..", 1))
+        return list(range(lo, hi + 1))
+    return [_parse_number(x, int, "--k") for x in text.split(",")]
 
 
 def cmd_mixture(args) -> int:
@@ -293,7 +301,7 @@ def cmd_mixture(args) -> int:
 def cmd_bootstrap(args) -> int:
     families, data = _families_and_data(args)
     config = FitConfig(seed=_resolve_seed(args), bootstrap_b=args.B)
-    point = fit_ifm(data, families, config)
+    point = fit_ifm(data, families)
     boot = bootstrap_se(data, families, config)
     for note in boot.warnings:
         print(f"warning: {note}", file=sys.stderr)
@@ -321,9 +329,10 @@ def cmd_grid(args) -> int:
     model = _load_any_model(args.model)
     if isinstance(model, MixtureModel):
         raise DomainError("grid requires a single-component model file")
-    i, j = (int(x) for x in args.pair.split(","))
-    if sorted((i, j)) not in ([1, 2], [1, 3], [2, 3]):
+    pair = [_parse_number(x, int, "--pair") for x in args.pair.split(",")]
+    if sorted(pair) not in ([1, 2], [1, 3], [2, 3]):
         raise DomainError("--pair must name two distinct coordinates in 1..3")
+    i, j = pair
     res = args.res
     if res < 2:
         raise DomainError("--res must be >= 2")
@@ -331,14 +340,14 @@ def cmd_grid(args) -> int:
     y = _grid_axis(model.marginals[j - 1], res)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     if args.given:
-        key, val = args.given.split("=")
-        k = int(key)
+        key, _, val = args.given.partition("=")
+        k = _parse_number(key, int, "--given coordinate")
         if k in (i, j) or k not in (1, 2, 3):
             raise DomainError("--given must name the remaining coordinate")
         theta = np.empty((res * res, 3))
         theta[:, i - 1] = xx.ravel()
         theta[:, j - 1] = yy.ravel()
-        theta[:, k - 1] = float(val)
+        theta[:, k - 1] = _parse_number(val, float, "--given value")
         dens = model.cond_density_2given1(theta, given=k)
     else:
         dens = model.bivariate_density((i, j), xx.ravel(), yy.ravel())
@@ -353,19 +362,17 @@ def cmd_grid(args) -> int:
 
 
 def _parse_marginal_spec(text):
-    if ":" not in text:
-        return marginal_from_dict({"family": text, "params": {}})
-    family, params_text = text.split(":", 1)
+    family, _, params_text = text.partition(":")
     params = {}
-    for item in params_text.split(","):
-        key, val = item.split("=")
-        params[key.strip()] = float(val)
+    for item in filter(None, params_text.split(",")):
+        key, _, val = item.partition("=")
+        params[key.strip()] = _parse_number(val, float, f"--marginal value of {key!r}")
     return marginal_from_dict({"family": family.strip(), "params": params})
 
 
 def cmd_ar2(args) -> int:
     seed = _resolve_seed(args)
-    r = [float(x) for x in args.rho.split(",")]
+    r = [_parse_number(x, float, "--rho value") for x in args.rho.split(",")]
     if len(r) != 3:
         raise DomainError("--rho needs 3 comma-separated values")
     marginal = _parse_marginal_spec(args.marginal)

@@ -387,7 +387,7 @@ def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapRe
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                res = fit_ifm(data[idx], families, config)
+                res = fit_ifm(data[idx], families)
         except (FitFailureError, InvalidParameterError):
             failed += 1
             continue

@@ -662,8 +662,11 @@ FAMILIES: dict[str, type[Marginal]] = {
 
 
 def marginal_from_dict(d: dict) -> Marginal:
-    cls = FAMILIES[d["family"]]
-    return cls(**d.get("params", {}))
+    cls = family_class(d["family"])
+    try:
+        return cls(**d.get("params", {}))
+    except TypeError as exc:  # missing, unknown or non-numeric parameters
+        raise InvalidParameterError(f"bad {cls.family} parameters: {exc}") from None
 
 
 def family_class(family) -> type[Marginal]:

@@ -1,10 +1,10 @@
 """Finite mixtures of trivariate copula models for hyper-cylindrical
 clustering, fitted by EM with a two-step (marginals-then-copula) M-step.
 
-Because the M-step maximizes the expected complete-data log-likelihood
-only approximately, the observed log-likelihood trace is monitored for
-monotonicity rather than assumed; small decreases are flagged in the
-report instead of raising.
+The two-step fit raises a component's expected complete-data log-likelihood
+only approximately.  Where an M-step's refits together lower the observed
+log-likelihood, only the refits that raised their component's part are kept
+(generalized EM, Dempster, Laird & Rubin 1977), so it cannot fall.
 """
 
 from __future__ import annotations
@@ -119,15 +119,20 @@ def log_sum_exp(a) -> np.ndarray:
 def responsibilities(model: MixtureModel, data) -> np.ndarray:
     """Posterior component probabilities per row, computed in log space;
     raises on rows where every component has zero density."""
-    log_wd = model.component_log_densities(data)
+    return _e_step(model.component_log_densities(data))[1]
+
+
+def _e_step(log_wd):
+    """Row log densities and responsibilities from the (n, K) log(pi_k) + log f_k."""
     total = log_sum_exp(log_wd)
     require_positive_density(total)
-    return np.exp(log_wd - total[:, None])
+    return total, np.exp(log_wd - total[:, None])
 
 
 @dataclass(frozen=True)
 class EmReport:
-    """Diagnostics of one EM run (the chosen restart)."""
+    """Diagnostics of one EM run (the chosen restart); ``flags`` records
+    trace decreases, which only a collapsed component's random refit causes."""
 
     loglik: float
     n_iter: int
@@ -147,7 +152,12 @@ def mixture_parameter_count(k: int, families) -> int:
 def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
            restarts: int = 10, max_iter: int = 500, rel_tol: float = 1e-6,
            ) -> tuple[MixtureModel, EmReport]:
-    """Fit a K-component mixture by EM with random hard-assignment starts.
+    """Fit a K-component mixture by EM from random hard-assignment starts.
+
+    An M-step refits each component by the two-step fit on its weighted
+    data.  If that lowers the log-likelihood, it keeps only the refits that
+    raised their component's weighted log-likelihood, so the trace does not
+    fall.
 
     Runs ``restarts`` independent initializations, seeded by
     ``config.seed``, and keeps the one with the highest final
@@ -159,11 +169,13 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
     n = data.shape[0]
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
+    if restarts < 1 or max_iter < 1:
+        raise InvalidParameterError("restarts and max_iter must be >= 1")
     if n < 10 * k:
         raise InvalidParameterError(f"need at least {10 * k} rows for k={k}")
 
     if k == 1:
-        res = fit_ifm(data, families, config)
+        res = fit_ifm(data, families)
         model = MixtureModel(weights=(1.0,), components=(res.model,))
         report = EmReport(
             loglik=res.loglik, n_iter=1, restart_index=0,
@@ -178,7 +190,7 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
     for r_idx in range(restarts):
         rng = np.random.default_rng(restart_seeds[r_idx])
         try:
-            model, report = _em_single(data, k, families, config, rng, r_idx,
+            model, report = _em_single(data, k, families, rng, r_idx,
                                        max_iter, rel_tol)
         except (ComponentCollapseError, InvalidParameterError) as exc:
             last_error = exc
@@ -186,13 +198,11 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
         if best is None or report.loglik > best[1].loglik:
             best = (model, report)
     if best is None:
-        raise last_error if last_error is not None else ComponentCollapseError(
-            "every EM restart failed"
-        )
+        raise last_error
     return best
 
 
-def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol):
+def _em_single(data, k, families, rng, restart_index, max_iter, rel_tol):
     n = data.shape[0]
 
     # hard random assignment guarantees every component a nonempty first fit
@@ -201,21 +211,39 @@ def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol)
         if np.all(np.bincount(assign, minlength=k) >= 5):
             break
 
-    comps = [fit_ifm(data[assign == j], families, config).model for j in range(k)]
+    comps = [fit_ifm(data[assign == j], families).model for j in range(k)]
     weights = np.bincount(assign, minlength=k) / n
 
     trace: list[float] = []
     flags: list[str] = []
     strikes = np.zeros(k, dtype=int)
-    mass = np.full(k, float(n) / k)
-    n_iter = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for n_iter in range(1, max_iter + 1):
+        # pass n_iter scores the model of M-step n_iter, then runs the next
+        for n_iter in range(max_iter + 1):
             model = MixtureModel(weights=tuple(weights / weights.sum()),
                                  components=tuple(comps))
-            resp = responsibilities(model, data)
+            log_wd = model.component_log_densities(data)
+            total, resp = _e_step(log_wd)
+            if trace and total.sum() < trace[-1]:
+                # the refits together lowered the log-likelihood: keep only
+                # those that raised their own component's Q_j (generalized EM)
+                old, old_log_f, keep = last_step
+                comps = [c if kept else o for c, o, kept in zip(comps, old, keep)]
+                model = MixtureModel(weights=model.weights, components=tuple(comps))
+                log_wd = np.where(keep, log_wd, old_log_f + np.log(model.weights))
+                total, resp = _e_step(log_wd)
             mass = resp.sum(axis=0)
+            if n_iter:
+                ll = float(total.sum())
+                if trace and ll < trace[-1] - _MONOTONE_SLACK:
+                    flags.append(
+                        f"loglik decreased by {trace[-1] - ll:.3e} at iteration {n_iter}"
+                    )
+                converged = bool(trace) and abs(ll - trace[-1]) <= rel_tol * abs(trace[-1])
+                trace.append(ll)
+                if converged or n_iter == max_iter:
+                    break
 
             for j in range(k):
                 if mass[j] < _COLLAPSE_FRACTION * n:
@@ -225,28 +253,20 @@ def _em_single(data, k, families, config, rng, restart_index, max_iter, rel_tol)
                             f"component {j} collapsed twice: reduce k below {k}"
                         )
                     block = rng.choice(n, size=max(20, n // (5 * k)), replace=False)
-                    comps[j] = fit_ifm(data[block], families, config).model
+                    comps[j] = fit_ifm(data[block], families).model
+                    log_wd[:, j] = -np.inf  # so its M-step refit is kept
                     resp[:, j] = 1.0 / k
                     resp /= resp.sum(axis=1, keepdims=True)
                     mass = resp.sum(axis=0)
 
             weights = mass / n
-            comps = [
-                fit_ifm(data, families, config, weights=resp[:, j],
-                        start=comps[j].rho).model
-                for j in range(k)
-            ]
-            model = MixtureModel(weights=tuple(weights / weights.sum()),
-                                 components=tuple(comps))
-            ll = model.loglik(data)
-            if trace and ll < trace[-1] - _MONOTONE_SLACK:
-                flags.append(
-                    f"loglik decreased by {trace[-1] - ll:.3e} at iteration {n_iter}"
-                )
-            converged = bool(trace) and abs(ll - trace[-1]) <= rel_tol * abs(trace[-1])
-            trace.append(ll)
-            if converged:
-                break
+            cands = [fit_ifm(data, families, weights=resp[:, j], start=comps[j].rho)
+                     for j in range(k)]
+            # Q_j = sum_i resp_ij log f_j(x_i), which cand.loglik is for the refit
+            log_f = log_wd - np.log(model.weights)
+            keep = np.array([c.loglik >= resp[:, j] @ log_f[:, j] for j, c in enumerate(cands)])
+            last_step = comps, log_f, keep
+            comps = [c.model for c in cands]
 
     report = EmReport(
         loglik=trace[-1], n_iter=n_iter, restart_index=restart_index,

@@ -13,7 +13,7 @@ import pytest
 import twcm
 from twcm.cli import ColumnSpec, ingest, main, parse_column_specs
 from twcm.errors import DomainError
-from twcm.presets import independence_like_model
+from twcm.presets import buoy_mixture, independence_like_model
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,6 +26,7 @@ def run(capsys, *argv):
 
 CIRC3 = "a:circular,b:circular,c:circular"
 CYL = "wave_dir:circular,wind_dir:circular,height:linear"
+BUOY_FAMS = "wrapped_cauchy,wrapped_cauchy,weibull"
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -379,3 +380,32 @@ class TestExitCodes:
         independence_like_model().save(model)
         code, _, _ = run(capsys, "grid", "--model", str(model), "--pair", "1,1")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, seed_env", [
+        (["ar2", "--rho", "2,0.25,2", "--marginal", "foo", "--n", "5"], None),
+        (["ar2", "--rho", "2,0.25,2", "--marginal", "wrapped_cauchy:mu=3", "--n", "5"], None),
+        (["ar2", "--rho", "2,0.25,2", "--marginal", "wrapped_cauchy:mu", "--n", "5"], None),
+        (["ar2", "--rho", "2,x,2", "--marginal", "wrapped_cauchy:mu=3,xi=0.5", "--n", "5"],
+         None),
+        (["synth", "--preset", "protein", "--n", "5"], "abc"),
+        (["grid", "--model", "{model}", "--pair", "1,x"], None),
+        (["grid", "--model", "{model}", "--pair", "1,2", "--given", "3"], None),
+        (["mixture", "--data", "{data}", "--marginals", BUOY_FAMS, "--k", "1..x"], None),
+        (["mixture", "--data", "{data}", "--marginals", BUOY_FAMS, "--k", "2",
+          "--restarts", "0"], None),
+    ], ids=["unknown-family", "missing-param", "param-without-value", "rho", "env-seed",
+            "pair", "given", "k-range", "restarts"])
+    def test_malformed_argument_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                  argv, seed_env):
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        independence_like_model().save(model)
+        rows = buoy_mixture().sample(60, seed=1)
+        data.write_text("a,b,c\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+        if seed_env is None:
+            monkeypatch.delenv("TWCM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TWCM_SEED", seed_env)
+        code, out, err = run(capsys, *(a.format(model=model, data=data) for a in argv))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and out == ""

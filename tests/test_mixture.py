@@ -211,16 +211,64 @@ class TestEmFit:
         accuracy = max((hard == labels).mean(), (hard != labels).mean())
         assert accuracy > 0.90
 
-    def test_trace_monotone_within_slack(self):
-        data = two_cluster_data(800, seed=4)[0]
+    @staticmethod
+    def check_monotone_trace(data, seed, max_iter):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mix, report = em_fit(data, 2, FAMS, FitConfig(seed=5), restarts=2,
-                                 max_iter=60)
-        diffs = np.diff(report.trace)
-        # the two-step M-step is approximate: decreases are flagged, and
-        # anything beyond the reporting slack must have been recorded
-        assert np.all(diffs >= -1e-8) or report.flags
+            mix, report = em_fit(data, 2, FAMS, FitConfig(seed=seed), restarts=2,
+                                 max_iter=max_iter)
+        assert np.all(np.diff(report.trace) >= -1e-8)
+        assert report.flags == ()
+        # the trace ends at the log-likelihood of the model returned
+        assert mix.loglik(data) == report.loglik == report.trace[-1]
+        assert len(report.trace) == report.n_iter
+
+    def test_trace_monotone_within_slack(self):
+        self.check_monotone_trace(two_cluster_data(800, seed=4)[0], 5, 60)
+
+    def test_trace_monotone_on_buoy_sample(self):
+        # accepting every two-step refit loses up to 1.10 nats an iteration here
+        self.check_monotone_trace(buoy_mixture().sample(1000, seed=3), 4, 500)
+
+    def test_extra_component_does_not_stall(self):
+        # the buoy preset has four regimes, so a third component must help;
+        # keeping only the refits that raise their own Q_j at every step
+        # freezes components and ends this k=3 fit below the k=2 one
+        data = buoy_mixture().sample(1000, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lls = [em_fit(data, k, FAMS, FitConfig(seed=4), restarts=2)[1].loglik
+                   for k in (2, 3)]
+        assert lls[1] > lls[0]
+
+    def test_one_density_pass_per_iteration(self, monkeypatch):
+        data = two_cluster_data(400, seed=6)[0]
+        calls = []
+        log_density = TwcmModel.log_density
+
+        def counted(self, theta):
+            calls.append(1)
+            return log_density(self, theta)
+
+        monkeypatch.setattr(TwcmModel, "log_density", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, report = twcm.mixture._em_single(
+                data, 2, FAMS, np.random.default_rng(1), 0, 30, 1e-6)
+        # one pass over the k = 2 components per E-step, and the E-step
+        # scores the previous M-step: k (n_iter + 1) calls, not 2 k n_iter
+        assert report.n_iter >= 2
+        assert len(calls) <= 2 * (report.n_iter + 1)
+
+    @pytest.mark.parametrize("kw", [dict(restarts=0), dict(restarts=-1), dict(max_iter=0)],
+                             ids=["restarts=0", "restarts=-1", "max_iter=0"])
+    @pytest.mark.parametrize("fit", [
+        lambda data, **kw: em_fit(data, 2, FAMS, FitConfig(seed=1), **kw),
+        lambda data, **kw: select_k(data, [1, 2], FAMS, FitConfig(seed=1), **kw),
+    ], ids=["em_fit", "select_k"])
+    def test_restarts_and_iterations_must_be_positive(self, fit, kw):
+        with pytest.raises(InvalidParameterError):
+            fit(two_cluster_data(100)[0], **kw)
 
     def test_restart_determinism(self):
         data = two_cluster_data(500, seed=6)[0]
@@ -241,19 +289,20 @@ class TestEmFit:
         # force one component to keep losing its responsibility mass
         data = two_cluster_data(300, seed=8)[0]
 
-        def starved(model, d):
-            n = len(d)
-            out = np.full((n, 2), 1e-9)
-            out[:, 0] = 1.0 - 1e-9
-            return out
+        e_step = twcm.mixture._e_step
 
-        monkeypatch.setattr(twcm.mixture, "responsibilities", starved)
+        def starved(log_wd):
+            total, _ = e_step(log_wd)
+            out = np.full((len(log_wd), 2), 1e-9)
+            out[:, 0] = 1.0 - 1e-9
+            return total, out
+
+        monkeypatch.setattr(twcm.mixture, "_e_step", starved)
         with pytest.raises(ComponentCollapseError):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 twcm.mixture._em_single(
-                    data, 2, FAMS, FitConfig(seed=9),
-                    np.random.default_rng(0), 0, 20, 1e-6,
+                    data, 2, FAMS, np.random.default_rng(0), 0, 20, 1e-6,
                 )
 
 
