@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -85,30 +87,18 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
 
     Lines starting with ``#`` are comments; the first remaining line is the
     header.  Rows with missing, non-numeric, or out-of-domain values are
-    rejected and reported with their 1-based file line numbers.  Circular
-    degrees are converted to radians and all angles reduced mod 2*pi.
+    rejected and reported with the 1-based file line on which they start.
+    Circular degrees are converted to radians and all angles reduced mod
+    2*pi.
+
+    The file is read once.  A plain file is parsed in one ``np.loadtxt``
+    call; quoted, CRLF, ragged or malformed files, which that call reads
+    differently or not at all, go through a loop over ``csv`` records and
+    ``float``, the reference the one call's results must equal.
     """
-    linenos: list[int] = []
-    rows: list[tuple[float, float, float]] = []
-    rejected: list[tuple[int, str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (record[0].lstrip().startswith("#")):
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            if len(record) < 3:
-                rejected.append((lineno, "fewer than 3 fields"))
-                continue
-            try:
-                rows.append((float(record[0]), float(record[1]), float(record[2])))
-            except ValueError:
-                rejected.append((lineno, "non-numeric value"))
-                continue
-            linenos.append(lineno)
-    data = np.asarray(rows, dtype=float).reshape(-1, 3)
+        text = fh.read()
+    data, linenos, rejected = _parse_plain(text) or _parse_records(text)
     nonfinite = ~np.isfinite(data)
     linear = np.array([spec.domain != CIRCULAR for spec in specs])
     failing = nonfinite | (linear & (data <= 0.0))
@@ -116,7 +106,7 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
     for r in np.flatnonzero(bad):
         i = int(np.argmax(failing[r]))
         kind = "non-finite" if nonfinite[r, i] else "nonpositive"
-        rejected.append((linenos[r], f"{kind} value in {specs[i].name}"))
+        rejected.append((int(linenos[r]), f"{kind} value in {specs[i].name}"))
     rejected.sort()
     data = data[~bad]
     for i, spec in enumerate(specs):
@@ -127,6 +117,71 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
     if not data.shape[0]:
         raise DomainError(f"no valid data rows in {path}")
     return data, rejected
+
+
+# Characters on which ``np.loadtxt`` and the row loop may part: ``csv``
+# quoting and CR line ends, and the separators \x1c-\x1f, which NumPy strips
+# from a field as whitespace but ``float`` rejects.
+_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+# A newline that a blank or comment line follows: the lines ``ingest`` skips.
+_BEFORE_SKIPPED = re.compile(r"\n(?=\n|[^\S\n]*#)")
+
+
+def _parse_plain(text):
+    """``(rows, line numbers, [])`` of a file from one ``np.loadtxt`` call,
+    or None when the file holds a ``_NOT_PLAIN`` character or that call
+    cannot read every data line as 3 numbers."""
+    if any(char in text for char in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    keep = np.ones(len(lines), dtype=bool)
+    line = offset = 0
+    # the padding finds a skipped first line and the empty one after a final
+    # newline
+    for match in _BEFORE_SKIPPED.finditer("\n" + text + "\n"):
+        line += text.count("\n", offset, match.start())
+        offset = match.start()
+        keep[line] = False
+    body = np.flatnonzero(keep)[1:]  # drop the header
+    if not body.size:
+        return np.empty((0, 3)), body, []
+    try:
+        data = np.loadtxt([lines[i] for i in body.tolist()], delimiter=",",
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (body.size, 3):
+        return None
+    return data, body + 1, []
+
+
+def _parse_records(text):
+    """``(rows, line numbers, rejected)`` of a file read record by record
+    with ``csv`` and ``float``, rejecting each bad record on its own."""
+    linenos: list[int] = []
+    rows: list[tuple[float, float, float]] = []
+    rejected: list[tuple[int, str]] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header_seen = False
+    next_line = 1
+    for record in reader:
+        # a quoted field can span lines; a record starts after the last one
+        lineno, next_line = next_line, reader.line_num + 1
+        if not record or (record[0].lstrip().startswith("#")):
+            continue
+        if not header_seen:
+            header_seen = True
+            continue
+        if len(record) < 3:
+            rejected.append((lineno, "fewer than 3 fields"))
+            continue
+        try:
+            rows.append((float(record[0]), float(record[1]), float(record[2])))
+        except ValueError:
+            rejected.append((lineno, "non-numeric value"))
+            continue
+        linenos.append(lineno)
+    return np.asarray(rows, dtype=float).reshape(-1, 3), linenos, rejected
 
 
 def _write_csv(path_or_stdout, header, rows, comments=()):
@@ -156,10 +211,13 @@ def _parse_number(text, kind, what):
 
 
 def _resolve_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("TWCM_SEED")
-    return _parse_number(env, int, "TWCM_SEED") if env else None
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("TWCM_SEED")
+        seed = _parse_number(env, int, "TWCM_SEED") if env else None
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _load_any_model(path):

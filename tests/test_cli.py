@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import twcm
+from twcm import cli
 from twcm.cli import ColumnSpec, ingest, main, parse_column_specs
 from twcm.errors import DomainError
 from twcm.presets import buoy_mixture, independence_like_model
@@ -27,6 +28,52 @@ def run(capsys, *argv):
 CIRC3 = "a:circular,b:circular,c:circular"
 CYL = "wave_dir:circular,wind_dir:circular,height:linear"
 BUOY_FAMS = "wrapped_cauchy,wrapped_cauchy,weibull"
+LIN3 = "x:linear,y:linear,z:linear"
+DEG = "a:circular:degrees,b:circular:degrees,h:linear"
+
+
+def _repr_rows():
+    """10^4 rows of positive doubles over every exponent, written by ``repr``,
+    with the subnormal, normal and finite extremes among them."""
+    bits = np.random.default_rng(5).integers(0, 2**63, size=40_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values) & (values > 0.0)][:29_997]
+    values = np.concatenate([[5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+                             values])
+    assert values.size == 30_000
+    rows = values.reshape(-1, 3).tolist()
+    return "x,y,z\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows)
+
+
+def _ingest_outcome(path, specs):
+    """``ingest``'s data shape and bytes and rejected lines, or its error."""
+    try:
+        data, rejected = ingest(path, specs)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return data.shape, data.tobytes(), rejected
+
+
+# (file text, column specs, whether the one-call parse reads it)
+INGEST_CASES = {
+    "comments": ("# synthetic\n  # indented\na,b,h\n1,2,3\n# between\n4,5,6\n\t#tab\n7,8,-9\n",
+                 CYL, True),
+    "blank-lines": ("\na,b,h\n\n1,2,3\n\n4,5,6\n\n", CYL, True),
+    "whitespace-only-line": ("a,b,h\n1,2,3\n   \n4,5,6\n", CYL, False),
+    "crlf": ("a,b,h\r\n1,2,3\r\n4,5,-6\r\n", CYL, False),
+    "quoted": ('a,b,h\n1,"2",3\n"4",5,6\n', CYL, False),
+    "four-fields": ("a,b,h\n1,2,3,4\n4,5,6,-7\n", CYL, False),
+    "two-fields": ("a,b,h\n1,2\n4,5\n", CYL, False),
+    "ragged": ("a,b,h\n1,2,3,4\n1,2\n4,5,6\n", CYL, False),
+    "underscore": ("a,b,h\n1_000,2,3\n4,5,6\n", CYL, False),
+    "non-finite": ("a,b,h\nnan,1,2\n1,-Infinity,2\n1,2,1e400\n4,5,6\n", CYL, True),
+    "trailing-comment": ("a,b,h\n1,2,3 # note\n4,5,6\n", CYL, False),
+    "separator-as-space": ("a,b,h\n1,2,3\x1c\n4,5,6\n", CYL, False),
+    "no-final-newline": ("a,b,h\n1,2,3\n4,5,6", CYL, True),
+    "header-only": ("# note\na,b,h\n", CYL, True),
+    "degrees": ("a,b,h\n400,-90,2\n-720.5,1e3,3\n 45 , 30.25 ,\t0.5\n", DEG, True),
+    "repr-doubles": (_repr_rows(), LIN3, True),
+}
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -140,6 +187,51 @@ class TestIngest:
         path.write_text("w,v,h\n1.0,2.0,-1.0\n")
         with pytest.raises(DomainError):
             ingest(path, parse_column_specs(CYL))
+
+    def test_rejected_line_is_where_the_row_starts(self, tmp_path):
+        # the quoted header field spans lines 1-2, so the rows are on 3 and 4
+        path = tmp_path / "d.csv"
+        path.write_text('a,"b\nx",h\n1,2,-3\n1,2,3\n')
+        data, rejected = ingest(path, parse_column_specs(CYL))
+        assert rejected == [(3, "nonpositive value in height")]
+        np.testing.assert_array_equal(data, [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("case", list(INGEST_CASES))
+    def test_one_call_parse_matches_row_loop(self, tmp_path, monkeypatch, case):
+        text, columns, plain = INGEST_CASES[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        specs = parse_column_specs(columns)
+        loop_calls = []
+        parse_records = cli._parse_records
+
+        def counted_row_loop(text):
+            loop_calls.append(text)
+            return parse_records(text)
+
+        monkeypatch.setattr(cli, "_parse_records", counted_row_loop)
+        fast = _ingest_outcome(path, specs)
+        assert loop_calls == ([] if plain else [text])
+        monkeypatch.setattr(cli, "_parse_plain", lambda text: None)
+        loop = _ingest_outcome(path, specs)
+        assert fast == loop
+
+    def test_plain_files_skip_the_row_loop(self, tmp_path, monkeypatch):
+        synth = tmp_path / "synth.csv"
+        assert main(["synth", "--preset", "buoy", "--n", "50", "--seed", "3",
+                     "--out", str(synth)]) == 0
+        bench = tmp_path / "bench.csv"
+        rows = buoy_mixture().sample(50, seed=4)
+        bench.write_text("c1,c2,c3\n" + "".join(f"{a!r},{b!r},{c!r}\n"
+                                                for a, b, c in rows.tolist()))
+
+        def row_loop(text):
+            raise AssertionError("a plain file took the row loop")
+
+        monkeypatch.setattr(cli, "_parse_records", row_loop)
+        for path in (synth, bench):
+            data, rejected = ingest(path, parse_column_specs(CYL))
+            assert data.shape == (50, 3) and rejected == []
 
 
 class TestCommands:
@@ -393,8 +485,10 @@ class TestExitCodes:
         (["mixture", "--data", "{data}", "--marginals", BUOY_FAMS, "--k", "1..x"], None),
         (["mixture", "--data", "{data}", "--marginals", BUOY_FAMS, "--k", "2",
           "--restarts", "0"], None),
+        (["synth", "--preset", "protein", "--n", "3", "--seed", "-1"], None),
+        (["synth", "--preset", "buoy", "--n", "2"], "-3"),
     ], ids=["unknown-family", "missing-param", "param-without-value", "rho", "env-seed",
-            "pair", "given", "k-range", "restarts"])
+            "pair", "given", "k-range", "restarts", "negative-seed", "negative-env-seed"])
     def test_malformed_argument_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                   argv, seed_env):
         model, data = tmp_path / "m.json", tmp_path / "d.csv"
