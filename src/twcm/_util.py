@@ -1,5 +1,7 @@
-"""Shared numerical helpers: angle wrapping, the wrapped Cauchy kernel,
-the scalar-in, float-out return contract and the zero-density check."""
+"""Shared numerical helpers: angle wrapping, the wrapped Cauchy law (one
+log density and one Moebius draw, used by the marginal and by every copula
+kernel), the scalar-in, float-out return contract and the zero-density
+check."""
 
 from __future__ import annotations
 
@@ -74,30 +76,37 @@ def effective_concentration(conc):
     return float_if_scalar(reflect_concentration(a))
 
 
-def wc_kernel_log_density(x, center, conc):
-    """Log of the wrapped Cauchy kernel with arbitrary concentration.
+def wc_log_density(x, center, a):
+    """Log density of the wrapped Cauchy law at ``center`` with
+    concentration ``a`` in (-1, 1); unchecked.  Takes arrays or scalars.
 
-    ``(1/2pi) |1 - a^2| / (1 + a^2 - 2 a cos(x - center))``, a proper
-    circular density for every ``|a| != 1``.
+    ``(1/2pi) (1 - a^2) / (1 + a^2 - 2 a cos(x - center))``, with the
+    denominator written as ``(1 - a)^2 + 4 a sin^2((x - center)/2)`` so
+    that it keeps its digits as ``a -> 1`` (not as ``a -> -1`` near
+    ``x = center + pi``).  The marginal :class:`~twcm.marginals.WrappedCauchy`
+    and every copula kernel call it.
     """
-    a = effective_concentration(conc)
-    a = np.asarray(a, dtype=float)
-    num = np.log1p(-a * a)  # a in (-1, 1) after canonicalization
-    den = np.log((1.0 + a * a) - 2.0 * a * np.cos(np.asarray(x) - center))
-    out = num - den - np.log(TWO_PI)
-    return float_if_scalar(out)
+    return (
+        np.log1p(-a * a)
+        - np.log(TWO_PI)
+        - np.log((1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * (x - center)) ** 2)
+    )
 
 
-def wc_kernel_density(x, center, conc):
-    return float_if_scalar(np.exp(wc_kernel_log_density(x, center, conc)))
+def wc_kernel_log_density(x, center, conc):
+    """Log of the wrapped Cauchy kernel with arbitrary concentration: the
+    law of :func:`wc_log_density` at :func:`effective_concentration`, a
+    proper circular density for every ``|conc| != 1``."""
+    a = np.asarray(effective_concentration(conc), dtype=float)
+    return float_if_scalar(wc_log_density(np.asarray(x), center, a))
 
 
-def wc_kernel_sample(center, conc, rng: np.random.Generator, size=None):
+def wc_kernel_sample(center, conc, rng: np.random.Generator):
     """Draw from the wrapped Cauchy kernel by the Moebius transform of a
-    fresh uniform angle.  ``center``/``conc`` broadcast against ``size``."""
+    fresh uniform angle, one draw per element of ``center`` broadcast
+    against ``conc``."""
     xi = np.asarray(effective_concentration(conc), dtype=float)
-    if size is None:
-        size = np.broadcast(np.asarray(center), xi).shape
+    size = np.broadcast(np.asarray(center), xi).shape
     return moebius_map(center, xi, *half_angle_sincos(rng.random(size)))
 
 

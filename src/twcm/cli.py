@@ -25,10 +25,8 @@ from ._util import periodic_grid, wrap_angle
 from .ar2 import Ar2Params, simulate
 from .errors import (
     ComponentCollapseError,
-    DegenerateDataError,
     DomainError,
     FitFailureError,
-    InvalidParameterError,
     TwcmError,
 )
 from .fit import (
@@ -529,23 +527,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
+            # each warning once per location, as one line without the path
             warnings.simplefilter("default")
+            warnings.showwarning = _show_warning
             return args.func(args)
-    except (DomainError, InvalidParameterError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (FitFailureError, ComponentCollapseError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
-    except TwcmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TwcmError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,6 @@ from ._util import (
     effective_concentration,
     float_if_scalar,
     periodic_grid,
-    wc_kernel_density,
     wc_kernel_log_density,
     wc_kernel_sample,
     wrap_angle,
@@ -249,7 +248,7 @@ def _phi_value(phi) -> float:
 
 def copula_bivariate_density(u_i, u_j, phi):
     """Bivariate marginal copula density t_2(u_i, u_j; phi_ij)."""
-    return wc_kernel_density(np.asarray(u_i) - np.asarray(u_j), 0.0, _phi_value(phi)) / TWO_PI
+    return copula_cond_1given1(u_i, u_j, phi) / TWO_PI
 
 
 def copula_cond_2given1(u, rho: RhoVector):
@@ -262,7 +261,8 @@ def copula_cond_2given1(u, rho: RhoVector):
 def copula_cond_1given1(u_i, u_j, phi):
     """Conditional copula density t_{1|1}(u_i | u_j; phi_ij): a wrapped
     Cauchy kernel centered at u_j."""
-    return wc_kernel_density(u_i, np.asarray(u_j, dtype=float), _phi_value(phi))
+    log_t = wc_kernel_log_density(u_i, np.asarray(u_j, dtype=float), _phi_value(phi))
+    return float_if_scalar(np.exp(log_t))
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ def copula_sample(n: int, rho: RhoVector, seed=None) -> np.ndarray:
     rng = as_rng(seed)
     u1 = TWO_PI * rng.random(n)
     phi12 = pairwise_phi(rho, (1, 2)).phi
-    u2 = wc_kernel_sample(u1, np.full(n, phi12), rng)
+    u2 = wc_kernel_sample(u1, phi12, rng)
     ph = conditional_phi(rho, 3, u1, u2)
     u3 = wc_kernel_sample(np.angle(ph), np.abs(ph), rng)
     return np.column_stack([u1, u2, u3])

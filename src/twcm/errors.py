@@ -30,15 +30,7 @@ class DegenerateDataError(TwcmError):
 
 
 class FitFailureError(TwcmError):
-    """No feasible optimum was found.
-
-    ``best_candidate`` holds the best (infeasible) parameter vector seen,
-    for diagnostics.
-    """
-
-    def __init__(self, message, best_candidate=None):
-        super().__init__(message)
-        self.best_candidate = best_candidate
+    """No feasible optimum was found."""
 
 
 class ComponentCollapseError(TwcmError):

@@ -26,7 +26,15 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import i0e, i1e, ive
 
-from ._util import TWO_PI, as_rng, float_if_scalar, wrap_angle
+from ._util import (
+    TWO_PI,
+    as_rng,
+    float_if_scalar,
+    half_angle_sincos,
+    moebius_map,
+    wc_log_density,
+    wrap_angle,
+)
 from .errors import DomainError, InvalidParameterError
 
 KAPPA_MAX = 1e6
@@ -168,8 +176,10 @@ class CircularUniform(Marginal):
 class WrappedCauchy(Marginal):
     """Wrapped Cauchy with location mu and concentration xi in (-1, 1).
 
-    CDF and quantile are closed forms; sampling is the Moebius transform
-    of a uniform angle.
+    The log density is :func:`~twcm._util.wc_log_density`, the one the
+    copula kernels use; the quantile, and so sampling, is the Moebius
+    transform :func:`~twcm._util.moebius_map` of a uniform angle.  The CDF
+    is the inverse map in closed form.
     """
 
     mu: float
@@ -191,15 +201,8 @@ class WrappedCauchy(Marginal):
         return self.mu
 
     def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xi = self.xi
-        # 1 + xi^2 - 2 xi cos(x - mu), written so that it keeps its digits
-        # as xi -> 1 (the fitter's cap XI_MAX puts x = mu at (1 - xi)^2)
-        out = (
-            np.log1p(-xi * xi)
-            - np.log(TWO_PI)
-            - np.log((1.0 - xi) ** 2 + 4.0 * xi * np.sin(0.5 * (x - self.mu)) ** 2)
-        )
+        # unchecked: any |xi| < 1 evaluates, even within 1e-12 of 1
+        out = wc_log_density(np.asarray(x, dtype=float), self.mu, self.xi)
         return float_if_scalar(out)
 
     def cdf(self, x):
@@ -207,15 +210,11 @@ class WrappedCauchy(Marginal):
         a = (1.0 + self.xi) / (1.0 - self.xi)
         # atan2 form of (1/pi) arctan(a tan(y/2)) + 1{y > pi}, continuous
         out = np.arctan2(a * np.sin(y / 2.0), np.cos(y / 2.0)) / np.pi
-        out = np.where(out < 0.0, out + 2.0, out)  # guard y just below 2*pi
         return float_if_scalar(out)
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)
-        b = (1.0 - self.xi) / (1.0 + self.xi)
-        out = wrap_angle(
-            self.mu + 2.0 * np.arctan2(b * np.sin(np.pi * p), np.cos(np.pi * p))
-        )
+        out = moebius_map(self.mu, self.xi, *half_angle_sincos(p))
         return float_if_scalar(out)
 
     def params_dict(self):

@@ -467,6 +467,28 @@ class TestExitCodes:
         assert "share the same coordinate domains" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["fit", "loglik"])
+    def test_undecodable_file_is_one_error_line(self, tmp_path, capsys, command):
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        independence_like_model().save(model)
+        data.write_bytes(b"a,b,c\n1,2,3\xff\n")
+        extra = (["--marginals", "uniform,uniform,uniform"] if command == "fit"
+                 else ["--model", str(model)])
+        code, out, err = run(capsys, command, "--data", str(data), *extra)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
+
+    def test_warning_is_one_line_without_path(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,h\n1,2,3\n4,5,6\n")
+        code, _, err = run(capsys, "fit", "--data", str(data), "--marginals", BUOY_FAMS)
+        assert code == 0
+        lines = err.splitlines()
+        assert "warning: degenerate circular data: wrapped Cauchy xi capped" in lines
+        assert all(line.startswith("warning: ") for line in lines)
+        assert ".py" not in err and os.sep not in err
+
     def test_bad_pair_rejected(self, tmp_path, capsys):
         model = tmp_path / "m.json"
         independence_like_model().save(model)

@@ -17,6 +17,7 @@ from twcm import (
     InvalidParameterError,
     RhoVector,
     SingularKernelError,
+    WrappedCauchy,
     constants,
     copula_bivariate_density,
     copula_cond_1given1,
@@ -29,6 +30,7 @@ from twcm import (
     pairwise_phi,
     validate_rho,
 )
+from twcm._util import wc_kernel_log_density, wc_kernel_sample
 from twcm.copula import denominator_min
 
 TWO_PI = 2.0 * np.pi
@@ -302,6 +304,33 @@ class TestKernels:
             copula_cond_1given1(0.1, 0.2, 1.0)
         with pytest.raises(SingularKernelError):
             copula_bivariate_density(0.1, 0.2, -1.0)
+
+    @pytest.mark.parametrize("conc", [1 - 1e-8, 1 - 1e-9, 1 / (1 - 1e-8), 1 / (1 - 1e-9)])
+    @pytest.mark.parametrize("offset", [0.0, 1e-7, 1e-3])
+    def test_kernels_keep_their_digits_near_unit_concentration(self, conc, offset):
+        center = 0.3
+        x = center + offset
+        a = conc if conc < 1.0 else 1.0 / conc
+        marginal = WrappedCauchy(center, a)
+        log_t = wc_kernel_log_density(x, center, conc)
+        assert np.isfinite(log_t)
+        assert log_t == pytest.approx(marginal.logpdf(x), rel=1e-12)
+        assert copula_cond_1given1(x, center, conc) == pytest.approx(marginal.pdf(x), rel=1e-12)
+        assert copula_bivariate_density(x, center, conc) == pytest.approx(
+            marginal.pdf(x) / TWO_PI, rel=1e-12)
+        if offset == 0.0:
+            # at the centre the density is (1 + a) / (2 pi (1 - a)), with
+            # 1 - a exact for these a; the numerator log1p(-a * a) rounds
+            # a * a, an error of at most about eps / (1 - a^2) nats
+            exact = np.log1p(a) - np.log(1.0 - a) - np.log(TWO_PI)
+            assert log_t == pytest.approx(exact, rel=0.0, abs=np.finfo(float).eps / (1.0 - a * a))
+
+    @pytest.mark.parametrize("mu, xi", [(1.0, 0.5), (4.0, -0.7), (0.0, 1 - 1e-9)])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_marginal_sample_is_the_kernel_draw(self, mu, xi, seed):
+        n = 1000
+        expected = wc_kernel_sample(np.full(n, mu), xi, np.random.default_rng(seed))
+        np.testing.assert_array_equal(WrappedCauchy(mu, xi).sample(n, seed=seed), expected)
 
     @given(
         st.floats(min_value=-1.5, max_value=1.5),
