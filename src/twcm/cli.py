@@ -10,6 +10,7 @@ error, 2 fit failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -32,13 +33,14 @@ from .errors import (
 from .fit import (
     FitConfig,
     bootstrap_se,
+    family_domains,
     fit_ifm,
     information_criteria,
     parameter_vector,
 )
-from .marginals import CIRCULAR, FAMILIES, LINEAR, marginal_from_dict
+from .marginals import CIRCULAR, LINEAR, marginal_from_dict
 from .mixture import MixtureModel, responsibilities, select_k
-from .model import TwcmModel
+from .model import TwcmModel, outside_domain
 from .presets import PRESETS
 
 
@@ -67,12 +69,9 @@ def parse_column_specs(text: str) -> tuple[ColumnSpec, ColumnSpec, ColumnSpec]:
     specs = []
     for part in parts:
         bits = part.split(":")
-        if len(bits) == 2:
-            specs.append(ColumnSpec(bits[0], bits[1]))
-        elif len(bits) == 3:
-            specs.append(ColumnSpec(bits[0], bits[1], bits[2]))
-        else:
+        if len(bits) not in (2, 3):
             raise DomainError(f"malformed column spec {part!r}")
+        specs.append(ColumnSpec(*bits))
     return tuple(specs)
 
 
@@ -94,16 +93,13 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
     differently or not at all, go through a loop over ``csv`` records and
     ``float``, the reference the one call's results must equal.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     data, linenos, rejected = _parse_plain(text) or _parse_records(text)
-    nonfinite = ~np.isfinite(data)
-    linear = np.array([spec.domain != CIRCULAR for spec in specs])
-    failing = nonfinite | (linear & (data <= 0.0))
+    failing = outside_domain(data, [spec.domain for spec in specs])
     bad = failing.any(axis=1)
     for r in np.flatnonzero(bad):
         i = int(np.argmax(failing[r]))
-        kind = "non-finite" if nonfinite[r, i] else "nonpositive"
+        kind = "nonpositive" if np.isfinite(data[r, i]) else "non-finite"
         rejected.append((int(linenos[r]), f"{kind} value in {specs[i].name}"))
     rejected.sort()
     data = data[~bad]
@@ -182,22 +178,36 @@ def _parse_records(text):
     return np.asarray(rows, dtype=float).reshape(-1, 3), linenos, rejected
 
 
-def _write_csv(path_or_stdout, header, rows, comments=()):
-    close = False
-    if isinstance(path_or_stdout, (str, os.PathLike)):
-        fh = open(path_or_stdout, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        fh = path_or_stdout
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, line ends as stored; a file that does not
+    decode is a DomainError naming it."""
     try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout without a path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+
+
+def _write_csv(path, header, rows, comments=()):
+    """Write ``# `` comment lines, the header and the rows to ``path`` or
+    stdout, float cells by ``repr``, which reads back bit-identically."""
+    with _output(path) as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+        writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                         for row in rows)
 
 
 def _parse_number(text, kind, what):
@@ -219,15 +229,10 @@ def _resolve_seed(args) -> int | None:
 
 
 def _load_any_model(path):
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = json.loads(_read_text(path))
     if "components" in d:
         return MixtureModel.from_dict(d)
     return TwcmModel.from_dict(d)
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------- commands
@@ -245,27 +250,19 @@ def cmd_synth(args) -> int:
         "synthetic data (not observational)",
         f"preset={args.preset} n={args.n} seed={seed}",
     ]
-    rows = [[_format_float(v) for v in row] for row in data]
-    _write_csv(args.out if args.out else sys.stdout, names, rows, comments)
+    _write_csv(args.out, names, data.tolist(), comments)
     return 0
 
 
-def _families_from_arg(text):
-    fams = [f.strip() for f in text.split(",")]
-    if len(fams) != 3:
-        raise DomainError("exactly 3 marginal families are required")
-    for f in fams:
-        if f not in FAMILIES:
-            raise DomainError(
-                f"unknown family {f!r}; choose from {sorted(FAMILIES)}"
-            )
-    return fams
-
-
 def _ingest_for(args, domains):
-    """Read ``args.data`` against ``--columns``, or by default against
-    unnamed columns of ``domains``, reporting rejected lines on stderr."""
+    """Read ``args.data`` against ``--columns``, which must give
+    ``domains``, or by default against unnamed columns of ``domains``,
+    reporting rejected lines on stderr."""
     specs = parse_column_specs(args.columns) if args.columns else specs_for_domains(domains)
+    for spec, domain in zip(specs, domains):
+        if spec.domain != domain:
+            raise DomainError(f"--columns makes {spec.name!r} {spec.domain}, "
+                              f"but its marginal is {domain}")
     data, rejected = ingest(args.data, specs)
     for lineno, reason in rejected:
         print(f"rejected line {lineno}: {reason}", file=sys.stderr)
@@ -274,19 +271,15 @@ def _ingest_for(args, domains):
 
 def _families_and_data(args):
     """The ``--marginals`` families and the data read for their domains."""
-    families = _families_from_arg(args.marginals)
-    return families, _ingest_for(args, [FAMILIES[f].domain for f in families])
+    families = [f.strip() for f in args.marginals.split(",")]
+    return families, _ingest_for(args, family_domains(families))
 
 
 def cmd_fit(args) -> int:
     families, data = _families_and_data(args)
     result = fit_ifm(data, families)
-    payload = json.dumps(result.to_dict(), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(result.to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -294,10 +287,8 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     model = _load_any_model(args.model)
     data = model.sample(args.n, seed=seed)
-    header = ("theta1", "theta2", "theta3")
-    rows = [[_format_float(v) for v in row] for row in data]
-    _write_csv(args.out if args.out else sys.stdout,
-               header, rows, [f"model={args.model} n={args.n} seed={seed}"])
+    _write_csv(args.out, ("theta1", "theta2", "theta3"), data.tolist(),
+               [f"model={args.model} n={args.n} seed={seed}"])
     return 0
 
 
@@ -319,10 +310,8 @@ def cmd_loglik(args) -> int:
         ll = m.loglik(data)
         p = m.n_free_params
         aic, bic = information_criteria(ll, p, n)
-        rows.append([path, _format_float(ll), _format_float(aic),
-                     _format_float(bic), str(p), str(n)])
-    _write_csv(args.out if args.out else sys.stdout,
-               ("model", "loglik", "aic", "bic", "p", "n"), rows)
+        rows.append([path, ll, aic, bic, p, n])
+    _write_csv(args.out, ("model", "loglik", "aic", "bic", "p", "n"), rows)
     return 0
 
 
@@ -339,18 +328,14 @@ def cmd_mixture(args) -> int:
     result = select_k(
         data, _parse_k_range(args.k), families, config, restarts=args.restarts
     )
-    table_rows = [
-        [str(r["k"]), _format_float(r["loglik"]), str(r["p"]),
-         _format_float(r["aic"]), _format_float(r["bic"])]
-        for r in result.table
-    ]
-    _write_csv(sys.stdout, ("k", "loglik", "p", "aic", "bic"), table_rows,
+    header = ("k", "loglik", "p", "aic", "bic")
+    _write_csv(None, header, [[r[key] for key in header] for r in result.table],
                [f"selected k={result.best_k}"])
     prefix = args.out_prefix or "mixture"
     result.best_model.save(f"{prefix}_model.json")
     resp = responsibilities(result.best_model, data)
-    assign_rows = [[str(i), str(int(a))] for i, a in enumerate(resp.argmax(axis=1))]
-    _write_csv(f"{prefix}_assignments.csv", ("row", "component"), assign_rows)
+    _write_csv(f"{prefix}_assignments.csv", ("row", "component"),
+               enumerate(resp.argmax(axis=1).tolist()))
     return 0
 
 
@@ -362,14 +347,9 @@ def cmd_bootstrap(args) -> int:
     for note in boot.warnings:
         print(f"warning: {note}", file=sys.stderr)
     estimates = parameter_vector(point)
-    rows = [
-        [name, _format_float(estimates.get(name, float("nan"))),
-         _format_float(se)]
-        for name, se in boot.se.items()
-    ]
-    _write_csv(args.out if args.out else sys.stdout,
-               ("parameter", "estimate", "se"),
-               rows, [f"B={args.B} failed={boot.b_failed}"])
+    rows = [[name, estimates.get(name, float("nan")), se] for name, se in boot.se.items()]
+    _write_csv(args.out, ("parameter", "estimate", "se"), rows,
+               [f"B={args.B} failed={boot.b_failed}"])
     return 0
 
 
@@ -407,11 +387,7 @@ def cmd_grid(args) -> int:
         dens = model.cond_density_2given1(theta, given=k)
     else:
         dens = model.bivariate_density((i, j), xx.ravel(), yy.ravel())
-    rows = [
-        [_format_float(a), _format_float(b), _format_float(d)]
-        for a, b, d in zip(xx.ravel(), yy.ravel(), dens)
-    ]
-    _write_csv(args.out if args.out else sys.stdout, ("x", "y", "density"), rows,
+    _write_csv(args.out, ("x", "y", "density"), zip(xx.ravel(), yy.ravel(), dens),
                [f"model={args.model} pair={i},{j}"
                 + (f" given={args.given}" if args.given else "")])
     return 0
@@ -435,8 +411,7 @@ def cmd_ar2(args) -> int:
     params = Ar2Params(rho_t_tm1=r[0], rho_t_tm2=r[1], rho_tm1_tm2=r[2],
                        marginal=marginal)
     chain = simulate(params, args.n, seed=seed)
-    rows = [[_format_float(v)] for v in chain]
-    _write_csv(args.out if args.out else sys.stdout, ("theta",), rows,
+    _write_csv(args.out, ("theta",), chain[:, None].tolist(),
                [f"rho={args.rho} marginal={args.marginal} n={args.n} seed={seed}"])
     return 0
 
@@ -543,7 +518,7 @@ def main(argv=None) -> int:
     except (FitFailureError, ComponentCollapseError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
-    except (TwcmError, OSError, UnicodeDecodeError) as exc:
+    except (TwcmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,6 @@ from ._util import (
     as_rng,
     effective_concentration,
     float_if_scalar,
-    periodic_grid,
     wc_kernel_log_density,
     wc_kernel_sample,
     wrap_angle,
@@ -198,19 +197,6 @@ def copula_log_density(u, rho: RhoVector):
 
 def copula_density(u, rho: RhoVector):
     return float_if_scalar(np.exp(copula_log_density(u, rho)))
-
-
-def denominator_min(rho: RhoVector, grid: int = 64) -> float:
-    """Minimum of the density denominator over a full-period grid.
-
-    The bracket depends only on the differences (u1-u2, u1-u3), so a 2-D
-    grid covers every value attained on the 3-D torus.
-    """
-    cc = constants(rho)
-    g = periodic_grid(grid)
-    d12, d13 = np.meshgrid(g, g, indexing="ij")
-    bracket = _bracket(cc, rho, np.cos(d12), np.cos(d13), np.cos(d13 - d12))
-    return float(bracket.min())
 
 
 @dataclass(frozen=True)

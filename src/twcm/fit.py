@@ -29,7 +29,7 @@ from .copula import (
 )
 from .errors import FitFailureError, InvalidParameterError
 from .marginals import CIRCULAR, family_class, fit_mle
-from .model import TwcmModel, copula_scale
+from .model import TwcmModel, check_rows, copula_scale
 
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
@@ -96,6 +96,14 @@ class FitResult:
             "n": self.n,
         }
         return d
+
+
+def family_domains(families) -> tuple[str, str, str]:
+    """The coordinate domains of three marginal families, given as
+    :func:`~twcm.marginals.family_class` takes them."""
+    if len(families) != 3:
+        raise InvalidParameterError("exactly 3 marginal families are required")
+    return tuple(family_class(f).domain for f in families)
 
 
 def information_criteria(loglik: float, p: int, n: int) -> tuple[float, float]:
@@ -316,10 +324,10 @@ def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None,
     """Two-step fit: weighted marginal MLE per coordinate, then copula MLE
     on u = 2*pi*F_hat(theta), started from ``start`` as :func:`fit_copula` is.
 
-    The fit is deterministic and does not read ``config``."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
-        raise InvalidParameterError("data must be a nonempty (n, 3) array")
+    Rows outside the families' domains raise :class:`DomainError`, see
+    :func:`~twcm.model.check_rows`.  The fit is deterministic and does not
+    read ``config``."""
+    data = check_rows(data, family_domains(families))
     margs = tuple(fit_mle(fam, data[:, i], weights) for i, fam in enumerate(families))
     cop = fit_copula(copula_scale(margs, data), weights=weights, start=start)
     model = TwcmModel(rho=cop.rho, marginals=margs)
@@ -370,15 +378,15 @@ class BootstrapResult:
 
 def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapResult:
     """Refit on B resamples drawn with replacement and report the standard
-    deviation of each parameter estimate (circular for locations mu)."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    deviation of each parameter estimate (circular for locations mu).
+
+    The data are checked once, as :func:`fit_ifm` checks them, so an
+    invalid row is a :class:`DomainError` naming it, not failed refits."""
+    domains = family_domains(families)
+    data = check_rows(data, domains)
     n = data.shape[0]
     b = config.bootstrap_b
-    circular_locs = {
-        f"mu{i}"
-        for i, fam in enumerate(families, start=1)
-        if family_class(fam).domain == CIRCULAR
-    }
+    circular_locs = {f"mu{i}" for i, d in enumerate(domains, start=1) if d == CIRCULAR}
     rng = np.random.default_rng(config.seed)
     estimates: dict[str, list[float]] = {}
     failed = 0

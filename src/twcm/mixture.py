@@ -16,13 +16,14 @@ import numpy as np
 
 from ._util import as_rng, float_if_triple, require_positive_density
 from .errors import ComponentCollapseError, InvalidParameterError
-from .fit import FitConfig, fit_ifm, information_criteria
+from .fit import FitConfig, family_domains, fit_ifm, information_criteria
 from .marginals import family_class
-from .model import JsonFile, TwcmModel
+from .model import JsonFile, TwcmModel, check_rows
 
 _WEIGHT_SUM_TOL = 1e-12
 _COLLAPSE_FRACTION = 1e-3
 _MONOTONE_SLACK = 1e-8
+_REL_TOL = 1e-6  # relative log-likelihood change at which EM stops
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,7 @@ def mixture_parameter_count(k: int, families) -> int:
 
 
 def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
-           restarts: int = 10, max_iter: int = 500, rel_tol: float = 1e-6,
-           ) -> tuple[MixtureModel, EmReport]:
+           restarts: int = 10, max_iter: int = 500) -> tuple[MixtureModel, EmReport]:
     """Fit a K-component mixture by EM from random hard-assignment starts.
 
     An M-step refits each component by the two-step fit on its weighted
@@ -164,8 +164,13 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
     log-likelihood.  A component whose responsibility mass drops below
     1e-3 * n is refitted from a random data block; a second collapse of the
     same component raises :class:`ComponentCollapseError`.
+
+    A run stops when the log-likelihood changes by at most 1e-6 of its
+    size, or after ``max_iter`` M-steps.  Rows outside the families'
+    domains raise :class:`~twcm.errors.DomainError` naming them, before any
+    start is drawn.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = check_rows(data, family_domains(families))
     n = data.shape[0]
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -190,8 +195,7 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
     for r_idx in range(restarts):
         rng = np.random.default_rng(restart_seeds[r_idx])
         try:
-            model, report = _em_single(data, k, families, rng, r_idx,
-                                       max_iter, rel_tol)
+            model, report = _em_single(data, k, families, rng, r_idx, max_iter)
         except (ComponentCollapseError, InvalidParameterError) as exc:
             last_error = exc
             continue
@@ -202,7 +206,7 @@ def em_fit(data, k: int, families, config: FitConfig = FitConfig(), *,
     return best
 
 
-def _em_single(data, k, families, rng, restart_index, max_iter, rel_tol):
+def _em_single(data, k, families, rng, restart_index, max_iter):
     n = data.shape[0]
 
     # hard random assignment guarantees every component a nonempty first fit
@@ -240,7 +244,7 @@ def _em_single(data, k, families, rng, restart_index, max_iter, rel_tol):
                     flags.append(
                         f"loglik decreased by {trace[-1] - ll:.3e} at iteration {n_iter}"
                     )
-                converged = bool(trace) and abs(ll - trace[-1]) <= rel_tol * abs(trace[-1])
+                converged = bool(trace) and abs(ll - trace[-1]) <= _REL_TOL * abs(trace[-1])
                 trace.append(ll)
                 if converged or n_iter == max_iter:
                     break
@@ -285,9 +289,11 @@ class SelectKResult:
 
 
 def select_k(data, k_values, families, config: FitConfig = FitConfig(), *,
-             restarts: int = 10, max_iter: int = 500, rel_tol: float = 1e-6,
-             ) -> SelectKResult:
-    """Sweep component counts and pick the one with the smallest BIC."""
+             restarts: int = 10, max_iter: int = 500) -> SelectKResult:
+    """Sweep component counts and pick the one with the smallest BIC.
+
+    Each count is fitted by :func:`em_fit` with ``restarts`` and
+    ``max_iter``, which also checks the rows."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n = data.shape[0]
     k_values = list(k_values)
@@ -301,7 +307,7 @@ def select_k(data, k_values, families, config: FitConfig = FitConfig(), *,
         cfg = replace(config, seed=int(
             np.random.default_rng(seeds[idx]).integers(0, 2**63 - 1)))
         model, report = em_fit(data, k, families, cfg, restarts=restarts,
-                               max_iter=max_iter, rel_tol=rel_tol)
+                               max_iter=max_iter)
         p = mixture_parameter_count(k, families)
         aic, bic = information_criteria(report.loglik, p, n)
         rows.append({"k": k, "loglik": report.loglik, "p": p, "aic": aic, "bic": bic})

@@ -85,24 +85,9 @@ class TwcmModel(JsonFile):
 
     # -- data handling ----------------------------------------------------
     def validate_data(self, data) -> np.ndarray:
-        """Check an (n, 3) array against the per-coordinate domains.
-
-        Raises :class:`DomainError` naming the offending rows.
-        """
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
-            raise DomainError("data must be a nonempty (n, 3) array")
-        bad = ~np.isfinite(data).all(axis=1)
-        for i, m in enumerate(self.marginals):
-            if m.domain != CIRCULAR:
-                bad |= data[:, i] <= 0.0
-        if bad.any():
-            rows = np.flatnonzero(bad)
-            raise DomainError(
-                f"rows outside the model domain: {rows.tolist()[:20]}"
-                + ("..." if rows.size > 20 else "")
-            )
-        return data
+        """Check an (n, 3) array against the per-coordinate domains, see
+        :func:`check_rows`."""
+        return check_rows(data, self.domains)
 
     def pseudo_observations(self, data) -> np.ndarray:
         """Copula-scale data u_i = 2*pi*F_i(theta_i), shape (n, 3)."""
@@ -191,6 +176,29 @@ class TwcmModel(JsonFile):
         rho = RhoVector(*map(float, d["rho"]))
         margs = tuple(marginal_from_dict(m) for m in d["marginals"])
         return cls(rho=rho, marginals=margs)
+
+
+def outside_domain(data: np.ndarray, domains) -> np.ndarray:
+    """Mask of the entries of an (n, 3) array outside their coordinate's
+    domain: non-finite, or nonpositive on a linear coordinate."""
+    linear = np.array([d != CIRCULAR for d in domains])
+    return ~np.isfinite(data) | (linear & (data <= 0.0))
+
+
+def check_rows(data, domains) -> np.ndarray:
+    """``data`` as a nonempty float (n, 3) array with every row inside the
+    coordinate ``domains``; raises :class:`DomainError` naming the
+    offending 0-based rows."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
+        raise DomainError("data must be a nonempty (n, 3) array")
+    rows = np.flatnonzero(outside_domain(data, domains).any(axis=1))
+    if rows.size:
+        raise DomainError(
+            f"rows outside the model domain: {rows.tolist()[:20]}"
+            + ("..." if rows.size > 20 else "")
+        )
+    return data
 
 
 def to_copula_scale(marginal: Marginal, x) -> np.ndarray:

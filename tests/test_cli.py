@@ -14,7 +14,7 @@ import twcm
 from twcm import cli
 from twcm.cli import ColumnSpec, ingest, main, parse_column_specs
 from twcm.errors import DomainError
-from twcm.presets import buoy_mixture, independence_like_model
+from twcm.presets import buoy_mixture, independence_like_model, protein_model
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,6 +30,12 @@ CYL = "wave_dir:circular,wind_dir:circular,height:linear"
 BUOY_FAMS = "wrapped_cauchy,wrapped_cauchy,weibull"
 LIN3 = "x:linear,y:linear,z:linear"
 DEG = "a:circular:degrees,b:circular:degrees,h:linear"
+VM3 = "von_mises,von_mises,von_mises"
+
+
+def write_rows(path, rows):
+    """A CSV of ``rows`` under a header, every value written by ``repr``."""
+    path.write_text("a,b,c\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
 
 
 def _repr_rows():
@@ -424,6 +430,28 @@ class TestCommands:
         assert lines[1] == "parameter,estimate,se"
         assert len(lines) == 2 + 9  # 3 rho + 6 marginal parameters
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--preset", "buoy", "--n", "40", "--seed", "1"],
+        ["fit", "--data", "{data}", "--marginals", VM3],
+        ["sample", "--model", "{model}", "--n", "40", "--seed", "2"],
+        ["loglik", "--model", "{model}", "--data", "{data}"],
+        ["grid", "--model", "{model}", "--pair", "1,2", "--res", "6"],
+        ["grid", "--model", "{model}", "--pair", "1,3", "--given", "2=1.5", "--res", "6"],
+        ["bootstrap", "--data", "{data}", "--marginals", VM3, "--B", "3", "--seed", "3"],
+        ["ar2", "--rho", "2,0.25,2", "--marginal", "wrapped_cauchy:mu=3.1,xi=0.5",
+         "--n", "40", "--seed", "4"],
+    ], ids=["synth", "fit", "sample", "loglik", "grid", "grid-given", "bootstrap", "ar2"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, argv):
+        model, data, out = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "out"
+        protein_model().save(model)
+        write_rows(data, protein_model().sample(100, seed=1))
+        argv = [a.format(model=model, data=data) for a in argv]
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        code, nothing, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0 and nothing == ""
+        assert printed.encode() == out.read_bytes()
+
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         model = tmp_path / "m.json"
         independence_like_model().save(model)
@@ -449,9 +477,10 @@ class TestExitCodes:
     def test_unknown_family_is_domain_exit(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a,b,c\n1,2,3\n")
-        code, _, _ = run(capsys, "fit", "--data", str(data),
-                         "--marginals", "kato_jones,uniform,uniform")
+        code, _, err = run(capsys, "fit", "--data", str(data),
+                           "--marginals", "kato_jones,uniform,uniform")
         assert code == 1
+        assert err.startswith("error: unknown marginal family 'kato_jones'; choose from")
 
     def test_models_with_different_domains_rejected(self, tmp_path, capsys):
         from twcm.presets import buoy_mixture, protein_model
@@ -476,8 +505,24 @@ class TestExitCodes:
                  else ["--model", str(model)])
         code, out, err = run(capsys, command, "--data", str(data), *extra)
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("extra", [
+        ["fit", "--marginals", BUOY_FAMS],
+        ["mixture", "--marginals", BUOY_FAMS, "--k", "2"],
+        ["bootstrap", "--marginals", BUOY_FAMS, "--B", "2"],
+        ["loglik", "--model", "{model}"],
+    ], ids=["fit", "mixture", "bootstrap", "loglik"])
+    def test_columns_must_match_the_marginals(self, tmp_path, capsys, extra):
+        # read as an angle, each wave height would be wrapped mod 2 pi
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        buoy_mixture().save(model)
+        write_rows(data, buoy_mixture().sample(60, seed=1))
+        code, out, err = run(capsys, *(a.format(model=model) for a in extra),
+                             "--data", str(data), "--columns", "a:circular,b:circular,h:circular")
+        assert code == 1 and out == ""
+        assert err == "error: --columns makes 'h' circular, but its marginal is linear\n"
 
     def test_warning_is_one_line_without_path(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -515,8 +560,7 @@ class TestExitCodes:
                                                   argv, seed_env):
         model, data = tmp_path / "m.json", tmp_path / "d.csv"
         independence_like_model().save(model)
-        rows = buoy_mixture().sample(60, seed=1)
-        data.write_text("a,b,c\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+        write_rows(data, buoy_mixture().sample(60, seed=1))
         if seed_env is None:
             monkeypatch.delenv("TWCM_SEED", raising=False)
         else:

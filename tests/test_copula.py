@@ -30,8 +30,8 @@ from twcm import (
     pairwise_phi,
     validate_rho,
 )
-from twcm._util import wc_kernel_log_density, wc_kernel_sample
-from twcm.copula import denominator_min
+from twcm._util import periodic_grid, wc_kernel_log_density, wc_kernel_sample
+from twcm.copula import _bracket
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,6 +46,18 @@ def grid_mean_density(rho, n=64):
     u1, u2, u3 = np.meshgrid(g, g, g, indexing="ij")
     u = np.stack([u1.ravel(), u2.ravel(), u3.ravel()], axis=1)
     return copula_density(u, rho).reshape(n, n, n)
+
+
+def denominator_min(rho, grid=64):
+    """Minimum of the density denominator over a full-period grid.
+
+    The bracket depends only on the differences (u1-u2, u1-u3), so a 2-D
+    grid covers every value attained on the 3-D torus.
+    """
+    g = periodic_grid(grid)
+    d12, d13 = np.meshgrid(g, g, indexing="ij")
+    bracket = _bracket(constants(rho), rho, np.cos(d12), np.cos(d13), np.cos(d13 - d12))
+    return float(bracket.min())
 
 
 class TestValidity:

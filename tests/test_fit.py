@@ -9,19 +9,22 @@ import pytest
 
 import twcm
 from twcm import (
+    DomainError,
     FitConfig,
     InvalidParameterError,
     RhoVector,
     bootstrap_se,
     copula_log_density,
     copula_sample,
+    em_fit,
     fit_copula,
     fit_ifm,
     information_criteria,
     parameter_vector,
+    select_k,
     validate_rho,
 )
-from twcm.presets import protein_model
+from twcm.presets import buoy_mixture, protein_model
 
 TWO_PI = 2.0 * np.pi
 RHO_333 = RhoVector(3.0, 3.0, 1.0 / 9.0)
@@ -280,3 +283,33 @@ class TestBootstrap:
         angles = np.array([0.01, TWO_PI - 0.01, 0.02, TWO_PI - 0.02])
         assert _circular_sd(angles) < 0.1
         assert np.std(angles) > 1.0
+
+
+class TestRowCheck:
+    """Each fitter checks the caller's rows once, before it fits anything,
+    so the error names rows of the data passed in, not of a resample or an
+    EM partition."""
+
+    BUOY = ("wrapped_cauchy", "wrapped_cauchy", "weibull")
+
+    @pytest.mark.parametrize("column, value", [(0, np.nan), (2, 0.0)],
+                             ids=["nan", "zero-weibull"])
+    @pytest.mark.parametrize("fitter", [
+        lambda data, fams: fit_ifm(data, fams),
+        lambda data, fams: em_fit(data, 2, fams, FitConfig(seed=1), restarts=2),
+        lambda data, fams: select_k(data, [1, 2], fams, FitConfig(seed=1), restarts=2),
+        lambda data, fams: bootstrap_se(data, fams, FitConfig(seed=1, bootstrap_b=5)),
+    ], ids=["fit_ifm", "em_fit", "select_k", "bootstrap_se"])
+    def test_bad_row_is_named(self, fitter, column, value):
+        data = buoy_mixture().sample(200, seed=3)
+        data[37, column] = value
+        with pytest.raises(DomainError, match=r"rows outside the model domain: \[37\]$"):
+            fitter(data, self.BUOY)
+
+    def test_bad_shape_is_domain_error(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            fit_ifm(np.zeros((10, 2)), ["uniform"] * 3)
+
+    def test_family_count_checked(self):
+        with pytest.raises(InvalidParameterError, match="exactly 3"):
+            fit_ifm(protein_model().sample(20, seed=1), ["von_mises"] * 2)

@@ -254,7 +254,7 @@ class TestEmFit:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, report = twcm.mixture._em_single(
-                data, 2, FAMS, np.random.default_rng(1), 0, 30, 1e-6)
+                data, 2, FAMS, np.random.default_rng(1), 0, 30)
         # one pass over the k = 2 components per E-step, and the E-step
         # scores the previous M-step: k (n_iter + 1) calls, not 2 k n_iter
         assert report.n_iter >= 2
@@ -302,7 +302,7 @@ class TestEmFit:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 twcm.mixture._em_single(
-                    data, 2, FAMS, np.random.default_rng(0), 0, 20, 1e-6,
+                    data, 2, FAMS, np.random.default_rng(0), 0, 20,
                 )
 
 
