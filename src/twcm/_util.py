@@ -81,13 +81,14 @@ def wc_log_density(x, center, a):
     concentration ``a`` in (-1, 1); unchecked.  Takes arrays or scalars.
 
     ``(1/2pi) (1 - a^2) / (1 + a^2 - 2 a cos(x - center))``, with the
-    denominator written as ``(1 - a)^2 + 4 a sin^2((x - center)/2)`` so
-    that it keeps its digits as ``a -> 1`` (not as ``a -> -1`` near
+    numerator's log as ``log1p(-a) + log1p(a)``, which rounds no ``a^2``,
+    and the denominator written as ``(1 - a)^2 + 4 a sin^2((x - center)/2)``
+    so that it keeps its digits as ``a -> 1`` (not as ``a -> -1`` near
     ``x = center + pi``).  The marginal :class:`~twcm.marginals.WrappedCauchy`
     and every copula kernel call it.
     """
     return (
-        np.log1p(-a * a)
+        np.log1p(-a) + np.log1p(a)
         - np.log(TWO_PI)
         - np.log((1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * (x - center)) ** 2)
     )

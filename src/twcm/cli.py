@@ -229,10 +229,21 @@ def _resolve_seed(args) -> int | None:
 
 
 def _load_any_model(path):
-    d = json.loads(_read_text(path))
-    if "components" in d:
-        return MixtureModel.from_dict(d)
-    return TwcmModel.from_dict(d)
+    """The model or mixture saved at ``path``; a file that is not JSON,
+    lacks a key or holds values of the wrong shape is a DomainError naming
+    it."""
+    text = _read_text(path)
+    try:
+        d = json.loads(text)
+        if "components" in d:
+            return MixtureModel.from_dict(d)
+        return TwcmModel.from_dict(d)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: not JSON: {exc}") from None
+    except KeyError as exc:
+        raise DomainError(f"{path}: model file has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: malformed model file: {exc}") from None
 
 
 # ---------------------------------------------------------------- commands

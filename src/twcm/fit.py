@@ -6,7 +6,9 @@ region is 12 connected pieces, and in each the log-likelihood is smooth in
 two unconstrained coordinates and falls to -inf at the boundary (the c2
 radicand vanishes there), so it is its own barrier.  A batched Newton
 ascent with analytic derivatives runs in all 12 pieces from fixed starts;
-the result does not depend on any seed.
+the result does not depend on any seed.  A piece on concave ground that
+trails the best one by many times its Newton decrement, the gain it has
+left, is retired, so the loop ends soon after the winner converges.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ _MAX_HALVINGS = 50
 _NEAR_LIMIT = 1e3
 _MAX_ITER = 2000  # Newton iterations per piece
 _TOL = 1e-8  # relative gain that counts as small
+_RETIRE = 10.0  # Newton decrements a piece may trail the best piece by
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,8 @@ class _Pieces:
         return f, bracket
 
     def ascent(self, t: np.ndarray, k: np.ndarray, bracket: np.ndarray):
-        """Gradient and modified Newton step of pieces ``k`` at ``t``."""
+        """Gradient and modified Newton step of pieces ``k`` at ``t``, and
+        whether each piece's Hessian is negative definite there."""
         m = len(k)
         ell = _log_abs_rho(t)
         x = np.exp(ell)
@@ -209,11 +213,12 @@ class _Pieces:
         # ascend along |eigenvalues| so the step is uphill wherever the
         # Hessian is not negative definite
         lam, vec = np.linalg.eigh(hess)
+        concave = lam[:, -1] < 0.0
         lam = np.maximum(np.abs(lam), _EIG_FLOOR * self.wsum)
         step = np.einsum("mab,mb->ma", vec, np.einsum("mab,ma->mb", vec, grad) / lam)
         norm = np.linalg.norm(step, axis=1)
         step *= np.minimum(1.0, _STEP_MAX / np.maximum(norm, 1e-300))[:, None]
-        return grad, step
+        return grad, step, concave
 
 
 def _diag(v: np.ndarray) -> np.ndarray:
@@ -254,8 +259,11 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     lower than ``start``.  A piece stops after two successive relative
     gains <= 1e-8, after 2000 iterations, or when a coordinate passes
     |t| = 40, walking to a limit of the region; a winner stopped either of
-    the last two ways is reported as not converged.  The result is
-    deterministic and normalized to product 1.
+    the last two ways is reported as not converged.  A piece also stops
+    when its Hessian H is negative definite and it trails the best piece
+    by more than 10 times its Newton decrement g^T |H|^-1 g, the gain it
+    has left; such a piece cannot win.  The result is deterministic and
+    normalized to product 1.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
@@ -274,8 +282,18 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     was_small = np.zeros(n_pieces, dtype=bool)
     active = k_all[np.isfinite(f) & (np.abs(t).max(axis=1) <= _T_CAP)]
     while active.size:
-        grad, step = pieces.ascent(t[active], active, bracket[active])
+        grad, step, concave = pieces.ascent(t[active], active, bracket[active])
         slope = np.sum(grad * step, axis=1)
+        # where the Hessian is negative definite, slope is the Newton
+        # decrement, the gain a piece has left: all of it on the e^-t tail
+        # toward a limit of its region, half of it near a quadratic
+        # optimum.  The best f never falls, so a piece trailing it by many
+        # decrements cannot win.  A NaN slope keeps the piece.
+        keep = ~(concave & (f.max() - f[active] > _RETIRE * slope))
+        if not keep.all():
+            active, grad, step, slope = active[keep], grad[keep], step[keep], slope[keep]
+            if not active.size:
+                break
         f_old = f[active]
         moved = np.zeros(active.size, dtype=bool)
         alpha = 1.0

@@ -508,6 +508,35 @@ class TestExitCodes:
         assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
         assert "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"rho": [1, 2', "not JSON: Expecting ',' delimiter: line 1 column 14 (char 13)"),
+        ('{"rho": [3,3,0.111]}', "model file has no key 'marginals'"),
+    ], ids=["truncated", "no_marginals"])
+    @pytest.mark.parametrize("argv", [
+        ["loglik", "--data", "{data}"],
+        ["sample", "--n", "3"],
+        ["grid", "--pair", "1,2", "--res", "3"],
+    ], ids=["loglik", "sample", "grid"])
+    def test_malformed_model_file_is_one_error_line(self, tmp_path, capsys, text, reason,
+                                                    argv):
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        model.write_text(text)
+        write_rows(data, protein_model().sample(5, seed=1))
+        code, out, err = run(capsys, *(a.format(data=data) for a in argv), "--model", str(model))
+        assert code == 1 and out == ""
+        assert err == f"error: {model}: {reason}\n"
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '{"rho": [3, 3], "marginals": []}',
+                                      '{"rho": ["a", 1, 1], "marginals": []}'],
+                             ids=["list", "short_rho", "text_rho"])
+    def test_misshapen_model_file_is_one_error_line(self, tmp_path, capsys, text):
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        code, out, err = run(capsys, "sample", "--n", "3", "--model", str(model))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {model}: malformed model file: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("extra", [
         ["fit", "--marginals", BUOY_FAMS],
         ["mixture", "--marginals", BUOY_FAMS, "--k", "2"],

@@ -1,6 +1,6 @@
 """Smoke test: the narrative demos run to completion.
 
-Demo 05 (mixture clustering, about 45 s on two cores) is left to manual
+Demo 05 (mixture clustering, about 25 s on two cores) is left to manual
 runs."""
 
 import os

@@ -57,6 +57,15 @@ class TestDensities:
         x = np.linspace(0, TWO_PI, 20, endpoint=False)
         np.testing.assert_allclose(m.pdf(x), 1.0 / TWO_PI, rtol=1e-14)
 
+    @pytest.mark.parametrize("xi, exact", [
+        (1 - 1e-8, 17.275950848078206),  # log((1 + xi) / (2 pi (1 - xi))), 40 digits
+        (1 - 1e-9, 19.578535978878943),
+    ])
+    def test_wrapped_cauchy_keeps_its_digits_near_unit_concentration(self, xi, exact):
+        # the numerator log(1 - xi^2) must not round xi^2, which would cost
+        # about eps / (1 - xi^2) ~ 5e-10 nats here
+        assert WrappedCauchy(0.3, xi).logpdf(0.3) == pytest.approx(exact, rel=0.0, abs=1e-12)
+
     def test_weibull_shape_one_is_exponential(self):
         m = Weibull(shape=1.0, scale=2.0)
         x = np.array([0.1, 1.0, 3.0, 7.0])
