@@ -81,17 +81,29 @@ def wc_log_density(x, center, a):
     concentration ``a`` in (-1, 1); unchecked.  Takes arrays or scalars.
 
     ``(1/2pi) (1 - a^2) / (1 + a^2 - 2 a cos(x - center))``, with the
-    numerator's log as ``log1p(-a) + log1p(a)``, which rounds no ``a^2``,
-    and the denominator written as ``(1 - a)^2 + 4 a sin^2((x - center)/2)``
-    so that it keeps its digits as ``a -> 1`` (not as ``a -> -1`` near
-    ``x = center + pi``).  The marginal :class:`~twcm.marginals.WrappedCauchy`
-    and every copula kernel call it.
+    numerator's log as ``log1p(-a) + log1p(a)``, which rounds no ``a^2``.
+    The denominator is a sum of two nonnegative terms, so that no digits
+    cancel: ``(1 - a)^2 + 4 a sin^2(d/2)`` for ``a >= 0`` and
+    ``(1 + a)^2 - 4 a cos^2(d/2)`` for ``a < 0``, with d = x - center.  A
+    scalar ``a`` picks its form by a branch, an array one per element
+    only if some element is negative.  The marginal
+    :class:`~twcm.marginals.WrappedCauchy` and every copula kernel call it.
     """
-    return (
-        np.log1p(-a) + np.log1p(a)
-        - np.log(TWO_PI)
-        - np.log((1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * (x - center)) ** 2)
-    )
+    half = 0.5 * (x - center)
+
+    def positive():
+        return (1.0 - a) ** 2 + 4.0 * a * np.sin(half) ** 2
+
+    def negative():
+        return (1.0 + a) ** 2 - 4.0 * a * np.cos(half) ** 2
+
+    if np.ndim(a) == 0:
+        denom = negative() if a < 0.0 else positive()
+    elif np.any(a < 0.0):
+        denom = np.where(a < 0.0, negative(), positive())
+    else:
+        denom = positive()
+    return np.log1p(-a) + np.log1p(a) - np.log(TWO_PI) - np.log(denom)
 
 
 def wc_kernel_log_density(x, center, conc):

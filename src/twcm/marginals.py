@@ -7,6 +7,13 @@ fitting.  The circular CDF origin is the location parameter mu, so the
 copula pseudo-observations u = 2*pi*F(theta) are well defined and
 reproducible.
 
+The von Mises CDF has no closed form.  Its exact Fourier series is summed
+once per kappa, at the nodes of a piecewise Chebyshev table of degree 16
+that then gives the CDF at any angle to within 6e-16 of the series (1e-15
+at KAPPA_MAX, where the series' own rounding is that large); the table
+costs at most one series pass over 493 values and is cached per kappa.  The
+quantile starts from a second per-kappa table and takes two Newton steps.
+
 Each fit is one deterministic solver: the von Mises mean direction in
 closed form and kappa by Newton on A1(kappa) = rbar; the wrapped Cauchy
 by Kent & Tyler's (1988) fixed point; the cardioid by Newton ascent on
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.special import i0e, i1e, ive
 
 from ._util import (
@@ -260,8 +268,10 @@ def _vonmises_cdf_terms(kappa: float) -> int:
 
 
 # The CDF series drops trailing terms that sum to at most _SERIES_TAIL in
-# absolute value, and runs over blocks of _SERIES_BLOCK values.
+# absolute value.  The CDF table has _TABLE_DEGREE + 1 coefficients an
+# interval and is evaluated over blocks of _SERIES_BLOCK values.
 _SERIES_TAIL = 2.0**-60
+_TABLE_DEGREE = 16
 _SERIES_BLOCK = 4096
 
 # Quantile start table: nodes equally spaced in w = kappa (1 - cos y) up to
@@ -284,26 +294,91 @@ def _sine_series(y, coef):
     Scaled as B_k = s^k b_k and D_k = s^k d_k this reads
     D_k = s^k c_k + s t B_{k+1} + D_{k+1}, B_k = B_{k+1} + D_k, with
     s t = -4 sin^2(y/2) or -4 cos^2(y/2), and the sum is s B_1 sin(y).
-    The recurrence runs over blocks of _SERIES_BLOCK values, so its
-    working arrays stay in cache whatever the size of y.
+    Only the nodes of the CDF table (:func:`_vonmises_cdf_table`) are
+    summed this way, a few hundred values per kappa.
     """
     y = np.asarray(y, dtype=float)
-    flat = y.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _SERIES_BLOCK):
-        block = flat[start:start + _SERIES_BLOCK]
-        upper = np.cos(block) >= 0.0
-        s = np.where(upper, 1.0, -1.0)
-        st = -4.0 * np.where(upper, np.sin(0.5 * block), np.cos(0.5 * block)) ** 2
-        b = np.zeros_like(block)
-        d = np.zeros_like(block)
-        tmp = np.empty_like(block)
-        for k, c in zip(range(coef.size, 0, -1), coef[::-1].tolist()):
-            d += np.multiply(st, b, out=tmp)
-            d += np.multiply(s, c, out=tmp) if k % 2 else c
-            b += d
-        out[start:start + block.size] = s * b * np.sin(block)
-    return out.reshape(y.shape)
+    upper = np.cos(y) >= 0.0
+    s = np.where(upper, 1.0, -1.0)
+    st = -4.0 * np.where(upper, np.sin(0.5 * y), np.cos(0.5 * y)) ** 2
+    b = np.zeros_like(y)
+    d = np.zeros_like(y)
+    tmp = np.empty_like(y)
+    for k, c in zip(range(coef.size, 0, -1), coef[::-1].tolist()):
+        d += np.multiply(st, b, out=tmp)
+        d += np.multiply(s, c, out=tmp) if k % 2 else c
+        b += d
+    return s * b * np.sin(y)
+
+
+@functools.lru_cache(maxsize=32)
+def _vonmises_cdf_table(kappa: float) -> np.ndarray:
+    """Chebyshev coefficients, shape (_TABLE_DEGREE + 1, J), of the sine
+    part S(y) = F(y) - y / 2pi of the CDF on J = ceil(2 pi sqrt(kappa + 1))
+    equal intervals [a_j, a_j + h) of [0, 2 pi), h = 2 pi / J, in the
+    variable t = (y - a_j) (2 / h) - 1.
+
+    An interval is about one standard deviation wide, where S is smooth
+    enough for degree 16 to reach rounding: the table is within 6e-16 of
+    the series up to kappa = 1e5, and within 1e-15 at KAPPA_MAX, where the
+    series' own rounding reaches 5.7e-16 (tests/test_marginals.py).  Each
+    interval is fitted to _sine_series at its Chebyshev-Lobatto points,
+    solved at the float nodes through the map t that evaluation uses, so
+    that node rounding does not enter the fit.  Where w = kappa (1 - cos y)
+    exceeds _START_WMAX on a whole interval, F is 1/2 to within 2^-54 (see
+    _vonmises_start_table) and S = 1/2 - y / 2pi exactly, with no series
+    call, so the build sums the series at most at 29 * 17 points whatever
+    kappa is.
+    """
+    n = math.ceil(TWO_PI * math.sqrt(kappa + 1.0))
+    h = TWO_PI / n
+    edges = h * np.arange(n + 1)
+    w = 2.0 * kappa * np.sin(0.5 * edges) ** 2
+    fitted = (w[:-1] <= _START_WMAX) | (w[1:] <= _START_WMAX)
+    table = np.zeros((_TABLE_DEGREE + 1, n))
+    table[0] = 0.5 - (edges[:-1] + 0.5 * h) / TWO_PI
+    table[1] = -0.5 * h / TWO_PI
+    a = edges[:-1][fitted, None]
+    nodes = np.cos(np.pi * np.arange(_TABLE_DEGREE, -1, -1) / _TABLE_DEGREE)
+    y = a + (nodes + 1.0) * (0.5 * h)
+    t = (y - a) * (2.0 / h) - 1.0
+    s = _sine_series(y, _vonmises_coefficients(kappa))
+    # the explicit trailing axis makes s a stack of columns on NumPy 1 and 2
+    coef = np.linalg.solve(chebvander(t, _TABLE_DEGREE), s[..., None])
+    table[:, fitted] = coef[..., 0].T
+    table.flags.writeable = False
+    return table
+
+
+def _table_sine(y, table: np.ndarray) -> np.ndarray:
+    """S(y) from :func:`_vonmises_cdf_table` at a flat array y in [0, 2 pi].
+
+    Each block of _SERIES_BLOCK values gathers its intervals' coefficients
+    and runs Clenshaw's recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on
+    every value by itself, so a value's result does not depend on the rest
+    of the array.
+    """
+    n = table.shape[1]
+    h = TWO_PI / n
+    out = np.empty_like(y)
+    for start in range(0, y.size, _SERIES_BLOCK):
+        block = y[start:start + _SERIES_BLOCK]
+        # fmin maps NaN to the last interval, and t keeps it NaN
+        j = np.fmin(block * (n / TWO_PI), n - 1).astype(np.intp)
+        c = table[:, j]
+        t = (block - j * h) * (2.0 / h) - 1.0
+        t2 = 2.0 * t
+        b1, b2, tmp = c[_TABLE_DEGREE], np.zeros_like(t), np.empty_like(t)
+        for k in range(_TABLE_DEGREE - 1, 0, -1):
+            np.multiply(t2, b1, out=tmp)
+            tmp -= b2
+            tmp += c[k]
+            b1, b2, tmp = tmp, b1, b2
+        b1 *= t
+        b1 -= b2
+        b1 += c[0]
+        out[start:start + block.size] = b1
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -372,11 +447,14 @@ def _newton_quantile(m: Marginal, p, start, steps: int):
 class VonMises(Marginal):
     """Von Mises with location mu and concentration kappa >= 0.
 
-    The CDF is the exact integral of the Fourier expansion from the origin
-    mu, summed by Clenshaw's recurrence in O(n) memory.  The quantile
-    starts from a per-kappa table of the CDF and takes two Newton steps
-    with the closed-form density; series coefficients and table are built
-    once per kappa and cached.
+    The CDF is the integral of the Fourier expansion from the origin mu,
+    read from a per-kappa piecewise Chebyshev table of its sine part that
+    is fitted to the exact series and agrees with it to within 6e-16
+    (1e-15 at KAPPA_MAX; see :func:`_vonmises_cdf_table`).  Evaluation
+    costs 17 coefficients a value whatever kappa is, in O(n) memory.  The
+    quantile starts from a per-kappa table of the CDF and takes two Newton
+    steps with the closed-form density.  Coefficients and tables are built
+    once per kappa and cached, so the series is paid for once per kappa.
     """
 
     mu: float
@@ -407,7 +485,9 @@ class VonMises(Marginal):
         return float_if_scalar(out)
 
     def _cdf_offset(self, y):
-        return y / TWO_PI + _sine_series(y, _vonmises_coefficients(self.kappa))
+        y = np.asarray(y, dtype=float)
+        sine = _table_sine(y.ravel(), _vonmises_cdf_table(self.kappa))
+        return y / TWO_PI + sine.reshape(y.shape)
 
     def cdf(self, x):
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)

@@ -1,7 +1,9 @@
 """Marginal family checks: densities, CDFs, quantiles, sampling, and
 weighted maximum likelihood."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +24,19 @@ from twcm import (
     fit_mle,
 )
 from twcm import marginals
+from twcm._util import wc_log_density
 
 TWO_PI = 2.0 * np.pi
+PI_FRACTION = Fraction("3.14159265358979323846264338327950288419716939937511")
+
+
+def _cos_fraction(v: Fraction) -> Fraction:
+    """cos(v) for |v| < 4 by its Taylor series, exact to below 1e-40."""
+    term, total = Fraction(1), Fraction(1)
+    for k in range(1, 40):
+        term *= -v * v / ((2 * k - 1) * (2 * k))
+        total += term
+    return total
 
 ALL_MODELS = [
     CircularUniform(),
@@ -65,6 +78,31 @@ class TestDensities:
         # the numerator log(1 - xi^2) must not round xi^2, which would cost
         # about eps / (1 - xi^2) ~ 5e-10 nats here
         assert WrappedCauchy(0.3, xi).logpdf(0.3) == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [-0.99, -0.9])
+    def test_wrapped_cauchy_keeps_its_digits_at_negative_concentration(self, a):
+        # near x = center + pi the form (1 - a)^2 + 4 a sin^2(d/2) cancels as
+        # a -> -1 (9.1e-12 relative at a = -0.99); against the exact density
+        # at the same float offset d the log density must be within 5e-15,
+        # a few ulps of its terms, for scalar and mixed-sign array a alike
+        center = 0.7
+        x = center + np.pi + np.linspace(-0.05, 0.05, 41)
+        d = [Fraction(v) for v in x - center]
+        fa = Fraction(a)
+        exact = [
+            math.log((1 - fa * fa) / (2 * PI_FRACTION * (1 + fa * fa - 2 * fa * _cos_fraction(v))))
+            for v in d
+        ]
+        np.testing.assert_allclose(wc_log_density(x, center, a), exact, rtol=0.0, atol=5e-15)
+        mixed = np.where(np.arange(x.size) % 2, a, 0.5)
+        got = wc_log_density(x, center, mixed)
+        np.testing.assert_allclose(got[1::2], exact[1::2], rtol=0.0, atol=5e-15)
+        # a >= 0 keeps its former arithmetic bit for bit
+        half = 0.5 * (x[::2] - center)
+        former = np.log1p(-0.5) + np.log1p(0.5) - np.log(TWO_PI) - np.log(
+            (1.0 - 0.5) ** 2 + 4.0 * 0.5 * np.sin(half) ** 2
+        )
+        np.testing.assert_array_equal(got[::2], former)
 
     def test_weibull_shape_one_is_exponential(self):
         m = Weibull(shape=1.0, scale=2.0)
@@ -204,6 +242,7 @@ class TestVonMisesAcrossKappa:
         # per-kappa coefficients and start tables are built inside each test
         marginals._vonmises_coefficients.cache_clear()
         marginals._vonmises_start_table.cache_clear()
+        marginals._vonmises_cdf_table.cache_clear()
 
     @staticmethod
     def _peak_mb(fn):
@@ -242,6 +281,47 @@ class TestVonMisesAcrossKappa:
         untrimmed = np.clip(y / TWO_PI + marginals._sine_series(y, full), 0.0, 1.0)
         m = VonMises(mu=0.0, kappa=kappa)
         np.testing.assert_allclose(m.cdf(y), untrimmed, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "kappa", [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1e4, 1e5, marginals.KAPPA_MAX]
+    )
+    def test_table_matches_series(self, kappa):
+        # the table's sine part against the series on every coefficient
+        # (trailing exact zeros dropped, which changes no sum) at random
+        # points, every interval end, one ulp either side of it, 0, pi and
+        # the last float below 2 pi.  At KAPPA_MAX the series' own rounding
+        # over its 8 500 terms reaches 5.7e-16 against a 40-digit integral,
+        # so there the two roundings add up to at most 1e-15.
+        table = marginals._vonmises_cdf_table(kappa)
+        ends = TWO_PI / table.shape[1] * np.arange(table.shape[1] + 1)
+        y = np.concatenate([
+            TWO_PI * np.random.default_rng(24).random(300),
+            ends, np.nextafter(ends, -1.0), np.nextafter(ends, 7.0),
+            [0.0, np.pi, np.nextafter(TWO_PI, 0.0)],
+        ])
+        y = y[(y >= 0.0) & (y < TWO_PI)]
+        k = np.arange(1, marginals._vonmises_cdf_terms(kappa) + 1)
+        full = np.trim_zeros(ive(k, kappa) / i0e(kappa) / (k * np.pi), "b")
+        bound = 1e-15 if kappa == marginals.KAPPA_MAX else 6e-16
+        np.testing.assert_allclose(
+            marginals._table_sine(y, table), marginals._sine_series(y, full),
+            rtol=0, atol=bound,
+        )
+
+    @pytest.mark.parametrize("kappa", [84.4, 1e5, marginals.KAPPA_MAX])
+    def test_table_build_sums_few_series_points(self, kappa, monkeypatch):
+        # only intervals with w = kappa (1 - cos y) <= 40 somewhere are
+        # fitted: at most 29 of them at any kappa, 32 allowed here
+        points = []
+        series = marginals._sine_series
+
+        def counted(y, coef):
+            points.append(np.size(y))
+            return series(y, coef)
+
+        monkeypatch.setattr(marginals, "_sine_series", counted)
+        marginals._vonmises_cdf_table(kappa)
+        assert 0 < sum(points) <= 32 * (marginals._TABLE_DEGREE + 1)
 
     def test_trimmed_term_count(self):
         assert marginals._vonmises_coefficients(84.4).size <= 90
