@@ -1,13 +1,13 @@
 """Shared numerical helpers: angle wrapping, the wrapped Cauchy law (one
 log density and one Moebius draw, used by the marginal and by every copula
-kernel), the scalar-in, float-out return contract and the zero-density
-check."""
+kernel), the scalar-in, float-out return contract, the zero-density check
+and the row-weight check."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDataError, SingularKernelError
+from .errors import DegenerateDataError, DomainError, SingularKernelError
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,6 +41,19 @@ def require_positive_density(log_values) -> None:
         raise DegenerateDataError(
             f"zero density at rows {rows.tolist()[:20]}", rows=rows
         )
+
+
+def row_weights(weights, n: int) -> np.ndarray:
+    """Every fitter's weights: one finite, nonnegative float per row of
+    ``n`` with a positive sum (ones for ``None``), else :class:`DomainError`."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise DomainError("weights must match data length")
+    if np.any(w < 0.0) or not 0.0 < w.sum() < np.inf:  # NaN or inf: so is the sum
+        raise DomainError("weights must be nonnegative with positive sum")
+    return w
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

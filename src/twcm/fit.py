@@ -6,9 +6,10 @@ region is 12 connected pieces, and in each the log-likelihood is smooth in
 two unconstrained coordinates and falls to -inf at the boundary (the c2
 radicand vanishes there), so it is its own barrier.  A batched Newton
 ascent with analytic derivatives runs in all 12 pieces from fixed starts;
-the result does not depend on any seed.  A piece on concave ground that
-trails the best one by many times its Newton decrement, the gain it has
-left, is retired, so the loop ends soon after the winner converges.
+the result does not depend on any seed.  A piece's Newton decrement, the
+gain it has left, ends it: the piece stops once that is negligible, or is
+retired when, on concave ground, it trails the best piece by many times
+that, so the loop ends soon after the winner converges.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import TWO_PI, require_positive_density, wrap_angle
+from ._util import TWO_PI, require_positive_density, row_weights, wrap_angle
 from .copula import (
     RhoVector,
     _cos_diffs,
@@ -51,7 +52,7 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 _NEAR_LIMIT = 1e3
 _MAX_ITER = 2000  # Newton iterations per piece
-_TOL = 1e-8  # relative gain that counts as small
+_TOL = 1e-10  # Newton decrement, relative to the total weight, of a last step
 _RETIRE = 10.0  # Newton decrements a piece may trail the best piece by
 
 
@@ -169,8 +170,9 @@ class _Pieces:
         return f, bracket
 
     def ascent(self, t: np.ndarray, k: np.ndarray, bracket: np.ndarray):
-        """Gradient and modified Newton step of pieces ``k`` at ``t``, and
-        whether each piece's Hessian is negative definite there."""
+        """Newton decrement g^T step, modified Newton step |H|^-1 g (cut to
+        length 8) of pieces ``k`` at ``t``, and whether each piece's Hessian
+        is negative definite there."""
         m = len(k)
         ell = _log_abs_rho(t)
         x = np.exp(ell)
@@ -218,7 +220,7 @@ class _Pieces:
         step = np.einsum("mab,mb->ma", vec, np.einsum("mab,ma->mb", vec, grad) / lam)
         norm = np.linalg.norm(step, axis=1)
         step *= np.minimum(1.0, _STEP_MAX / np.maximum(norm, 1e-300))[:, None]
-        return grad, step, concave
+        return np.sum(grad * step, axis=1), step, concave
 
 
 def _diag(v: np.ndarray) -> np.ndarray:
@@ -256,19 +258,20 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     falls to -inf at the piece's boundary.  All pieces run a batched
     Newton ascent with analytic derivatives from t = 0, or from ``start``
     (a valid rho) in the piece that contains it, so that piece ends no
-    lower than ``start``.  A piece stops after two successive relative
-    gains <= 1e-8, after 2000 iterations, or when a coordinate passes
-    |t| = 40, walking to a limit of the region; a winner stopped either of
-    the last two ways is reported as not converged.  A piece also stops
-    when its Hessian H is negative definite and it trails the best piece
-    by more than 10 times its Newton decrement g^T |H|^-1 g, the gain it
-    has left; such a piece cannot win.  The result is deterministic and
-    normalized to product 1.
+    lower than ``start``.  A piece whose Newton decrement g^T |H|^-1 g,
+    the gain it has left, is at most 1e-10 times the total weight takes
+    that step and stops as converged.  It also stops when no step is
+    accepted, after 2000 iterations, or when a coordinate passes |t| = 40,
+    walking to a limit of the region; a winner stopped either of the last
+    two ways is reported as not converged.  A piece is retired when its
+    Hessian H is negative definite and it trails the best piece by more
+    than 10 decrements; such a piece cannot win.  The result is
+    deterministic and normalized to product 1.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
         raise InvalidParameterError("pseudo-observations must be a nonempty (n, 3) array")
-    w = np.ones(u.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    w = row_weights(weights, u.shape[0])
     pieces = _Pieces(u, w)
     n_pieces = len(_PIECES)
     k_all = np.arange(n_pieces)
@@ -279,22 +282,19 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     f, bracket = pieces.value(t, k_all)
     iterations = np.zeros(n_pieces, dtype=int)
     converged = np.zeros(n_pieces, dtype=bool)
-    was_small = np.zeros(n_pieces, dtype=bool)
     active = k_all[np.isfinite(f) & (np.abs(t).max(axis=1) <= _T_CAP)]
     while active.size:
-        grad, step, concave = pieces.ascent(t[active], active, bracket[active])
-        slope = np.sum(grad * step, axis=1)
-        # where the Hessian is negative definite, slope is the Newton
-        # decrement, the gain a piece has left: all of it on the e^-t tail
-        # toward a limit of its region, half of it near a quadratic
-        # optimum.  The best f never falls, so a piece trailing it by many
-        # decrements cannot win.  A NaN slope keeps the piece.
-        keep = ~(concave & (f.max() - f[active] > _RETIRE * slope))
+        decrement, step, concave = pieces.ascent(t[active], active, bracket[active])
+        # where the Hessian is negative definite, the decrement is the gain
+        # a piece has left: all of it on the e^-t tail toward a limit of
+        # its region, half of it near a quadratic optimum.  The best f never
+        # falls, so a piece trailing it by many decrements cannot win.  A
+        # NaN decrement keeps the piece.
+        keep = ~(concave & (f.max() - f[active] > _RETIRE * decrement))
         if not keep.all():
-            active, grad, step, slope = active[keep], grad[keep], step[keep], slope[keep]
+            active, step, decrement = active[keep], step[keep], decrement[keep]
             if not active.size:
                 break
-        f_old = f[active]
         moved = np.zeros(active.size, dtype=bool)
         alpha = 1.0
         pending = np.arange(active.size)
@@ -302,7 +302,7 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
             k = active[pending]
             trial = t[k] + alpha * step[pending]
             f_try, b_try = pieces.value(trial, k)
-            ok = f_try >= f[k] + _ARMIJO * alpha * slope[pending]
+            ok = f_try >= f[k] + _ARMIJO * alpha * decrement[pending]
             t[k[ok]], f[k[ok]], bracket[k[ok]] = trial[ok], f_try[ok], b_try[ok]
             moved[pending[ok]] = True
             pending = pending[~ok]
@@ -310,12 +310,9 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
                 break
             alpha *= 0.5
         iterations[active] += 1
-        gain = f[active] - f_old
-        # a gain this small ends Newton's fast phase; one more step then
-        # lands within rounding of the optimum
-        small = gain <= _TOL * np.maximum(np.abs(f[active]), pieces.wsum)
-        flat = ~moved | (small & was_small[active])
-        was_small[active] = small
+        # on any ground, so that a piece walking the e^-t tail to a limit
+        # of its region stops once the tail is flat
+        flat = ~moved | (decrement <= _TOL * pieces.wsum)
         out = np.abs(t[active]).max(axis=1) > _T_CAP
         converged[active[flat & ~out]] = True
         active = active[~(flat | out) & (iterations[active] < _MAX_ITER)]
@@ -346,15 +343,15 @@ def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None,
     :func:`~twcm.model.check_rows`.  The fit is deterministic and does not
     read ``config``."""
     data = check_rows(data, family_domains(families))
-    margs = tuple(fit_mle(fam, data[:, i], weights) for i, fam in enumerate(families))
-    cop = fit_copula(copula_scale(margs, data), weights=weights, start=start)
+    n = data.shape[0]
+    w = row_weights(weights, n)
+    margs = tuple(fit_mle(fam, data[:, i], w) for i, fam in enumerate(families))
+    cop = fit_copula(copula_scale(margs, data), weights=w, start=start)
     model = TwcmModel(rho=cop.rho, marginals=margs)
     # the joint log density is the copula's plus 3 log 2 pi plus the
     # marginal log densities, so the marginal CDFs are not evaluated again
     marg_ll = sum(m.logpdf(data[:, i]) for i, m in enumerate(margs))
     require_positive_density(marg_ll)
-    n = data.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     loglik = cop.loglik + 3.0 * w.sum() * math.log(TWO_PI) + float(w @ marg_ll)
     p = model.n_free_params
     aic, bic = information_criteria(loglik, p, n)

@@ -38,6 +38,13 @@ def _cos_fraction(v: Fraction) -> Fraction:
         total += term
     return total
 
+
+def _vonmises_cdf_terms(kappa: float) -> int:
+    """Untrimmed length of the von Mises CDF series, far past its last term
+    above the 2^-60 tail: the reference for the trimmed coefficients."""
+    return int(max(32, kappa + 12.0 * np.sqrt(kappa + 1.0) + 20.0))
+
+
 ALL_MODELS = [
     CircularUniform(),
     WrappedCauchy(mu=1.0, xi=0.5),
@@ -239,8 +246,7 @@ class TestVonMisesAcrossKappa:
 
     @pytest.fixture(autouse=True)
     def _fresh_caches(self):
-        # per-kappa coefficients and start tables are built inside each test
-        marginals._vonmises_coefficients.cache_clear()
+        # per-kappa CDF and start tables are built inside each test
         marginals._vonmises_start_table.cache_clear()
         marginals._vonmises_cdf_table.cache_clear()
 
@@ -266,7 +272,7 @@ class TestVonMisesAcrossKappa:
         # the series y/2pi + sum_k I_k/I_0 sin(k y)/(k pi) summed term by
         # term over the same terms; the two sums differ only in rounding
         x = TWO_PI * np.random.default_rng(20).random(300)
-        k = np.arange(1, marginals._vonmises_cdf_terms(kappa) + 1)
+        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
         ratios = ive(k, kappa) / i0e(kappa)
         direct = x / TWO_PI + (ratios / k) @ np.sin(np.outer(k, x)) / np.pi
         m = VonMises(mu=0.0, kappa=kappa)
@@ -276,7 +282,7 @@ class TestVonMisesAcrossKappa:
     def test_trimmed_series_matches_full_series(self, kappa):
         # the dropped tail adds at most 2^-60; the rest is rounding
         y = TWO_PI * np.random.default_rng(21).random(300)
-        k = np.arange(1, marginals._vonmises_cdf_terms(kappa) + 1)
+        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
         full = ive(k, kappa) / i0e(kappa) / (k * np.pi)
         untrimmed = np.clip(y / TWO_PI + marginals._sine_series(y, full), 0.0, 1.0)
         m = VonMises(mu=0.0, kappa=kappa)
@@ -300,7 +306,7 @@ class TestVonMisesAcrossKappa:
             [0.0, np.pi, np.nextafter(TWO_PI, 0.0)],
         ])
         y = y[(y >= 0.0) & (y < TWO_PI)]
-        k = np.arange(1, marginals._vonmises_cdf_terms(kappa) + 1)
+        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
         full = np.trim_zeros(ive(k, kappa) / i0e(kappa) / (k * np.pi), "b")
         bound = 1e-15 if kappa == marginals.KAPPA_MAX else 6e-16
         np.testing.assert_allclose(
@@ -325,6 +331,15 @@ class TestVonMisesAcrossKappa:
 
     def test_trimmed_term_count(self):
         assert marginals._vonmises_coefficients(84.4).size <= 90
+
+    @pytest.mark.parametrize("kappa", np.geomspace(1e-3, marginals.KAPPA_MAX, 40))
+    def test_coefficients_equal_trimmed_full_series(self, kappa):
+        # the sqrt(kappa) bound on the evaluated terms drops no kept term
+        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
+        full = ive(k, kappa) / i0e(kappa) / (k * np.pi)
+        tail = np.cumsum(np.abs(full[::-1]))[::-1]
+        kept = full[: np.count_nonzero(tail > marginals._SERIES_TAIL)]
+        np.testing.assert_array_equal(marginals._vonmises_coefficients(kappa), kept)
 
     @pytest.mark.parametrize("method", ["cdf", "quantile"])
     def test_blocked_series_matches_block_by_block(self, method):
