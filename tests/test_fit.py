@@ -185,16 +185,16 @@ class TestFitCopula:
         with pytest.raises(InvalidParameterError):
             fit_copula(u, start=RhoVector(1.0, 1.0, 1.0))
 
-    @pytest.mark.parametrize("scale", [2.0, 0.5])
-    def test_constant_weights_match_unweighted(self, scale):
+    def test_constant_weights_match_unweighted(self):
         # scaling every weight by a power of two is exact in every sum and
         # in the stop, which is relative to the total weight
         u = copula_sample(800, RHO_333, seed=5)
         a = fit_copula(u)
-        b = fit_copula(u, weights=np.full(len(u), scale))
-        np.testing.assert_array_equal(a.rho.as_array(), b.rho.as_array())
-        assert b.loglik == scale * a.loglik
-        assert b.iterations == a.iterations
+        for scale in (2.0, 0.5):
+            b = fit_copula(u, weights=np.full(len(u), scale))
+            np.testing.assert_array_equal(a.rho.as_array(), b.rho.as_array())
+            assert b.loglik == scale * a.loglik
+            assert b.iterations == a.iterations
 
     def test_stops_at_a_negligible_newton_decrement(self):
         # here a stop on two small gains in the log-likelihood left a
