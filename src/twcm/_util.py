@@ -17,7 +17,17 @@ _UNIT_CONC_TOL = 1e-12
 
 def wrap_angle(x):
     """Reduce angles to [0, 2*pi). Accepts scalars or arrays."""
-    return np.mod(x, TWO_PI)
+    return _below_full_turn(np.mod(x, TWO_PI))
+
+
+def _below_full_turn(r):
+    """``r`` reduced by ``np.mod`` or ``%`` by 2 pi, with 2 pi itself set to
+    0: both round an angle just below a multiple of 2 pi, such as -1e-17,
+    up to 2 pi.  One comparison; an array is changed in place."""
+    if isinstance(r, float):  # a Python float or a NumPy float64 scalar
+        return 0.0 if r == TWO_PI else r
+    r[r == TWO_PI] = 0.0
+    return r
 
 
 def float_if_scalar(out):
@@ -150,7 +160,7 @@ def moebius_map(center, xi, sin_half, cos_half):
     b = (1.0 - xi) / (1.0 + xi)
     # atan2 form of mu + 2*arctan(b*tan(u/2)), continuous across u = pi;
     # `%` is np.mod on arrays and skips a ufunc call on a NumPy scalar
-    return (center + 2.0 * np.arctan2(b * sin_half, cos_half)) % TWO_PI
+    return _below_full_turn((center + 2.0 * np.arctan2(b * sin_half, cos_half)) % TWO_PI)
 
 
 def periodic_grid(n):

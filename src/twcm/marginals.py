@@ -11,12 +11,15 @@ The von Mises CDF has no closed form.  Its exact Fourier series is summed
 once per kappa, at the nodes of a piecewise Chebyshev table of degree 16
 that then gives the CDF at any angle to within 6e-16 of the series (1e-15
 at KAPPA_MAX, where the series' own rounding is that large); the table
-costs at most one series pass over 493 values and is cached per kappa.  The
+costs at most one series pass over 493 values, stores at most 29 fitted
+intervals (about 53 KB at KAPPA_MAX) and is cached per kappa.  The
 quantile starts from a second per-kappa table and takes two Newton steps.
 
 Each fit is one deterministic solver: the von Mises mean direction in
 closed form and kappa by Newton on A1(kappa) = rbar; the wrapped Cauchy
-by Kent & Tyler's (1988) fixed point; the cardioid by Newton ascent on
+by Newton ascent in the chart that moves the current fit to the centre of
+the unit disk, with Kent & Tyler's (1988) fixed-point step as its
+safeguard; the cardioid by Newton ascent on
 its concave log-likelihood, exact at the cap |rho_c| = RHO_C_MAX; the
 Weibull shape by Newton on the profile equation inside the bracket its
 sign gives, and the scale in closed form.
@@ -50,8 +53,11 @@ KAPPA_MAX = 1e6
 XI_MAX = 1.0 - 1e-9
 RHO_C_MAX = 0.5 - 1e-9
 
-# Kent-Tyler stops once psi moves by less than RTOL (1 - xi) plus about
-# two ulps, the Newton solves once their step is below _NEWTON_TOL
+# The wrapped Cauchy ascent stops on a Newton decrement of at most
+# _DECREMENT_TOL times the total weight (fit_copula's rule), or on a
+# Kent-Tyler step that moves psi by less than RTOL (1 - xi) plus about two
+# ulps; the other Newton solves once their step is below _NEWTON_TOL
+_DECREMENT_TOL = 1e-10
 _KENT_TYLER_RTOL = 1e-10
 _NEWTON_TOL = 1e-12
 _MAX_ITER = 10_000
@@ -224,36 +230,96 @@ class WrappedCauchy(Marginal):
     @classmethod
     def fit(cls, data, weights=None):
         theta, w = _weights_or_ones(data, weights)
-        mu, xi = _weighted_circular_moment(theta, w)
         atoms, inverse = np.unique(wrap_angle(theta), return_inverse=True)
         atom_w = np.bincount(inverse, weights=w)
         if 2.0 * atom_w.max() >= w.sum():
             # an angle holding half the weight makes the likelihood
             # unbounded as xi -> 1 there (Kent & Tyler 1988)
             mu, xi = float(atoms[np.argmax(atom_w)]), 1.0
-        elif xi < XI_MAX:
-            # Kent & Tyler's fixed point: with psi = xi e^{i mu} and
-            # eta = 2 psi / (1 + |psi|^2), the likelihood equations read
-            # eta = sum u_j x_j / sum u_j, u_j = w_j / |x_j - psi|^2.  Each
-            # step maps eta back by xi = (1 - sqrt(1 - |eta|^2)) / |eta|,
-            # written in g = 1 - |eta| = sum u_j |x_j - m|^2 / (2 sum u_j)
-            # (m the unit vector along eta) so no digits cancel as xi -> 1.
-            c, s = np.cos(theta), np.sin(theta)
-            psi = xi * np.array([math.cos(mu), math.sin(mu)])
-            for _ in range(_MAX_ITER):
-                u = w / ((c - psi[0]) ** 2 + (s - psi[1]) ** 2)
-                m = np.array([u @ c, u @ s])
-                m /= math.hypot(*m)
-                g = 0.5 * float(u @ ((c - m[0]) ** 2 + (s - m[1]) ** 2) / u.sum())
-                xi = (1.0 - g) / (1.0 + math.sqrt(g * (2.0 - g)))
-                psi, old = xi * m, psi
-                if math.hypot(*(psi - old)) <= _KENT_TYLER_RTOL * (1.0 - xi) + 4e-16:
-                    break
-            mu = math.atan2(m[1], m[0])
+        else:
+            mu, xi, _ = _wrapped_cauchy_mle(theta, w)
         if xi >= XI_MAX:
             _warn_capped("wrapped Cauchy xi")
             xi = XI_MAX
         return cls(mu=mu, xi=xi)
+
+
+def _wrapped_cauchy_mle(theta, w):
+    """Weighted wrapped Cauchy MLE as ``(mu, xi, iterations)`` when no angle
+    holds half the weight W; a start at or past XI_MAX is returned as is.
+
+    With psi = xi e^{i mu} and x_j = e^{i theta_j} the log-likelihood is
+    W log(1 - |psi|^2) - sum w_j log|x_j - psi|^2 plus a constant, with one
+    maximum (Copas 1975, through McCullagh's 1996 Moebius map).  Newton's
+    method climbs to it from the weighted mean resultant.  Each iteration
+    moves the current psi to 0 by the disk map z -> (z - psi) / (1 -
+    conj(psi) z), which changes the log-likelihood by a constant only and
+    takes x_j to y_j = e^{i alpha_j}, alpha_j = 2 pi F(theta_j) under the
+    current fit.  At 0 the gradient is 2 s and the Hessian -4 adj(M), with
+    s = sum w_j y_j and M = sum w_j y_j y_j^T, so the Newton step is
+    M s / (2 det M) and the Newton decrement s^T M s / det M.  The state is
+    mu and the Cauchy scale b = (1 - xi) / (1 + xi) of
+    :func:`~twcm._util.moebius_map`; 1 - xi and 1 - xi^2 are only ever
+    formed as products, so they keep their digits as xi -> 1.  Where det M
+    is not positive, or the step leaves the disk or fails Armijo's test,
+    the iteration takes Kent & Tyler's (1988) fixed-point step instead,
+    which never lowers the likelihood.  In this chart it maps eta = s / W
+    to (1 - sqrt(1 - |eta|^2)) / |eta| along eta, written in g = 1 - |eta|
+    = sum w_j |y_j - e|^2 / 2W (e the unit vector along eta) so that no
+    digits cancel.  The ascent stops once a Newton step's decrement is at
+    most _DECREMENT_TOL W, or once a Kent-Tyler step moves psi by at most
+    _KENT_TYLER_RTOL (1 - xi) plus about two ulps.
+    """
+    total = w.sum()
+    mu, xi = _weighted_circular_moment(theta, w)
+    if not xi < XI_MAX:
+        return mu, xi, 0
+    b = (1.0 - xi) / (1.0 + xi)
+    cos_half, sin_half = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    for iteration in range(1, _MAX_ITER + 1):
+        # y_j = e^{i alpha_j}, with tan(alpha_j / 2) = tan((theta_j - mu) / 2) / b
+        cm, sm = math.cos(0.5 * mu), math.sin(0.5 * mu)
+        bc = (b * cm) * cos_half + (b * sm) * sin_half
+        sn = cm * sin_half - sm * cos_half
+        bc2, sn2 = bc * bc, sn * sn
+        r2 = bc2 + sn2
+        y = np.stack([(bc2 - sn2) / r2, 2.0 * bc * sn / r2])
+        wy = y * w
+        s, m = wy.sum(axis=1), wy @ y.T
+        det = m[0, 0] * m[1, 1] - m[0, 1] ** 2
+        newton = False
+        if det > 0.0:
+            step = (m @ s) / (2.0 * det)
+            decrement = 2.0 * float(s @ step)
+            norm2 = float(step @ step)
+            newton = norm2 < 1.0 and (
+                total * math.log1p(-norm2) - float(w @ np.log1p(norm2 - 2.0 * (step @ y)))
+                >= _ARMIJO * decrement
+            )
+        if newton:
+            shrink = 1.0 - norm2  # 1 - |step|^2
+        else:
+            unit = s / math.hypot(*s)
+            g = 0.5 * float(w @ ((y[0] - unit[0]) ** 2 + (y[1] - unit[1]) ** 2)) / total
+            root = math.sqrt(g * (2.0 - g))
+            step = unit * ((1.0 - g) / (1.0 + root))
+            shrink = (g + root) * (2.0 - g + root) / (1.0 + root) ** 2
+        # back from the chart: psi moves to xi + phi (1 - xi^2) / (1 + xi phi),
+        # and 1 - |psi|^2 to (1 - xi^2) (1 - |phi|^2) / |1 + xi phi|^2
+        phi = complex(step[0], step[1])
+        xi = (1.0 - b) / (1.0 + b)
+        gap = 4.0 * b / (1.0 + b) ** 2  # 1 - xi^2
+        den = 1.0 + xi * phi
+        psi = xi + phi * (gap / den)
+        mu += math.atan2(psi.imag, psi.real)
+        xi = abs(psi)
+        b = gap * shrink / abs(den) ** 2 / (1.0 + xi) ** 2
+        if newton:
+            if decrement <= _DECREMENT_TOL * total:
+                break
+        elif abs(phi) * gap / abs(den) <= _KENT_TYLER_RTOL * (1.0 - xi) + 4e-16:
+            break
+    return mu, (1.0 - b) / (1.0 + b), iteration
 
 
 # The CDF series drops trailing terms that sum to at most _SERIES_TAIL in
@@ -301,11 +367,13 @@ def _sine_series(y, coef):
 
 
 @functools.lru_cache(maxsize=32)
-def _vonmises_cdf_table(kappa: float) -> np.ndarray:
-    """Chebyshev coefficients, shape (_TABLE_DEGREE + 1, J), of the sine
-    part S(y) = F(y) - y / 2pi of the CDF on J = ceil(2 pi sqrt(kappa + 1))
-    equal intervals [a_j, a_j + h) of [0, 2 pi), h = 2 pi / J, in the
-    variable t = (y - a_j) (2 / h) - 1.
+def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise Chebyshev table of the sine part S(y) = F(y) - y / 2pi of
+    the CDF on J = ceil(2 pi sqrt(kappa + 1)) equal intervals [a_j, a_j + h)
+    of [0, 2 pi), h = 2 pi / J, in the variable t = (y - a_j) (2 / h) - 1.
+    Returns ``(coef, row)``: the Chebyshev coefficients of the F fitted
+    intervals, one row of _TABLE_DEGREE + 1 each, shape (F, 17), and the
+    (J,) index of each interval's row in ``coef``, -1 on a linear interval.
 
     An interval is about one standard deviation wide, where S is smooth
     enough for degree 16 to reach rounding: the table is within 6e-16 of
@@ -315,57 +383,66 @@ def _vonmises_cdf_table(kappa: float) -> np.ndarray:
     solved at the float nodes through the map t that evaluation uses, so
     that node rounding does not enter the fit.  Where w = kappa (1 - cos y)
     exceeds _START_WMAX on a whole interval, F is 1/2 to within 2^-54 (see
-    _vonmises_start_table) and S = 1/2 - y / 2pi exactly, with no series
-    call, so the build sums the series at most at 29 * 17 points whatever
-    kappa is.
+    _vonmises_start_table) and S = 1/2 - y / 2pi exactly: that interval is
+    linear, evaluated from its index by :func:`_table_sine` and not stored.
+    So the build sums the series at most at 29 * 17 points, and F is at
+    most 29, whatever kappa is.
     """
     n = math.ceil(TWO_PI * math.sqrt(kappa + 1.0))
     h = TWO_PI / n
     edges = h * np.arange(n + 1)
     w = 2.0 * kappa * np.sin(0.5 * edges) ** 2
     fitted = (w[:-1] <= _START_WMAX) | (w[1:] <= _START_WMAX)
-    table = np.zeros((_TABLE_DEGREE + 1, n))
-    table[0] = 0.5 - (edges[:-1] + 0.5 * h) / TWO_PI
-    table[1] = -0.5 * h / TWO_PI
+    row = np.full(n, -1, dtype=np.intp)
+    row[fitted] = np.arange(np.count_nonzero(fitted))
     a = edges[:-1][fitted, None]
     nodes = np.cos(np.pi * np.arange(_TABLE_DEGREE, -1, -1) / _TABLE_DEGREE)
     y = a + (nodes + 1.0) * (0.5 * h)
     t = (y - a) * (2.0 / h) - 1.0
     s = _sine_series(y, _vonmises_coefficients(kappa))
     # the explicit trailing axis makes s a stack of columns on NumPy 1 and 2
-    coef = np.linalg.solve(chebvander(t, _TABLE_DEGREE), s[..., None])
-    table[:, fitted] = coef[..., 0].T
-    table.flags.writeable = False
-    return table
+    coef = np.linalg.solve(chebvander(t, _TABLE_DEGREE), s[..., None])[..., 0]
+    for arr in (coef, row):
+        arr.flags.writeable = False
+    return coef, row
 
 
-def _table_sine(y, table: np.ndarray) -> np.ndarray:
+def _table_sine(y, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """S(y) from :func:`_vonmises_cdf_table` at a flat array y in [0, 2 pi].
 
-    Each block of _SERIES_BLOCK values gathers its intervals' coefficients
-    and runs Clenshaw's recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on
+    Each block of _SERIES_BLOCK values gathers its intervals' coefficient
+    rows and runs Clenshaw's recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on
     every value by itself, so a value's result does not depend on the rest
-    of the array.
+    of the array.  On a linear interval j the recurrence would reduce to
+    c_1 t + c_0, with c_1 = -h / 4 pi and c_0 = 1/2 - (a_j + h / 2) / 2 pi;
+    that is computed instead, bit for bit.
     """
-    n = table.shape[1]
+    coef, row = table
+    n = row.size
     h = TWO_PI / n
     out = np.empty_like(y)
     for start in range(0, y.size, _SERIES_BLOCK):
         block = y[start:start + _SERIES_BLOCK]
         # fmin maps NaN to the last interval, and t keeps it NaN
         j = np.fmin(block * (n / TWO_PI), n - 1).astype(np.intp)
-        c = table[:, j]
+        k = row[j]
+        # one gather of whole rows, read a coefficient column at a time
+        c = coef[k]
         t = (block - j * h) * (2.0 / h) - 1.0
         t2 = 2.0 * t
-        b1, b2, tmp = c[_TABLE_DEGREE], np.zeros_like(t), np.empty_like(t)
-        for k in range(_TABLE_DEGREE - 1, 0, -1):
+        b1, b2, tmp = c[:, _TABLE_DEGREE].copy(), np.zeros_like(t), np.empty_like(t)
+        for i in range(_TABLE_DEGREE - 1, 0, -1):
             np.multiply(t2, b1, out=tmp)
             tmp -= b2
-            tmp += c[k]
+            tmp += c[:, i]
             b1, b2, tmp = tmp, b1, b2
         b1 *= t
         b1 -= b2
-        b1 += c[0]
+        b1 += c[:, 0]
+        linear = k < 0
+        if linear.any():
+            jl = j[linear]
+            b1[linear] = (-0.5 * h / TWO_PI) * t[linear] + (0.5 - (jl * h + 0.5 * h) / TWO_PI)
         out[start:start + block.size] = b1
     return out
 

@@ -63,9 +63,7 @@ class MixtureModel(JsonFile):
 
     def component_log_densities(self, data) -> np.ndarray:
         """(n, K) matrix of log(pi_k) + log f_k; -inf where f_k is zero."""
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        return np.column_stack([np.log(w) + comp.log_density(data)
-                                for w, comp in zip(self.weights, self.components)])
+        return _log_f(self.components, data) + np.log(self.weights)
 
     def log_density(self, data):
         """Mixture log density at one triple or an (n, 3) block."""
@@ -121,6 +119,12 @@ def responsibilities(model: MixtureModel, data) -> np.ndarray:
     """Posterior component probabilities per row, computed in log space;
     raises on rows where every component has zero density."""
     return _e_step(model.component_log_densities(data))[1]
+
+
+def _log_f(components, data) -> np.ndarray:
+    """(n, K) matrix of the component log densities log f_k."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    return np.column_stack([comp.log_density(data) for comp in components])
 
 
 def _e_step(log_wd):
@@ -227,16 +231,18 @@ def _em_single(data, k, families, rng, restart_index, max_iter):
         for n_iter in range(max_iter + 1):
             model = MixtureModel(weights=tuple(weights / weights.sum()),
                                  components=tuple(comps))
-            log_wd = model.component_log_densities(data)
-            total, resp = _e_step(log_wd)
+            # log f_j kept apart from log pi_j, so that a column reused
+            # below adds up exactly as model.component_log_densities does
+            log_f = _log_f(comps, data)
+            total, resp = _e_step(log_f + np.log(model.weights))
             if trace and total.sum() < trace[-1]:
                 # the refits together lowered the log-likelihood: keep only
                 # those that raised their own component's Q_j (generalized EM)
                 old, old_log_f, keep = last_step
                 comps = [c if kept else o for c, o, kept in zip(comps, old, keep)]
                 model = MixtureModel(weights=model.weights, components=tuple(comps))
-                log_wd = np.where(keep, log_wd, old_log_f + np.log(model.weights))
-                total, resp = _e_step(log_wd)
+                log_f = np.where(keep, log_f, old_log_f)
+                total, resp = _e_step(log_f + np.log(model.weights))
             mass = resp.sum(axis=0)
             if n_iter:
                 ll = float(total.sum())
@@ -258,7 +264,7 @@ def _em_single(data, k, families, rng, restart_index, max_iter):
                         )
                     block = rng.choice(n, size=max(20, n // (5 * k)), replace=False)
                     comps[j] = fit_ifm(data[block], families).model
-                    log_wd[:, j] = -np.inf  # so its M-step refit is kept
+                    log_f[:, j] = -np.inf  # so its M-step refit is kept
                     resp[:, j] = 1.0 / k
                     resp /= resp.sum(axis=1, keepdims=True)
                     mass = resp.sum(axis=0)
@@ -267,7 +273,6 @@ def _em_single(data, k, families, rng, restart_index, max_iter):
             cands = [fit_ifm(data, families, weights=resp[:, j], start=comps[j].rho)
                      for j in range(k)]
             # Q_j = sum_i resp_ij log f_j(x_i), which cand.loglik is for the refit
-            log_f = log_wd - np.log(model.weights)
             keep = np.array([c.loglik >= resp[:, j] @ log_f[:, j] for j, c in enumerate(cands)])
             last_step = comps, log_f, keep
             comps = [c.model for c in cands]

@@ -24,7 +24,7 @@ from twcm import (
     fit_mle,
 )
 from twcm import marginals
-from twcm._util import wc_log_density
+from twcm._util import moebius_map, wc_log_density, wrap_angle
 
 TWO_PI = 2.0 * np.pi
 PI_FRACTION = Fraction("3.14159265358979323846264338327950288419716939937511")
@@ -56,6 +56,51 @@ ALL_MODELS = [
     Weibull(shape=0.8, scale=3.0),
 ]
 IDS = ["uniform", "wc+", "wc-", "vm_hi", "vm_lo", "cardioid", "wb2", "wb08"]
+
+
+def _table_test_points(n):
+    """Random points, every end of n equal intervals of [0, 2 pi), one ulp
+    either side of it, 0, pi and the last float below 2 pi."""
+    ends = TWO_PI / n * np.arange(n + 1)
+    y = np.concatenate([
+        TWO_PI * np.random.default_rng(24).random(300),
+        ends, np.nextafter(ends, -1.0), np.nextafter(ends, 7.0),
+        [0.0, np.pi, np.nextafter(TWO_PI, 0.0)],
+    ])
+    return y[(y >= 0.0) & (y < TWO_PI)]
+
+
+def _full_table_sine(y, table):
+    """Clenshaw's recurrence on a (17, J) table holding every interval, one
+    value at a time in the order of :func:`marginals._table_sine`."""
+    n = table.shape[1]
+    h = TWO_PI / n
+    j = np.fmin(y * (n / TWO_PI), n - 1).astype(np.intp)
+    c = table[:, j]
+    t = (y - j * h) * (2.0 / h) - 1.0
+    b1, b2 = c[-1], np.zeros_like(t)
+    for k in range(table.shape[0] - 2, 0, -1):
+        b1, b2 = 2.0 * t * b1 - b2 + c[k], b1
+    return b1 * t - b2 + c[0]
+
+
+def _kent_tyler(theta, w):
+    """Kent & Tyler's (1988) fixed point from the weighted mean resultant,
+    stopped once psi moves by at most 1e-10 (1 - xi) plus about two ulps:
+    the reference for the wrapped Cauchy fit.  Returns (mu, xi, steps)."""
+    z = np.sum(w * np.exp(1j * theta)) / w.sum()
+    c, s = np.cos(theta), np.sin(theta)
+    psi = np.abs(z) * np.array([np.cos(np.angle(z)), np.sin(np.angle(z))])
+    for steps in range(1, 10_001):
+        u = w / ((c - psi[0]) ** 2 + (s - psi[1]) ** 2)
+        m = np.array([u @ c, u @ s])
+        m /= np.hypot(*m)
+        g = 0.5 * (u @ ((c - m[0]) ** 2 + (s - m[1]) ** 2)) / u.sum()
+        xi = (1.0 - g) / (1.0 + np.sqrt(g * (2.0 - g)))
+        psi, old = xi * m, psi
+        if np.hypot(*(psi - old)) <= 1e-10 * (1.0 - xi) + 4e-16:
+            break
+    return np.arctan2(m[1], m[0]), xi, steps
 
 
 def integrate_pdf(m):
@@ -299,13 +344,7 @@ class TestVonMisesAcrossKappa:
         # over its 8 500 terms reaches 5.7e-16 against a 40-digit integral,
         # so there the two roundings add up to at most 1e-15.
         table = marginals._vonmises_cdf_table(kappa)
-        ends = TWO_PI / table.shape[1] * np.arange(table.shape[1] + 1)
-        y = np.concatenate([
-            TWO_PI * np.random.default_rng(24).random(300),
-            ends, np.nextafter(ends, -1.0), np.nextafter(ends, 7.0),
-            [0.0, np.pi, np.nextafter(TWO_PI, 0.0)],
-        ])
-        y = y[(y >= 0.0) & (y < TWO_PI)]
+        y = _table_test_points(table[1].size)
         k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
         full = np.trim_zeros(ive(k, kappa) / i0e(kappa) / (k * np.pi), "b")
         bound = 1e-15 if kappa == marginals.KAPPA_MAX else 6e-16
@@ -328,6 +367,30 @@ class TestVonMisesAcrossKappa:
         monkeypatch.setattr(marginals, "_sine_series", counted)
         marginals._vonmises_cdf_table(kappa)
         assert 0 < sum(points) <= 32 * (marginals._TABLE_DEGREE + 1)
+
+    @pytest.mark.parametrize("kappa", [17.3, 27.6, 84.4, 1e5, marginals.KAPPA_MAX])
+    def test_cdf_equals_full_table(self, kappa):
+        # the stored table leaves out the linear intervals; the CDF must be
+        # bit for bit what Clenshaw's recurrence gives on the full table,
+        # those intervals' two coefficients included
+        coef, row = marginals._vonmises_cdf_table(kappa)
+        n = row.size
+        h = TWO_PI / n
+        full = np.zeros((marginals._TABLE_DEGREE + 1, n))
+        full[0] = 0.5 - (h * np.arange(n) + 0.5 * h) / TWO_PI
+        full[1] = -0.5 * h / TWO_PI
+        full[:, row >= 0] = coef.T
+        y = np.concatenate([
+            _table_test_points(n), TWO_PI * np.random.default_rng(25).random(10**6)
+        ])
+        m = VonMises(mu=0.0, kappa=kappa)
+        expected = np.clip(y / TWO_PI + _full_table_sine(y, full), 0.0, 1.0)
+        np.testing.assert_array_equal(m.cdf(y).view(np.int64), expected.view(np.int64))
+
+    def test_table_storage_bounded_at_kappa_max(self):
+        # only the fitted intervals (18 at KAPPA_MAX) are stored, not all 6284
+        coef, row = marginals._vonmises_cdf_table(marginals.KAPPA_MAX)
+        assert coef.nbytes + row.nbytes <= 64 * 1024
 
     def test_trimmed_term_count(self):
         assert marginals._vonmises_coefficients(84.4).size <= 90
@@ -435,11 +498,12 @@ class TestFit:
         ],
     )
     def test_constant_weights_match_unweighted(self, family, true):
+        # weights of a power of two scale every weighted sum exactly
         data = true.sample(500, seed=13)
         a = fit_mle(family, data)
-        b = fit_mle(family, data, weights=np.full(data.shape, 2.0))
-        for key, val in a.params_dict().items():
-            assert val == pytest.approx(b.params_dict()[key], abs=1e-8)
+        for factor in (2.0, 0.5):
+            b = fit_mle(family, data, weights=np.full(data.shape, factor))
+            assert b.params_dict() == a.params_dict()
 
     @pytest.mark.parametrize(
         "family,true",
@@ -456,7 +520,7 @@ class TestFit:
         weighted = fit_mle(family, data, weights=w.astype(float))
         replicated = fit_mle(family, np.repeat(data, w))
         for key, val in weighted.params_dict().items():
-            assert val == pytest.approx(replicated.params_dict()[key], abs=1e-8)
+            assert val == pytest.approx(replicated.params_dict()[key], abs=1e-12)
 
     def test_identical_circular_data_warns_and_caps(self):
         data = np.full(50, 1.5)
@@ -483,6 +547,48 @@ class TestFit:
             m = fit_mle("wrapped_cauchy", data)
         assert m.xi == marginals.XI_MAX
         assert m.mu == 1.0
+
+    @staticmethod
+    def _wc_loglik(theta, w, mu, xi):
+        return float(w @ wc_log_density(theta, mu, min(xi, marginals.XI_MAX)))
+
+    @pytest.mark.parametrize(
+        "mu,xi,n,seed,atom,max_iterations",
+        [
+            (2.0, 0.5, 1000, 1, 490, 50),
+            (1.0, 0.999999, 1000, 0, 0, None),
+            (1.0, 0.6, 1000, 0, 0, None),
+            (1.0, -0.9, 40, 2, 0, None),
+        ],
+        ids=["atom", "xi=0.999999", "xi=0.6", "xi=-0.9"],
+    )
+    def test_wrapped_cauchy_newton_beats_kent_tyler(self, mu, xi, n, seed, atom,
+                                                    max_iterations):
+        # with 490 of 1000 points at one angle the fixed point's contraction
+        # rate nears 1 and it takes 1040 steps; Newton's method converges
+        # quadratically, in no more iterations than the fixed point takes
+        # steps, and ends no lower
+        theta = WrappedCauchy(mu=mu, xi=xi).sample(n, seed=seed)
+        theta[:atom] = 1.0
+        w = np.ones(n)
+        fit_mu, fit_xi, iterations = marginals._wrapped_cauchy_mle(theta, w)
+        ref_mu, ref_xi, steps = _kent_tyler(theta, w)
+        assert iterations <= (steps if max_iterations is None else max_iterations)
+        reference = self._wc_loglik(theta, w, ref_mu, ref_xi)
+        assert self._wc_loglik(theta, w, fit_mu, fit_xi) >= reference - 1e-12 * abs(reference)
+        assert fit_mle("wrapped_cauchy", theta) == WrappedCauchy(mu=fit_mu, xi=fit_xi)
+
+    def test_wrapped_cauchy_ascent_never_falls(self, monkeypatch):
+        # at this seed the first Newton step leaves the likelihood 428 nats
+        # lower; Armijo's test sends it to the Kent-Tyler step instead
+        theta = WrappedCauchy(mu=1.0, xi=0.9999).sample(1000, seed=1)
+        w = np.ones(theta.size)
+        iterations = marginals._wrapped_cauchy_mle(theta, w)[2]
+        values = []
+        for k in range(1, iterations + 1):
+            monkeypatch.setattr(marginals, "_MAX_ITER", k)
+            values.append(self._wc_loglik(theta, w, *marginals._wrapped_cauchy_mle(theta, w)[:2]))
+        assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
 
     def test_cardioid_optimum_on_the_cap(self):
         # at this seed the unconstrained optimum lies beyond |rho_c| =
@@ -526,6 +632,20 @@ class TestParameterValidation:
             Cardioid(mu=0.0, rho_c=0.5)
         with pytest.raises(InvalidParameterError):
             Weibull(shape=0.0, scale=1.0)
+
+    @pytest.mark.parametrize("x", [-1e-17, -5e-324, -0.0, -TWO_PI * (1.0 - 2.0**-53)])
+    def test_angles_just_below_zero_wrap_below_two_pi(self, x):
+        # np.mod and % round a tiny negative angle up to 2 pi itself; that
+        # one value becomes 0, and every other stays as np.mod gives it
+        reduced = np.mod(x, TWO_PI)
+        expected = 0.0 if reduced == TWO_PI else reduced
+        for out in (
+            wrap_angle(x), wrap_angle(np.array([x, x]))[1],
+            moebius_map(x, 0.5, 0.0, 1.0), moebius_map(np.array([x, x]), 0.5, 0.0, 1.0)[1],
+            WrappedCauchy(mu=x, xi=0.5).mu,
+        ):
+            assert out == expected
+        assert 0.0 <= CircularUniform().cdf(x) < 1.0
 
     def test_mu_normalized_to_period(self):
         m = WrappedCauchy(mu=-1.0, xi=0.2)
