@@ -259,8 +259,8 @@ def _wrapped_cauchy_mle(theta, w):
     s = sum w_j y_j and M = sum w_j y_j y_j^T, so the Newton step is
     M s / (2 det M) and the Newton decrement s^T M s / det M.  The state is
     mu and the Cauchy scale b = (1 - xi) / (1 + xi) of
-    :func:`~twcm._util.moebius_map`; 1 - xi and 1 - xi^2 are only ever
-    formed as products, so they keep their digits as xi -> 1.  Where det M
+    :func:`~twcm._util.moebius_map`, and 1 - xi^2 is only ever formed as a
+    product, so the state keeps its digits as xi -> 1.  Where det M
     is not positive, or the step leaves the disk or fails Armijo's test,
     the iteration takes Kent & Tyler's (1988) fixed-point step instead,
     which never lowers the likelihood.  In this chart it maps eta = s / W
