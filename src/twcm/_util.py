@@ -1,9 +1,13 @@
 """Shared numerical helpers: angle wrapping, the wrapped Cauchy law (one
-log density and one Moebius draw, used by the marginal and by every copula
-kernel), the scalar-in, float-out return contract, the zero-density check
-and the row-weight check."""
+log density, one CDF and one Moebius draw: the log density and the CDF
+both read the sin and cos of one :class:`HalfOffset`, so that the marginal
+computes that pair once for both, and the log density serves every copula
+kernel too), the scalar-in, float-out return contract, the zero-density
+check and the row-weight check."""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -20,13 +24,14 @@ def wrap_angle(x):
     return _below_full_turn(np.mod(x, TWO_PI))
 
 
-def _below_full_turn(r):
-    """``r`` reduced by ``np.mod`` or ``%`` by 2 pi, with 2 pi itself set to
-    0: both round an angle just below a multiple of 2 pi, such as -1e-17,
-    up to 2 pi.  One comparison; an array is changed in place."""
+def _below_full_turn(r, turn=TWO_PI):
+    """``r`` reduced by ``np.mod`` or ``%`` by 2 pi (or lifted into one
+    ``turn``), with the full turn itself set to 0: both round an angle just
+    below a multiple of the turn, such as -1e-17, up to the turn.  One
+    comparison; an array is changed in place."""
     if isinstance(r, float):  # a Python float or a NumPy float64 scalar
-        return 0.0 if r == TWO_PI else r
-    r[r == TWO_PI] = 0.0
+        return 0.0 if r == turn else r
+    r[r == turn] = 0.0
     return r
 
 
@@ -99,26 +104,49 @@ def effective_concentration(conc):
     return float_if_scalar(reflect_concentration(a))
 
 
+class HalfOffset:
+    """The unwrapped half offset h = (x - center) / 2 of the wrapped Cauchy
+    law, with ``sin`` and ``cos`` of h each computed once, when first read:
+    :func:`wc_half_log_density` reads one of them, :func:`wc_half_cdf` both.
+    No reduction mod 2 pi is needed, as both are 2 pi-periodic in x."""
+
+    def __init__(self, x, center):
+        self.h = 0.5 * (x - center)
+
+    @functools.cached_property
+    def sin(self):
+        return np.sin(self.h)
+
+    @functools.cached_property
+    def cos(self):
+        return np.cos(self.h)
+
+
 def wc_log_density(x, center, a):
     """Log density of the wrapped Cauchy law at ``center`` with
     concentration ``a`` in (-1, 1); unchecked.  Takes arrays or scalars.
+    It is :func:`wc_half_log_density` at the :class:`HalfOffset` of ``x``;
+    the marginal :class:`~twcm.marginals.WrappedCauchy` and every copula
+    kernel call it."""
+    return wc_half_log_density(HalfOffset(x, center), a)
+
+
+def wc_half_log_density(half: HalfOffset, a):
+    """Wrapped Cauchy log density at the half offset ``half``.
 
     ``(1/2pi) (1 - a^2) / (1 + a^2 - 2 a cos(x - center))``, with the
     numerator's log as ``log1p(-a) + log1p(a)``, which rounds no ``a^2``.
     The denominator is a sum of two nonnegative terms, so that no digits
-    cancel: ``(1 - a)^2 + 4 a sin^2(d/2)`` for ``a >= 0`` and
-    ``(1 + a)^2 - 4 a cos^2(d/2)`` for ``a < 0``, with d = x - center.  A
-    scalar ``a`` picks its form by a branch, an array one per element
-    only if some element is negative.  The marginal
-    :class:`~twcm.marginals.WrappedCauchy` and every copula kernel call it.
+    cancel: ``(1 - a)^2 + 4 a sin^2(h)`` for ``a >= 0`` and
+    ``(1 + a)^2 - 4 a cos^2(h)`` for ``a < 0``.  A scalar ``a`` picks its
+    form by a branch, an array one per element only if some element is
+    negative.
     """
-    half = 0.5 * (x - center)
-
     def positive():
-        return (1.0 - a) ** 2 + 4.0 * a * np.sin(half) ** 2
+        return (1.0 - a) ** 2 + 4.0 * a * half.sin ** 2
 
     def negative():
-        return (1.0 + a) ** 2 - 4.0 * a * np.cos(half) ** 2
+        return (1.0 + a) ** 2 - 4.0 * a * half.cos ** 2
 
     if np.ndim(a) == 0:
         denom = negative() if a < 0.0 else positive()
@@ -127,6 +155,22 @@ def wc_log_density(x, center, a):
     else:
         denom = positive()
     return np.log1p(-a) + np.log1p(a) - np.log(TWO_PI) - np.log(denom)
+
+
+def wc_half_cdf(half: HalfOffset, xi):
+    """Wrapped Cauchy CDF, from the origin ``center``, at the half offset
+    ``half``, for a scalar ``xi`` in (-1, 1); unchecked.
+
+    The inverse of :func:`moebius_map` (McCullagh 1996): with
+    A = (1 + xi) / (1 - xi), arg(cos h + i A sin h) / pi, which is
+    (1/pi) arctan(A tan h) continued across h = pi/2.  That lies in
+    [-1, 1]; 1 is added where it is negative, and a value that rounds up
+    to 1 (x just below ``center``) is set to 0, so the CDF is in [0, 1).
+    """
+    a = (1.0 + xi) / (1.0 - xi)
+    out = np.arctan2(a * half.sin, half.cos) / np.pi
+    out += out < 0.0  # adds 0 elsewhere, which also turns -0.0 into 0.0
+    return _below_full_turn(out, 1.0)
 
 
 def wc_kernel_log_density(x, center, conc):

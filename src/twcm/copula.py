@@ -174,14 +174,10 @@ def _bracket(cc: CopulaConstants, rho: RhoVector, c12, c13, c23):
     return cc.c1 + 2.0 * (rho.rho12 * c12 + rho.rho13 * c13 + rho.rho23 * c23)
 
 
-def _cos_diffs(u):
-    """cos of the three pairwise angle differences; u is (..., 3)."""
-    u = np.asarray(u, dtype=float)
-    return (
-        np.cos(u[..., 0] - u[..., 1]),
-        np.cos(u[..., 0] - u[..., 2]),
-        np.cos(u[..., 1] - u[..., 2]),
-    )
+def _cos_diffs(u1, u2, u3):
+    """cos of the three pairwise angle differences u1 - u2, u1 - u3 and
+    u2 - u3, one coordinate per argument."""
+    return np.cos(u1 - u2), np.cos(u1 - u3), np.cos(u2 - u3)
 
 
 def copula_log_density(u, rho: RhoVector):
@@ -190,9 +186,15 @@ def copula_log_density(u, rho: RhoVector):
     Inputs are reduced mod 2*pi; the value is invariant under common
     rotation of all three angles and under positive scaling of rho.
     """
-    cc = constants(rho)
-    out = np.log(cc.c2) - np.log(_bracket(cc, rho, *_cos_diffs(u)))
+    u = np.asarray(u, dtype=float)
+    out = log_density_columns(constants(rho), rho, u[..., 0], u[..., 1], u[..., 2])
     return float_if_scalar(out)
+
+
+def log_density_columns(cc: CopulaConstants, rho: RhoVector, u1, u2, u3):
+    """:func:`copula_log_density` with the constants ``cc`` of ``rho`` and
+    the three coordinates passed apart; unchecked."""
+    return np.log(cc.c2) - np.log(_bracket(cc, rho, *_cos_diffs(u1, u2, u3)))
 
 
 def copula_density(u, rho: RhoVector):

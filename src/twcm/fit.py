@@ -32,7 +32,7 @@ from .copula import (
 )
 from .errors import FitFailureError, InvalidParameterError
 from .marginals import CIRCULAR, family_class, fit_mle
-from .model import TwcmModel, check_rows, copula_scale
+from .model import TwcmModel, check_rows, marginal_terms
 
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
@@ -145,7 +145,7 @@ class _Pieces:
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray):
-        self.phi = np.column_stack([np.ones(u.shape[0]), *_cos_diffs(u)])
+        self.phi = np.column_stack([np.ones(u.shape[0]), *_cos_diffs(*u.T)])
         self.phi2 = (self.phi[:, :, None] * self.phi[:, None, :]).reshape(-1, 16)
         self.w = w
         self.wsum = float(w.sum())
@@ -346,11 +346,12 @@ def fit_ifm(data, families, config: FitConfig = FitConfig(), weights=None,
     n = data.shape[0]
     w = row_weights(weights, n)
     margs = tuple(fit_mle(fam, data[:, i], w) for i, fam in enumerate(families))
-    cop = fit_copula(copula_scale(margs, data), weights=w, start=start)
+    log_f, u = marginal_terms(margs, data)
+    cop = fit_copula(np.column_stack(u), weights=w, start=start)
     model = TwcmModel(rho=cop.rho, marginals=margs)
     # the joint log density is the copula's plus 3 log 2 pi plus the
     # marginal log densities, so the marginal CDFs are not evaluated again
-    marg_ll = sum(m.logpdf(data[:, i]) for i, m in enumerate(margs))
+    marg_ll = sum(log_f)
     require_positive_density(marg_ll)
     loglik = cop.loglik + 3.0 * w.sum() * math.log(TWO_PI) + float(w @ marg_ll)
     p = model.n_free_params

@@ -39,12 +39,14 @@ from scipy.special import i0e, i1e, ive
 
 from ._util import (
     TWO_PI,
+    HalfOffset,
     as_rng,
     float_if_scalar,
     half_angle_sincos,
     moebius_map,
     row_weights,
-    wc_log_density,
+    wc_half_cdf,
+    wc_half_log_density,
     wrap_angle,
 )
 from .errors import DomainError, InvalidParameterError
@@ -105,6 +107,11 @@ class Marginal:
 
     def quantile(self, p):
         raise NotImplementedError
+
+    def _logpdf_and_u(self, x):
+        """``logpdf(x)`` and the pseudo-observation ``2 pi cdf(x)`` of an
+        array ``x``: a coordinate's two terms of the joint density."""
+        return self.logpdf(x), TWO_PI * np.asarray(self.cdf(x))
 
     def _check_quantile_arg(self, p):
         p = np.asarray(p, dtype=float)
@@ -183,10 +190,12 @@ class CircularUniform(Marginal):
 class WrappedCauchy(Marginal):
     """Wrapped Cauchy with location mu and concentration xi in (-1, 1).
 
-    The log density is :func:`~twcm._util.wc_log_density`, the one the
-    copula kernels use; the quantile, and so sampling, is the Moebius
-    transform :func:`~twcm._util.moebius_map` of a uniform angle.  The CDF
-    is the inverse map in closed form.
+    The log density is :func:`~twcm._util.wc_half_log_density`, the one
+    the copula kernels use, and the CDF :func:`~twcm._util.wc_half_cdf`,
+    the inverse of the Moebius transform :func:`~twcm._util.moebius_map`
+    that gives the quantile, and so sampling.  Both read the sin and cos of
+    one :class:`~twcm._util.HalfOffset` of x, so :meth:`_logpdf_and_u`
+    computes that pair once for the two.
     """
 
     mu: float
@@ -207,17 +216,19 @@ class WrappedCauchy(Marginal):
     def origin(self):
         return self.mu
 
+    def _half(self, x):
+        return HalfOffset(np.asarray(x, dtype=float), self.mu)
+
     def logpdf(self, x):
         # unchecked: any |xi| < 1 evaluates, even within 1e-12 of 1
-        out = wc_log_density(np.asarray(x, dtype=float), self.mu, self.xi)
-        return float_if_scalar(out)
+        return float_if_scalar(wc_half_log_density(self._half(x), self.xi))
 
     def cdf(self, x):
-        y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
-        a = (1.0 + self.xi) / (1.0 - self.xi)
-        # atan2 form of (1/pi) arctan(a tan(y/2)) + 1{y > pi}, continuous
-        out = np.arctan2(a * np.sin(y / 2.0), np.cos(y / 2.0)) / np.pi
-        return float_if_scalar(out)
+        return float_if_scalar(wc_half_cdf(self._half(x), self.xi))
+
+    def _logpdf_and_u(self, x):
+        half = self._half(x)
+        return wc_half_log_density(half, self.xi), TWO_PI * wc_half_cdf(half, self.xi)
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)
@@ -230,18 +241,32 @@ class WrappedCauchy(Marginal):
     @classmethod
     def fit(cls, data, weights=None):
         theta, w = _weights_or_ones(data, weights)
-        atoms, inverse = np.unique(wrap_angle(theta), return_inverse=True)
-        atom_w = np.bincount(inverse, weights=w)
-        if 2.0 * atom_w.max() >= w.sum():
-            # an angle holding half the weight makes the likelihood
-            # unbounded as xi -> 1 there (Kent & Tyler 1988)
-            mu, xi = float(atoms[np.argmax(atom_w)]), 1.0
+        atom = _half_weight_atom(theta, w)
+        if atom is not None:
+            mu, xi = atom, 1.0
         else:
             mu, xi, _ = _wrapped_cauchy_mle(theta, w)
         if xi >= XI_MAX:
             _warn_capped("wrapped Cauchy xi")
             xi = XI_MAX
         return cls(mu=mu, xi=xi)
+
+
+def _half_weight_atom(theta, w):
+    """The wrapped angle holding at least half the total weight, or None.
+
+    Such an angle makes the wrapped Cauchy likelihood unbounded as xi -> 1
+    there (Kent & Tyler 1988).  Where no two angles are equal, each angle
+    holds one row's weight, so only 2 max(w) >= W can give one; the sort
+    that shows this is cheaper than the grouping that sums tied rows."""
+    wrapped = wrap_angle(theta)
+    ordered = np.sort(wrapped)
+    total = w.sum()
+    if not np.any(ordered[1:] == ordered[:-1]) and 2.0 * w.max() < total:
+        return None
+    atoms, inverse = np.unique(wrapped, return_inverse=True)
+    atom_w = np.bincount(inverse, weights=w)
+    return float(atoms[np.argmax(atom_w)]) if 2.0 * atom_w.max() >= total else None
 
 
 def _wrapped_cauchy_mle(theta, w):

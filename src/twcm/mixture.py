@@ -63,7 +63,9 @@ class MixtureModel(JsonFile):
 
     def component_log_densities(self, data) -> np.ndarray:
         """(n, K) matrix of log(pi_k) + log f_k; -inf where f_k is zero."""
-        return _log_f(self.components, data) + np.log(self.weights)
+        out = _log_f(self.components, data)
+        out += np.log(self.weights)
+        return out
 
     def log_density(self, data):
         """Mixture log density at one triple or an (n, 3) block."""
@@ -105,14 +107,25 @@ def log_sum_exp(a) -> np.ndarray:
     ``scipy.special.logsumexp``: the terms equal to the row maximum stay
     out of the sum, which is then log(1 + rest/count) + log(count) + max.
     A row whose maximum is not finite gives that maximum (-inf where every
-    term is -inf)."""
-    a_max = np.max(a, axis=1, keepdims=True)
-    is_max = a == a_max
-    count = np.sum(is_max, axis=1, keepdims=True)
+    term is -inf).
+
+    One column at a time: the terms are added in column order, the order
+    in which ``np.sum(axis=1)`` adds them on an F-ordered array, as
+    :meth:`MixtureModel.component_log_densities` returns, and on fewer
+    than 8 columns; so on those the result equals SciPy's bit for bit."""
+    cols = np.asarray(a, dtype=float).T
+    a_max = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(a_max, col, out=a_max)
+    count = np.zeros_like(a_max)
+    rest = np.zeros_like(a_max)
     with np.errstate(invalid="ignore"):
-        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        for col in cols:
+            is_max = col == a_max
+            count += is_max
+            rest += np.exp(np.where(is_max, -np.inf, col) - a_max)
         out = np.log1p(rest / count) + np.log(count) + a_max
-    return np.where(np.isfinite(a_max), out, a_max)[:, 0]
+    return np.where(np.isfinite(a_max), out, a_max)
 
 
 def responsibilities(model: MixtureModel, data) -> np.ndarray:
@@ -122,9 +135,14 @@ def responsibilities(model: MixtureModel, data) -> np.ndarray:
 
 
 def _log_f(components, data) -> np.ndarray:
-    """(n, K) matrix of the component log densities log f_k."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    return np.column_stack([comp.log_density(data) for comp in components])
+    """(n, K) matrix of the component log densities log f_k, F-ordered so
+    that each component fills one contiguous column; the rows are checked
+    once, against the domains the components share."""
+    data = check_rows(data, components[0].domains)
+    out = np.empty((data.shape[0], len(components)), order="F")
+    for k, comp in enumerate(components):
+        comp._rows_log_density(data, out=out[:, k])
+    return out
 
 
 def _e_step(log_wd):

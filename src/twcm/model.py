@@ -29,14 +29,19 @@ from .copula import (
     copula_bivariate_density,
     copula_cond_1given1,
     copula_cond_1given2,
-    copula_log_density,
     copula_sample,
+    log_density_columns,
     normalize_rho,
     pairwise_phi,
     require_valid,
 )
 from .errors import DomainError, InvalidParameterError
 from .marginals import CIRCULAR, Marginal, WrappedCauchy, marginal_from_dict
+
+
+# Rows per pass of the joint log density: its temporaries then take about
+# 2 MB, whatever the number of rows, and stay in cache between passes.
+_ROW_BLOCK = 16384
 
 
 class JsonFile:
@@ -96,12 +101,23 @@ class TwcmModel(JsonFile):
     # -- densities ---------------------------------------------------------
     def log_density(self, theta):
         """Joint log density at one triple or an (n, 3) block."""
-        data = self.validate_data(theta)
-        u = copula_scale(self.marginals, data)
-        out = 3.0 * np.log(TWO_PI) + copula_log_density(u, self.rho)
-        for i, m in enumerate(self.marginals):
-            out = out + m.logpdf(data[:, i])
-        return float_if_triple(theta, out)
+        return float_if_triple(theta, self._rows_log_density(self.validate_data(theta)))
+
+    def _rows_log_density(self, data, out=None) -> np.ndarray:
+        """:meth:`log_density` of checked (n, 3) rows, written into ``out``
+        if given: 3 log 2pi plus the copula term plus the marginals' terms,
+        from one :func:`marginal_terms` call per block of _ROW_BLOCK rows.
+        Every step is elementwise, so the blocks change no bit."""
+        cc = constants(self.rho)
+        out = np.empty(data.shape[0]) if out is None else out
+        for start in range(0, data.shape[0], _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            log_f, u = marginal_terms(self.marginals, data[rows])
+            part = np.add(3.0 * np.log(TWO_PI), log_density_columns(cc, self.rho, *u),
+                          out=out[rows])
+            for col in log_f:
+                part += col
+        return out
 
     def density(self, theta):
         return float_if_scalar(np.exp(self.log_density(theta)))
@@ -205,6 +221,13 @@ def to_copula_scale(marginal: Marginal, x) -> np.ndarray:
     """The pseudo-observation u = 2*pi*F(x) of one marginal; the domain is
     not checked."""
     return TWO_PI * np.asarray(marginal.cdf(x))
+
+
+def marginal_terms(marginals, data):
+    """Each coordinate's log density and pseudo-observation
+    u_i = 2*pi*F_i(theta_i) at (n, 3) rows, as a triple of log density
+    columns and a triple of u columns; the domains are not checked."""
+    return tuple(zip(*(m._logpdf_and_u(data[:, i]) for i, m in enumerate(marginals))))
 
 
 def copula_scale(marginals, theta) -> np.ndarray:

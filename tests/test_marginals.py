@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,17 @@ def _kent_tyler(theta, w):
     return np.arctan2(m[1], m[0]), xi, steps
 
 
+def wc_cdf_exact(x: float, mu: float, xi: float) -> float:
+    """Wrapped Cauchy CDF at the float x to 40 digits, by the textbook form
+    (1/pi) arctan(A tan(y/2)) on y = (x - mu) mod 2 pi, plus 1 past y = pi."""
+    with mpmath.workdps(40):
+        y = mpmath.fmod(mpmath.mpf(x) - mpmath.mpf(mu), 2 * mpmath.pi)
+        y = y + 2 * mpmath.pi if y < 0 else y
+        a = (1 + mpmath.mpf(xi)) / (1 - mpmath.mpf(xi))
+        out = mpmath.atan(a * mpmath.tan(y / 2)) / mpmath.pi
+        return float(out + 1 if y > mpmath.pi else out)
+
+
 def integrate_pdf(m):
     if m.domain == "circular":
         g = TWO_PI * np.arange(512) / 512
@@ -195,6 +207,42 @@ class TestCdf:
             m.cdf(th), (th - 1.0) / TWO_PI, atol=1e-12
         )
 
+    @pytest.mark.parametrize("mu", [0.0, 1.0, TWO_PI * (1.0 - 2.0**-53)])
+    def test_wrapped_cauchy_just_below_origin_is_zero(self, mu):
+        # x just below mu is almost a full turn from the origin: where the
+        # CDF rounds to 1 it is 0 instead, on the scalar, the array and the
+        # joint path alike, and elsewhere it is the exact value (at
+        # xi = 1 - 1e-9, mu - 1e-17 is 3e-9 below 1)
+        below = np.array([mu - 1e-17, mu - 5e-324, mu - 1e-300])
+        for xi in (-0.99, 0.0, 0.5, 1.0 - 1e-9):
+            m = WrappedCauchy(mu=mu, xi=xi)
+            exact = np.array([wc_cdf_exact(x, mu, xi) for x in below])
+            want = np.where(exact == 1.0, 0.0, exact)
+            for got in ([m.cdf(x) for x in below], m.cdf(below),
+                        m._logpdf_and_u(below)[1] / TWO_PI):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=2.3e-16)
+            steps = np.nextafter(mu, -np.inf) - np.arange(20) * 1e-17
+            assert np.all(m.cdf(np.append(steps, below)) < 1.0)
+
+    @pytest.mark.parametrize("k", [1, -1, 3, -3])
+    def test_wrapped_cauchy_cdf_is_periodic(self, k):
+        # x + 2 pi k is rounded, by at most 2e-15 here, so the two CDFs may
+        # differ by that times the density (< 1) in circular distance
+        x = np.linspace(-1.0, 7.0, 801)
+        for m in (WrappedCauchy(mu=1.0, xi=0.5), WrappedCauchy(mu=4.0, xi=-0.7)):
+            d = np.abs(m.cdf(x + TWO_PI * k) - m.cdf(x))
+            assert np.all(np.minimum(d, 1.0 - d) <= 3e-15)
+
+    @pytest.mark.parametrize("xi", [-0.99, 0.0, 0.5, 1.0 - 1e-9])
+    def test_wrapped_cauchy_cdf_near_origin_matches_mpmath(self, xi):
+        # within two ulps of 1/2 of a 40-digit CDF at offsets 1e-1 .. 1e-12
+        # either side of mu, where the sign of the offset decides the turn
+        for mu in (0.3, 2.0, 5.5):
+            m = WrappedCauchy(mu=mu, xi=xi)
+            x = np.concatenate([mu + 10.0 ** -np.arange(1, 13), mu - 10.0 ** -np.arange(1, 13)])
+            exact = [wc_cdf_exact(v, mu, xi) for v in x]
+            np.testing.assert_allclose(m.cdf(x), exact, rtol=0.0, atol=2.3e-16)
+
     def test_weibull_cdf_at_scale(self):
         m = Weibull(shape=3.3, scale=2.5)
         assert m.cdf(2.5) == pytest.approx(1.0 - np.exp(-1.0), rel=1e-14)
@@ -266,6 +314,18 @@ class TestQuantile:
         m = WrappedCauchy(mu=mu, xi=xi)
         assert m.cdf(m.quantile(p)) == pytest.approx(p, abs=1e-9)
         assert m.cdf(m.mu + np.pi) == pytest.approx(0.5, abs=1e-12)
+
+    @given(
+        st.floats(min_value=0.0, max_value=2 * np.pi - 1e-9),
+        st.floats(min_value=-0.98, max_value=0.98),
+        st.floats(min_value=-20.0, max_value=20.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_property_wrapped_cauchy_from_angle(self, mu, xi, x):
+        # any angle, not only [0, 2 pi), comes back modulo 2 pi
+        m = WrappedCauchy(mu=mu, xi=xi)
+        d = abs(m.quantile(m.cdf(x)) - wrap_angle(x))
+        assert min(d, TWO_PI - d) <= 1e-9
 
     @given(
         st.floats(min_value=0.3, max_value=8.0),
@@ -547,6 +607,26 @@ class TestFit:
             m = fit_mle("wrapped_cauchy", data)
         assert m.xi == marginals.XI_MAX
         assert m.mu == 1.0
+
+    @pytest.mark.parametrize("case", ["distinct", "heavy_row", "light_ties", "heavy_ties",
+                                      "two_halves"])
+    def test_half_weight_atom_matches_grouping(self, case):
+        # the sort-first test decides as grouping every tied angle does
+        theta = WrappedCauchy(mu=3.0, xi=0.5).sample(200, seed=3)
+        w = np.ones(theta.size)
+        if case == "heavy_row":
+            w[7] = 199.0  # exactly half the weight, on distinct angles
+        elif case == "light_ties":
+            theta[:50] = theta[60]
+        elif case == "heavy_ties":
+            theta[:101] = theta[150] - TWO_PI
+        elif case == "two_halves":
+            theta[:100], theta[100:] = 2.0, 1.0
+        atoms, inverse = np.unique(wrap_angle(theta), return_inverse=True)
+        atom_w = np.bincount(inverse, weights=w)
+        want = float(atoms[np.argmax(atom_w)]) if 2.0 * atom_w.max() >= w.sum() else None
+        assert marginals._half_weight_atom(theta, w) == want
+        assert (want is None) == (case in ("distinct", "light_ties"))
 
     @staticmethod
     def _wc_loglik(theta, w, mu, xi):

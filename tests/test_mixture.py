@@ -185,6 +185,22 @@ class TestLogSumExp:
                       [-np.inf, -np.inf, -np.inf], [np.inf, 1.0, 0.0]])
         np.testing.assert_array_equal(log_sum_exp(a), logsumexp(a, axis=1))
 
+    # NumPy adds along axis 1 in column order on fewer than 8 columns and
+    # on an F-ordered array, as log_sum_exp does
+    @pytest.mark.parametrize("k, order", [(1, "C"), (1, "F"), (3, "C"), (3, "F"),
+                                          (4, "C"), (4, "F"), (9, "F")])
+    def test_matches_scipy_by_column_count_and_order(self, k, order):
+        rows = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, -2.0, 1.0], [-np.inf, 3.0, 3.0, -1.0],
+                         [5.0, -np.inf, 2.0, -np.inf], [-700.0, -1e4, -750.0, -700.0],
+                         [-np.inf, -np.inf, -np.inf, -np.inf], [np.inf, 1.0, 0.0, 2.0],
+                         [2.0, -np.inf, 2.0, 2.0], [-3.0, 0.5, -np.inf, 0.5]])
+        rows = np.hstack([rows, rows[:, ::-1], rows[:, :1]])
+        rng = np.random.default_rng(k)
+        noisy = rng.standard_normal((500, 9)) * 10.0 ** rng.integers(-3, 3, (500, 9))
+        noisy[rng.random((500, 9)) < 0.1] = -np.inf
+        a = np.asarray(np.vstack([rows, noisy])[:, :k], order=order)
+        np.testing.assert_array_equal(log_sum_exp(a), logsumexp(a, axis=1))
+
 
 class TestEmFit:
     def test_k1_equals_single_fit(self):

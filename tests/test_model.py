@@ -2,6 +2,7 @@
 conditional laws, sampling, likelihood, and serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import roots_legendre
 from scipy.stats import kstest
 
 from twcm import (
+    Cardioid,
     DegenerateDataError,
     DomainError,
     RhoVector,
@@ -23,6 +25,7 @@ from twcm import (
     pairwise_phi,
     wc_closed_form_log_density,
 )
+from twcm.model import _ROW_BLOCK
 from twcm.presets import independence_like_model, protein_model
 
 TWO_PI = 2.0 * np.pi
@@ -46,6 +49,23 @@ M_CYL = TwcmModel(
 )
 
 
+# one model per marginal family, each family in all three coordinates
+FAMILY_MODELS = {
+    "uniform": M_UNIF,
+    "wc+": M_WC,
+    "wc-": TwcmModel(rho=RHO, marginals=(
+        WrappedCauchy(mu=0.2, xi=-0.5), WrappedCauchy(mu=3.0, xi=-0.9),
+        WrappedCauchy(mu=5.9, xi=-0.1))),
+    "von_mises": M_VM,
+    "cardioid": TwcmModel(rho=RHO, marginals=(
+        Cardioid(mu=1.0, rho_c=0.3), Cardioid(mu=4.0, rho_c=-0.2),
+        Cardioid(mu=6.0, rho_c=0.45))),
+    "weibull": TwcmModel(rho=RHO, marginals=(
+        Weibull(shape=2.0, scale=1.5), Weibull(shape=0.8, scale=3.0),
+        Weibull(shape=1.3, scale=0.7))),
+}
+
+
 def random_angles(n, seed=0):
     return TWO_PI * np.random.default_rng(seed).random((n, 3))
 
@@ -58,6 +78,40 @@ class TestJointDensity:
             copula_log_density(theta, M_UNIF.rho),
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("family", FAMILY_MODELS)
+    def test_log_density_is_the_composed_sum(self, family):
+        # 3 log 2pi + copula log density of the pseudo-observations + the
+        # marginal log densities, added in this order, on more rows than one
+        # block and on angles outside [0, 2 pi); bit for bit where no
+        # marginal is wrapped Cauchy, whose CDF and log density share one
+        # pair of half-angle sin and cos
+        model = FAMILY_MODELS[family]
+        data = model.sample(_ROW_BLOCK + 1000, seed=4)
+        if model.domains[0] == "circular":
+            data = data + TWO_PI * np.random.default_rng(5).integers(-3, 4, data.shape)
+        composed = 3.0 * np.log(TWO_PI) + copula_log_density(
+            model.pseudo_observations(data), model.rho)
+        for i, m in enumerate(model.marginals):
+            composed = composed + m.logpdf(data[:, i])
+        got = model.log_density(data)
+        if family.startswith("wc"):
+            np.testing.assert_allclose(got, composed, rtol=1e-13, atol=0.0)
+        else:
+            np.testing.assert_array_equal(got, composed)
+
+    def test_log_density_memory_bounded(self):
+        # the rows are taken a block at a time, so the temporaries do not
+        # grow with n: 2e5 rows need their 1.6 MB result plus about 2 MB
+        data = M_CYL.sample(200_000, seed=6)
+        M_CYL.log_density(data[:10])
+        tracemalloc.start()
+        try:
+            M_CYL.log_density(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.shape[0] * 8 + 4 * 2**20
 
     def test_closed_form_equals_composed_path(self):
         theta = random_angles(1000, seed=3)
