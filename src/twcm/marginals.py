@@ -9,11 +9,13 @@ reproducible.
 
 The von Mises CDF has no closed form.  Its exact Fourier series is summed
 once per kappa, at the nodes of a piecewise Chebyshev table of degree 16
-that then gives the CDF at any angle to within 6e-16 of the series (1e-15
-at KAPPA_MAX, where the series' own rounding is that large); the table
-costs at most one series pass over 493 values, stores at most 29 fitted
-intervals (about 53 KB at KAPPA_MAX) and is cached per kappa.  The
-quantile starts from a second per-kappa table and takes two Newton steps.
+that then gives the CDF at any angle to within 6e-16 of the series up to
+kappa = 1e5 and 8.1e-16 beyond, where the series' own rounding in double
+precision reaches 1.13e-15; the table costs at most one series pass over
+493 values, stores at most 29 fitted intervals (about 53 KB at KAPPA_MAX)
+and is cached per kappa.  The quantile starts from a second per-kappa
+table and takes one step of fifth order, so it reads the CDF table once a
+value.
 
 Each fit is one deterministic solver: the von Mises mean direction in
 closed form and kappa by Newton on A1(kappa) = rbar; the wrapped Cauchy
@@ -355,10 +357,11 @@ _TABLE_DEGREE = 16
 _SERIES_BLOCK = 4096
 
 # Quantile start table: nodes equally spaced in w = kappa (1 - cos y) up to
-# w = 40 (see _vonmises_start_table), then two Newton steps.
+# w = 40, at most _START_DW apart and at least _START_INTERVALS intervals
+# (see _vonmises_start_table), then one fifth-order step.
 _START_DW = 0.025
 _START_WMAX = 40.0
-_VONMISES_NEWTON_STEPS = 2
+_START_INTERVALS = 16
 # Newton steps of the cardioid quantile: at |rho_c| one ulp below 1/2 the
 # slowest q measured needs 27 to reach the rounding of the CDF.
 _CARDIOID_NEWTON_STEPS = 40
@@ -401,9 +404,11 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     (J,) index of each interval's row in ``coef``, -1 on a linear interval.
 
     An interval is about one standard deviation wide, where S is smooth
-    enough for degree 16 to reach rounding: the table is within 6e-16 of
-    the series up to kappa = 1e5, and within 1e-15 at KAPPA_MAX, where the
-    series' own rounding reaches 5.7e-16 (tests/test_marginals.py).  Each
+    enough for degree 16 to reach rounding: against the series summed in
+    long double, at 401 kappa from 0 to KAPPA_MAX, the table is within
+    5.7e-16 up to kappa = 1e5 and within 8.1e-16 beyond, where the double
+    sum of _sine_series that it is fitted to errs by up to 1.13e-15 itself
+    (tests/test_marginals.py compares the two double sums).  Each
     interval is fitted to _sine_series at its Chebyshev-Lobatto points,
     solved at the float nodes through the map t that evaluation uses, so
     that node rounding does not enter the fit.  Where w = kappa (1 - cos y)
@@ -492,18 +497,25 @@ def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
 
     Newton's error constant for F(y) = q is |f'/2f| = kappa sin(y) / 2, so
     nodes equally spaced in w = kappa (1 - cos y) (dw = kappa sin(y) dy)
-    bound its product with the node spacing by _START_DW at every kappa.
-    Linear interpolation then starts within (_START_DW / 2)^2 of the root
-    in those units and two Newton steps raise that to the 4th power,
-    below the rounding of the CDF.  Past w = 40 the half-period holds less
-    mass than 2^-54, the gap below 1/2, so the last interval [y(40), pi]
-    only meets q = 1/2, where F equals 1/2 to rounding on all of it.
+    bound its product with the node spacing by dw at every kappa, with
+    dw = min(_START_DW, 2 kappa / _START_INTERVALS).  Linear interpolation
+    then starts within (dw / 2)^2 of the root in those units, and the
+    fifth-order step of :meth:`VonMises.quantile` takes that below the
+    rounding of the CDF.  At small kappa, where the half-period spans
+    w = 2 kappa < _START_DW, the higher derivatives of F, which those units
+    leave out, set the error: one interval there leaves F(Q(p)) up to
+    1.3e-15 from p (kappa = 0.0118), hence at least _START_INTERVALS of
+    them (3.3e-16).  Past w = 40 the half-period holds less mass than
+    2^-54, the gap below 1/2, so the last interval [y(40), pi] only meets
+    q = 1/2, where F equals 1/2 to rounding on all of it.
     """
+    # w / 2 kappa = sin^2(y / 2) at the nodes w = 0, dw, 2 dw, ...
     n = math.ceil(min(_START_WMAX, 2.0 * kappa) / _START_DW)
-    half = np.zeros(1)
-    if n:
-        half = np.sqrt(np.minimum(_START_DW * np.arange(n) / (2.0 * kappa), 1.0))
-    y = np.append(2.0 * np.arcsin(half), np.pi)
+    if n > _START_INTERVALS:
+        frac = np.minimum(_START_DW * np.arange(n) / (2.0 * kappa), 1.0)
+    else:
+        frac = np.arange(_START_INTERVALS) / _START_INTERVALS
+    y = np.append(2.0 * np.arcsin(np.sqrt(frac)), np.pi)
     cdf = VonMises(0.0, kappa)._cdf_offset(y)
     cdf[-1] = 0.5
     cdf = np.minimum(np.maximum.accumulate(cdf), 0.5)  # rounding in the flat tail
@@ -512,26 +524,32 @@ def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     return cdf, y
 
 
-def _newton_quantile(m: Marginal, p, start, steps: int):
+def _symmetric_quantile(m: Marginal, p, start, step, steps: int):
     """Quantile of a circular law symmetric about its origin mu.
 
     F(2 pi - y) = 1 - F(y) reduces every p to q = min(p, 1 - p) in
     [0, 1/2] (1 - p is exact for p >= 1/2), whose root lies in [0, pi].
     ``start(q)`` returns the starting offsets y and bounds lo, hi on the
-    root.  Each of ``steps`` Newton steps for m._cdf_offset(y) = q uses the
-    density at mu + y, is clipped to [lo, hi], and is skipped where the
-    density underflows.
+    root.  Each of ``steps`` calls ``step(y, q)`` moves y toward the root
+    of m._cdf_offset(y) = q, and its result is clipped to [lo, hi].
     """
     p = m._check_quantile_arg(p)
     upper = p > 0.5
     q = np.where(upper, 1.0 - p, p)
     y, lo, hi = start(q)
     for _ in range(steps):
-        dens = m.pdf(m.mu + y)
-        resid = m._cdf_offset(y) - q
-        step = np.divide(resid, dens, out=np.zeros_like(resid), where=dens > 0.0)
-        y = np.clip(y - step, lo, hi)
+        y = np.clip(step(y, q), lo, hi)
+    # the root of q = 1/2 is pi by symmetry; where F is 1/2 to rounding
+    # on a whole bracket about pi, a step may end anywhere in it
+    y = np.where(q == 0.5, np.pi, y)
     return float_if_scalar(wrap_angle(m.mu + np.where(upper, TWO_PI - y, y)))
+
+
+def _newton_delta(m: Marginal, y, q, dens):
+    """The Newton step (q - F(y)) / f(y) for m._cdf_offset(y) = q, given
+    the density f(y), and 0 where the density underflows."""
+    resid = q - m._cdf_offset(y)
+    return np.divide(resid, dens, out=np.zeros_like(resid), where=dens > 0.0)
 
 
 @dataclass(frozen=True)
@@ -540,12 +558,26 @@ class VonMises(Marginal):
 
     The CDF is the integral of the Fourier expansion from the origin mu,
     read from a per-kappa piecewise Chebyshev table of its sine part that
-    is fitted to the exact series and agrees with it to within 6e-16
-    (1e-15 at KAPPA_MAX; see :func:`_vonmises_cdf_table`).  Evaluation
-    costs 17 coefficients a value whatever kappa is, in O(n) memory.  The
-    quantile starts from a per-kappa table of the CDF and takes two Newton
-    steps with the closed-form density.  Coefficients and tables are built
-    once per kappa and cached, so the series is paid for once per kappa.
+    is fitted to the exact series and agrees with it to within 6e-16 up
+    to kappa = 1e5 (8.1e-16 beyond; see :func:`_vonmises_cdf_table`).
+    Evaluation costs 17 coefficients a value whatever kappa is, in O(n)
+    memory.  Coefficients and tables are built once per kappa and cached,
+    so the series is paid for once per kappa.
+
+    The quantile interpolates a per-kappa table of the CDF linearly
+    (:func:`_vonmises_start_table`) and takes one step of the inverse
+    function's Taylor series to 4th order in the Newton step
+    d = (q - F(y)) / f(y) (Householder's method of order 5):
+
+        y + d - (g1/2) d^2 + ((3 g1^2 - g2)/6) d^3
+          + ((-15 g1^3 + 10 g1 g2 - g3)/24) d^4,
+
+    with g_k = f^(k) / f, here g1 = -kappa s, g2 = kappa^2 s^2 - kappa c
+    and g3 = kappa s (1 + 3 kappa c - kappa^2 s^2) for s, c = sin y, cos y.
+    So each value reads the CDF table once and costs one sin, one cos and
+    one exp more.  The d^4 term matters near the mode, where g2 = -kappa
+    does not vanish: without it the round trip F(Q(p)) - p reaches
+    2.9e-15 at kappa = 0.5, against 4.4e-16 with it.
     """
 
     mu: float
@@ -586,13 +618,39 @@ class VonMises(Marginal):
 
     def quantile(self, p):
         nodes_cdf, nodes_y = _vonmises_start_table(self.kappa)
+        kappa = self.kappa
+        log_norm = np.log(TWO_PI * i0e(kappa))
 
         def start(q):
+            # side="right" puts every q < F(hi) below hi, so a bracket whose
+            # two CDF values are equal (the flat tail) only meets q = 1/2,
+            # whose root is hi = pi
             i = np.searchsorted(nodes_cdf, q, side="right") - 1
             i = np.clip(i, 0, nodes_cdf.size - 2)
-            return np.interp(q, nodes_cdf, nodes_y), nodes_y[i], nodes_y[i + 1]
+            lo, hi = nodes_y[i], nodes_y[i + 1]
+            c1 = nodes_cdf[i + 1]
+            span = c1 - nodes_cdf[i]
+            slope = np.divide(hi - lo, span, out=np.zeros_like(span), where=span > 0.0)
+            return hi - slope * (c1 - q), lo, hi
 
-        return _newton_quantile(self, p, start, _VONMISES_NEWTON_STEPS)
+        def step(y, q):
+            # the class docstring's series in a = -g1 d = kappa s d, where
+            # g2 d^2 = a^2 - kappa c d^2 and g3 d^3 = a d^2 (1 + 3 kappa c) -
+            # a^3.  |d| <= pi keeps it finite where the density nearly
+            # underflows (d = 5e99 at p = 1/2, kappa = 134.3, where d^4
+            # overflows); such a step leaves [lo, hi] anyway.
+            c = np.cos(y)
+            d = _newton_delta(self, y, q, np.exp(kappa * (c - 1.0) - log_norm))
+            np.clip(d, -np.pi, np.pi, out=d)
+            a = kappa * np.sin(y) * d
+            d2 = d * d
+            kcd2 = kappa * c * d2
+            return y + d * (
+                1.0 + a * (0.5 + a / 3.0) + kcd2 / 6.0
+                + a * (6.0 * a * a + 7.0 * kcd2 - d2) / 24.0
+            )
+
+        return _symmetric_quantile(self, p, start, step, 1)
 
     def params_dict(self):
         return {"mu": self.mu, "kappa": self.kappa}
@@ -674,7 +732,10 @@ class Cardioid(Marginal):
         def start(q):
             return np.minimum(TWO_PI * q / (1.0 + 2.0 * self.rho_c), np.pi), 0.0, np.pi
 
-        return _newton_quantile(self, p, start, _CARDIOID_NEWTON_STEPS)
+        def step(y, q):
+            return y + _newton_delta(self, y, q, self.pdf(self.mu + y))
+
+        return _symmetric_quantile(self, p, start, step, _CARDIOID_NEWTON_STEPS)
 
     def params_dict(self):
         return {"mu": self.mu, "rho_c": self.rho_c}

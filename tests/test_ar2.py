@@ -164,7 +164,7 @@ class TestSimulate:
         got = simulate(params, n, seed=11, n_chains=n_chains)
         want = step_by_step(params, n, 11, n_chains)
         if family == "vm":
-            # the von Mises quantile is a Newton solve: agreement to 1e-12 rad
+            # the von Mises quantile is a numerical solve: agreement to 1e-12 rad
             assert np.max(np.abs(np.angle(np.exp(1j * (got - want))))) <= 1e-12
         else:
             np.testing.assert_array_equal(got, want)

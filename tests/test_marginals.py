@@ -284,6 +284,16 @@ class TestQuantile:
         assert m.quantile(0.0) == pytest.approx(2.5, abs=1e-12)
         assert m.quantile(0.5) == pytest.approx(2.5 + np.pi, abs=1e-12)
 
+    def test_symmetric_laws_put_the_median_at_the_antipode(self):
+        # q = 1/2 has the root pi by symmetry, also where F is 1/2 to
+        # rounding on a whole start interval about pi (kappa above 20)
+        laws = [VonMises(mu=mu, kappa=kappa)
+                for kappa in np.geomspace(1e-3, marginals.KAPPA_MAX, 300)
+                for mu in (0.0, 2.0)]
+        laws += [Cardioid(mu=2.0, rho_c=r) for r in (0.3, -0.499, 0.499)]
+        for m in laws:
+            assert m.quantile(0.5) == wrap_angle(m.mu + np.pi), m
+
     def test_weibull_inverse_of_cdf_example(self):
         m = Weibull(shape=2.0, scale=1.0)
         assert m.quantile(1.0 - np.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
@@ -364,13 +374,51 @@ class TestVonMisesAcrossKappa:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.8, 5.0, 84.4, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize(
+        "kappa", [0.0, 1e-3, 0.8, 5.0, 84.4, 1e3, 1e4, 1e5, marginals.KAPPA_MAX]
+    )
     def test_round_trip(self, kappa):
         m = VonMises(mu=2.0, kappa=kappa)
         p = np.random.default_rng(17).random(2000)
         x = m.quantile(p)
         assert np.all((x >= 0.0) & (x < TWO_PI))
         assert np.max(np.abs(m.cdf(x) - p)) <= 1e-12
+
+    def test_round_trip_across_kappa_and_edge_probabilities(self):
+        # kappa = 0 and 400 kappa from 1e-9 to the cap, where the start
+        # table goes from its minimum of 16 intervals to 1600; random p and
+        # the edges 1e-300, 1e-17, 1/2 and one ulp either side, 1 - 2^-53.
+        # F(Q(p)) is compared with p on the circle, where 1 - 2^-53 and 0
+        # are one ulp apart.  Where the density nearly underflows the step
+        # must neither overflow nor give NaN.
+        edges = [1e-300, 1e-17, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                 1.0 - 2.0**-53]
+        p = np.concatenate([np.random.default_rng(26).random(1000), edges])
+        for kappa in np.concatenate([[0.0], np.geomspace(1e-9, marginals.KAPPA_MAX, 400)]):
+            m = VonMises(mu=2.0, kappa=kappa)
+            with np.errstate(over="raise", invalid="raise"):
+                x = m.quantile(p)
+            assert np.all((x >= 0.0) & (x < TWO_PI)), kappa
+            d = np.abs(m.cdf(x) - p)
+            assert np.max(np.minimum(d, 1.0 - d)) <= 1e-12, kappa
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.0117, 5.0, 84.4, marginals.KAPPA_MAX])
+    def test_quantile_reads_the_cdf_table_once_a_value(self, kappa, monkeypatch):
+        # one step from the start table: each value meets the CDF table
+        # once, whatever kappa is
+        m = VonMises(mu=2.0, kappa=kappa)
+        p = np.random.default_rng(27).random(1500)
+        m.quantile(p[:1])  # builds the per-kappa tables
+        values = []
+        table_sine = marginals._table_sine
+
+        def counted(y, table):
+            values.append(y.size)
+            return table_sine(y, table)
+
+        monkeypatch.setattr(marginals, "_table_sine", counted)
+        m.quantile(p)
+        assert sum(values) == p.size
 
     @pytest.mark.parametrize("kappa", [0.8, 27.6, 84.4, 1e3])
     def test_cdf_matches_direct_series(self, kappa):
