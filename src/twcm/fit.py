@@ -1,15 +1,14 @@
 """Two-step maximum likelihood (marginals first, copula second on the
 pseudo-observations), bootstrap standard errors, and AIC/BIC.
 
-The copula step maximizes over the valid region of rho directly.  That
-region is 12 connected pieces, and in each the log-likelihood is smooth in
-two unconstrained coordinates and falls to -inf at the boundary (the c2
-radicand vanishes there), so it is its own barrier.  A batched Newton
-ascent with analytic derivatives runs in all 12 pieces from fixed starts;
-the result does not depend on any seed.  A piece's Newton decrement, the
-gain it has left, ends it: the piece stops once that is negligible, or is
-retired when, on concave ground, it trails the best piece by many times
-that, so the loop ends soon after the winner converges.
+The copula step maximizes over the valid region of rho directly: with
+rho_ij = a_i a_j it is 3 pieces, each a square on which the log-likelihood
+is smooth and falls toward -inf at the edge, its own barrier.  A batched
+Newton ascent with analytic derivatives runs in the 3 pieces from fixed
+starts, so the result does not depend on any seed.  A piece's Newton
+decrement, the gain it has left, ends it: the piece stops once that is
+negligible or below what f can resolve, or is retired when, on concave
+ground, it trails the best piece by many times that.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from ._util import TWO_PI, require_positive_density, row_weights, wrap_angle
 from .copula import (
     RhoVector,
     _cos_diffs,
-    c1_and_radicand,
     copula_log_density,
-    normalize_rho,
     require_valid,
     validate_rho,
 )
@@ -34,26 +31,20 @@ from .errors import FitFailureError, InvalidParameterError
 from .marginals import CIRCULAR, family_class, fit_mle
 from .model import TwcmModel, check_rows, marginal_terms
 
-SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
 # In the piece that singles out coordinate i, the pairs play the roles
-# (ij, ik, jk); _ROLES[i] gives each role's index in (rho12, rho13, rho23).
-_ROLES = {1: (0, 1, 2), 2: (0, 2, 1), 3: (1, 2, 0)}
-_PIECES = tuple((signs, i) for signs in SIGN_PATTERNS for i in (1, 2, 3))
-_PIECE_ROLES = np.array([_ROLES[i] for _, i in _PIECES])
-_PIECE_SIGNS = np.array([[sg[r] for r in _ROLES[i]] for sg, i in _PIECES], dtype=float)
-# exponents of log|rho| (role order) in the three monomials summing to c1
-_C1_EXPONENTS = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
-_C1_OUTER = np.einsum("ka,kb->kab", _C1_EXPONENTS, _C1_EXPONENTS)
-_T_CAP = 40.0  # past this a piece is walking to a limit of its region
+# (ij, ik, jk); _ROLES[i - 1] gives each role's index in (rho12, rho13, rho23).
+_ROLES = np.array([(0, 1, 2), (0, 2, 1), (1, 2, 0)])
+_T_CAP = 6.0  # keeps 1 - max(|p|, |m|) >= 1.2e-5, so rho's radicand keeps its digits
 _STEP_MAX = 8.0
 _EIG_FLOOR = 1e-10  # relative to the total weight
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
-_NEAR_LIMIT = 1e3
 _MAX_ITER = 2000  # Newton iterations per piece
 _TOL = 1e-10  # Newton decrement, relative to the total weight, of a last step
 _RETIRE = 10.0  # Newton decrements a piece may trail the best piece by
+# f's rounding, relative to sum w / D, which holds for every bracket since
+# each of its coefficients is at most 2
+_ROUNDING = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -128,20 +119,23 @@ class CopulaFit:
 
 
 class _Pieces:
-    """The weighted copula log-likelihood on the 12 pieces of the valid
-    region, in each piece's unconstrained coordinates t = (t1, t2).
+    """The weighted copula log-likelihood on the 3 pieces of the valid
+    region, in each piece's coordinates t = (t1, t2).
 
-    Piece (signs, i) holds the rho with those signs whose permutation
-    check singles out coordinate i.  Its pairs play the roles (ij, ik, jk)
-    and, with |rho_ij rho_ik| = 1 fixing the scale,
+    With rho_ij = a_i a_j, c1 = sum a_i^2, the bracket is
+    |sum a_i e^{i u_i}|^2, and the permutation check that singles out
+    coordinate i is |a_i| > |a_j| + |a_k|.  Piece i - 1 fixes a_i = 1 and
+    takes
 
-        t1 = log(|rho_ij| / |rho_ik|),
-        t2 = logit s,  s = |rho_jk| (|rho_ij| + |rho_ik|) / |rho_ij rho_ik|,
+        p = a_j + a_k = tanh t1,  m = a_j - a_k = tanh t2,
 
-    so the piece is exactly t in R^2 (s < 1 is its permutation check).
-    The bracket is coef . phi with phi = (1, C12, C13, C23) per row, and
-    the data enter the derivatives only through the weighted sums of
-    phi / D and phi phi^T / D^2.
+    so the piece is exactly (p, m) in (-1, 1)^2; the 4 sign patterns of rho
+    are its quadrants, and on an axis (a zero rho) the density stays smooth,
+    a bivariate wrapped Cauchy times a uniform.  The radicand is
+    (1 - p^2)(1 - m^2).  The bracket is coef . phi with phi = (1, C_ij,
+    C_ik, C_jk) per row and coef = (1 + (p^2 + m^2)/2, p + m, p - m,
+    (p^2 - m^2)/2), and the data enter the derivatives only through the
+    weighted sums of phi / D and phi phi^T / D^2.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray):
@@ -150,22 +144,19 @@ class _Pieces:
         self.w = w
         self.wsum = float(w.sum())
 
-    def rho(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Signed rho of pieces ``k`` at ``t``, in role order."""
-        return _PIECE_SIGNS[k] * np.exp(_log_abs_rho(t))
-
     def value(self, t: np.ndarray, k: np.ndarray):
         """Log-likelihood of pieces ``k`` at ``t`` (less the constant
-        -3 W log 2 pi; -inf outside the numerically valid set) and the
-        brackets, shape (len(k), n)."""
-        rho = self.rho(t, k)
-        c1, radicand = c1_and_radicand(rho[:, 0], rho[:, 1], rho[:, 2])
-        coef = np.zeros((len(k), 4))
-        coef[:, 0] = c1
-        np.put_along_axis(coef, 1 + _PIECE_ROLES[k], 2.0 * rho, axis=1)
+        -3 W log 2 pi + 2 W log 2; -inf outside the numerically valid set)
+        and the brackets, shape (len(k), n)."""
+        p, m = np.tanh(t).T
+        coef = np.empty((len(k), 4))
+        # phi's column of each role is 1 + its pair index
+        coef[np.arange(len(k))[:, None], _columns(k)] = np.column_stack(
+            [1.0 + 0.5 * (p * p + m * m), p + m, p - m, 0.5 * (p + m) * (p - m)])
         bracket = coef @ self.phi.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = 0.5 * self.wsum * np.log(radicand) - np.log(bracket) @ self.w
+            # log(2 cosh t), and -W log(cosh t1 cosh t2) is half the log-radicand
+            f = -self.wsum * np.logaddexp(t, -t).sum(axis=1) - np.log(bracket) @ self.w
         f[~np.isfinite(f)] = -np.inf
         return f, bracket
 
@@ -174,44 +165,26 @@ class _Pieces:
         length 8) of pieces ``k`` at ``t``, and whether each piece's Hessian
         is negative definite there."""
         m = len(k)
-        ell = _log_abs_rho(t)
-        x = np.exp(ell)
-        rho = _PIECE_SIGNS[k] * x
-        # c1 and the radicand are sums of monomials in |rho|: derivatives
-        # in ell = log|rho| first, then the chain rule to t
-        mono = np.exp(ell @ _C1_EXPONENTS.T)
-        c1_l = mono @ _C1_EXPONENTS
-        c1_ll = np.tensordot(mono, _C1_OUTER, axes=1)
-        _, radicand = c1_and_radicand(rho[:, 0], rho[:, 1], rho[:, 2])
-        lr_l = (2.0 * mono**2 @ _C1_EXPONENTS - 4.0 * x**2) / radicand[:, None]
-        lr_ll = (
-            (4.0 * np.tensordot(mono**2, _C1_OUTER, axes=1) - 8.0 * _diag(x**2))
-            / radicand[:, None, None]
-            - lr_l[:, :, None] * lr_l[:, None, :]
-        )
+        x = np.tanh(t)
+        sech2 = 1.0 / np.cosh(t) ** 2  # 1 - x^2, which keeps its digits
         q = self.w / bracket
-        feat = np.column_stack([np.zeros(m, dtype=int), 1 + _PIECE_ROLES[k]])
-        s1 = np.take_along_axis(q @ self.phi, feat, axis=1)
-        s2 = ((q / bracket) @ self.phi2).reshape(m, 4, 4)
-        s2 = s2[np.arange(m)[:, None, None], feat[:, :, None], feat[:, None, :]]
-        # bracket derivatives in ell, as coefficients of (1, C_ij, C_ik, C_jk)
-        b = np.zeros((m, 3, 4))
-        b[:, :, 0] = c1_l
-        b[:, :, 1:] = _diag(2.0 * rho)
-        half_w = 0.5 * self.wsum
-        g_l = half_w * lr_l - np.einsum("mac,mc->ma", b, s1)
-        h_l = (half_w * lr_ll - c1_ll * s1[:, 0, None, None]
-               - _diag(2.0 * rho * s1[:, 1:]) + b @ s2 @ b.transpose(0, 2, 1))
-        th = np.tanh(0.5 * t[:, 0])
-        s = np.exp(-np.logaddexp(0.0, -t[:, 1]))
-        jac = np.zeros((m, 3, 2))
-        jac[:, 0, 0], jac[:, 1, 0] = 0.5, -0.5
-        jac[:, 2, 0], jac[:, 2, 1] = -0.5 * th, 1.0 - s
-        grad = np.einsum("mai,ma->mi", jac, g_l)
-        # only log|rho_jk| is nonlinear in t
-        hess = (np.einsum("mai,mab,mbj->mij", jac, h_l, jac)
-                + g_l[:, 2, None, None] * _diag(np.column_stack(
-                    [-0.25 * (1.0 - th * th), -s * (1.0 - s)])))
+        rows = np.arange(m)[:, None]
+        cols = _columns(k)
+        s1 = (q @ self.phi)[rows, cols]
+        s2 = ((q / bracket) @ self.phi2).reshape(m, 4, 4)[rows[:, :, None], cols[:, :, None],
+                                                          cols[:, None, :]]
+        # coef's derivatives in t, roles (c1, ij, ik, jk) by (t1, t2), are
+        # v * sech^2 t with v = d coef / d(p, m); the second derivatives are
+        # diagonal in t
+        one = np.ones(m)
+        v = np.stack([np.column_stack([x[:, 0], one, one, x[:, 0]]),
+                      np.column_stack([x[:, 1], one, -one, -x[:, 1]])], axis=2)
+        dv = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        jac = v * sech2[:, None, :]
+        v_s1 = np.einsum("mca,mc->ma", v, s1)
+        grad = -self.wsum * x - sech2 * v_s1
+        hess = np.einsum("mca,mcd,mdb->mab", jac, s2, jac)
+        hess[:, [0, 1], [0, 1]] -= sech2 * (self.wsum + sech2 * (s1 @ dv) - 2.0 * x * v_s1)
         # ascend along |eigenvalues| so the step is uphill wherever the
         # Hessian is not negative definite
         lam, vec = np.linalg.eigh(hess)
@@ -223,114 +196,131 @@ class _Pieces:
         return np.sum(grad * step, axis=1), step, concave
 
 
-def _diag(v: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices from the rows of ``v``."""
-    out = np.zeros(v.shape + (v.shape[-1],))
-    idx = np.arange(v.shape[-1])
-    out[..., idx, idx] = v
-    return out
-
-
-def _log_abs_rho(t: np.ndarray) -> np.ndarray:
-    """log|rho| in role order at piece coordinates ``t`` (m, 2)."""
-    h = 0.5 * t[:, 0]
-    log_s = -np.logaddexp(0.0, -t[:, 1])
-    return np.column_stack([h, -h, log_s - np.logaddexp(h, -h)])
+def _columns(k: np.ndarray) -> np.ndarray:
+    """phi's columns (1, C_ij, C_ik, C_jk) of pieces ``k``."""
+    return np.column_stack([np.zeros(len(k), dtype=int), 1 + _ROLES[k]])
 
 
 def _piece_of(rho: RhoVector) -> tuple[int, np.ndarray]:
-    """Index in ``_PIECES`` and coordinates of a valid rho."""
+    """Piece and coordinates of a valid rho, from a_i^2 = rho_ij rho_ik /
+    rho_jk, a_j = rho_ij / a_i^2 and a_k = rho_ik / a_i^2."""
     require_valid(rho)
     i = validate_rho(rho).passing_permutations[0]
-    signs = tuple(int(np.sign(v)) for v in rho.as_array())
-    x, y, z = np.abs(rho.as_array())[list(_ROLES[i])]
-    s = z * (x + y) / (x * y)
-    return _PIECES.index((signs, i)), np.array([math.log(x / y), math.log(s / (1.0 - s))])
+    r_ij, r_ik, r_jk = rho.as_array()[_ROLES[i - 1]]
+    a_i2 = r_ij * r_ik / r_jk
+    a_j, a_k = r_ij / a_i2, r_ik / a_i2
+    return i - 1, np.arctanh([a_j + a_k, a_j - a_k])
+
+
+def _rho_at(k: int, t: np.ndarray) -> RhoVector:
+    """The rho of piece ``k`` at ``t``, normalized to product 1.  On an axis,
+    where a rho is 0 (t = 0 on rows whose pair cosines sum to 0), the zero
+    a_j or a_k becomes eps, which moves f by O(eps W)."""
+    p, m = np.tanh(t)
+    a = 0.5 * np.array([p + m, p - m])
+    a[a == 0.0] = np.finfo(float).eps
+    # (a_j, a_k, a_j a_k) normalized in logs, where the product may underflow
+    log_abs = np.log(np.abs(a))
+    log_abs = np.append(log_abs, log_abs.sum())
+    r = np.empty(3)
+    r[_ROLES[k]] = np.sign([a[0], a[1], a[0] * a[1]]) * np.exp(log_abs - log_abs.mean())
+    return RhoVector(*r)
 
 
 def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
-    """Maximize the copula log-likelihood over the valid region.
+    """Maximize the copula log-likelihood of the (n, 3) copula-scale angles
+    ``u`` over the 3 pieces of the valid region, in the coordinates t of
+    :class:`_Pieces`, by a batched Newton ascent from t = 0 (the
+    independence copula), or from ``start`` (a valid rho, put inside the
+    cap) in its piece, which then ends no lower than ``start``.
 
-    ``u`` is an (n, 3) array of copula-scale angles.  The valid region is
-    12 connected pieces (4 sign patterns of positive product times the 3
-    permutation checks); each gets unconstrained coordinates in which the
-    log-likelihood, scale-invariant in rho, needs no product constraint and
-    falls to -inf at the piece's boundary.  All pieces run a batched
-    Newton ascent with analytic derivatives from t = 0, or from ``start``
-    (a valid rho) in the piece that contains it, so that piece ends no
-    lower than ``start``.  A piece whose Newton decrement g^T |H|^-1 g,
-    the gain it has left, is at most 1e-10 times the total weight takes
-    that step and stops as converged.  It also stops when no step is
-    accepted, after 2000 iterations, or when a coordinate passes |t| = 40,
-    walking to a limit of the region; a winner stopped either of the last
-    two ways is reported as not converged.  A piece is retired when its
-    Hessian H is negative definite and it trails the best piece by more
-    than 10 decrements; such a piece cannot win.  The result is
-    deterministic and normalized to product 1.
+    A piece takes its last step and stops as converged once its Newton
+    decrement g^T |H|^-1 g, the gain it has left, is at most 1e-10 W (W the
+    total weight).  It stops as not converged when the decrement is at most
+    16 eps sum w / D (D the bracket), below what f can resolve; after 2000
+    iterations; or at the cap |t| = 6, the region's only limit, when a step
+    the cap cuts does not move it or, on concave ground, lands it on the
+    cap; for the winner that sets ``near_limit``.  It also stops when no
+    step raises f.  A piece on concave ground that trails the
+    best by more than 10 decrements cannot win and is retired.  The result
+    is normalized to product 1, with a winner exactly on an axis of its
+    piece, where a rho is 0, moved off it as :func:`_rho_at` says.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
         raise InvalidParameterError("pseudo-observations must be a nonempty (n, 3) array")
     w = row_weights(weights, u.shape[0])
     pieces = _Pieces(u, w)
-    n_pieces = len(_PIECES)
-    k_all = np.arange(n_pieces)
-    t = np.zeros((n_pieces, 2))
+    k_all = np.arange(3)
+    t = np.zeros((3, 2))
     if start is not None:
         k0, t0 = _piece_of(start)
-        t[k0] = t0
+        t[k0] = np.clip(t0, -_T_CAP, _T_CAP)
     f, bracket = pieces.value(t, k_all)
-    iterations = np.zeros(n_pieces, dtype=int)
-    converged = np.zeros(n_pieces, dtype=bool)
-    active = k_all[np.isfinite(f) & (np.abs(t).max(axis=1) <= _T_CAP)]
+    iterations = np.zeros(3, dtype=int)
+    converged = np.zeros(3, dtype=bool)
+    capped = np.zeros(3, dtype=bool)
+    active = k_all[np.isfinite(f)]
     while active.size:
         decrement, step, concave = pieces.ascent(t[active], active, bracket[active])
         # where the Hessian is negative definite, the decrement is the gain
-        # a piece has left: all of it on the e^-t tail toward a limit of
-        # its region, half of it near a quadratic optimum.  The best f never
-        # falls, so a piece trailing it by many decrements cannot win.  A
-        # NaN decrement keeps the piece.
+        # a piece has left, half of it near a quadratic optimum.  The best f
+        # never falls, so a piece trailing it by many decrements cannot win.
+        # A NaN decrement keeps the piece.
         keep = ~(concave & (f.max() - f[active] > _RETIRE * decrement))
         if not keep.all():
-            active, step, decrement = active[keep], step[keep], decrement[keep]
+            active, step, decrement, concave = (active[keep], step[keep], decrement[keep],
+                                                concave[keep])
             if not active.size:
                 break
+        small = decrement <= _TOL * pieces.wsum
+        # a gain that f cannot resolve: the line search could not see it
+        lost = ~small & (decrement <= _ROUNDING * (1.0 / bracket[active]) @ w)
+        # cut each step at the cap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.min((_T_CAP - np.sign(step) * t[active]) / np.abs(step), axis=1)
+        cut = np.where(room < 1.0, room, 1.0)
         moved = np.zeros(active.size, dtype=bool)
+        landed = np.zeros(active.size, dtype=bool)
         alpha = 1.0
-        pending = np.arange(active.size)
+        pending = np.flatnonzero(~lost & (cut > 0.0))
         for _ in range(_MAX_HALVINGS):
-            k = active[pending]
-            trial = t[k] + alpha * step[pending]
-            f_try, b_try = pieces.value(trial, k)
-            ok = f_try >= f[k] + _ARMIJO * alpha * decrement[pending]
-            t[k[ok]], f[k[ok]], bracket[k[ok]] = trial[ok], f_try[ok], b_try[ok]
-            moved[pending[ok]] = True
-            pending = pending[~ok]
             if not pending.size:
                 break
+            k = active[pending]
+            trial = np.clip(t[k] + (alpha * cut[pending, None]) * step[pending],
+                            -_T_CAP, _T_CAP)
+            f_try, b_try = pieces.value(trial, k)
+            # a step moves only if it raises f, also where the Armijo margin
+            # rounds away
+            ok = f_try > f[k] + _ARMIJO * alpha * cut[pending] * decrement[pending]
+            t[k[ok]], f[k[ok]], bracket[k[ok]] = trial[ok], f_try[ok], b_try[ok]
+            moved[pending[ok]] = True
+            landed[pending[ok]] = alpha == 1.0
+            pending = pending[~ok]
             alpha *= 0.5
         iterations[active] += 1
-        # on any ground, so that a piece walking the e^-t tail to a limit
-        # of its region stops once the tail is flat
-        flat = ~moved | (decrement <= _TOL * pieces.wsum)
-        out = np.abs(t[active]).max(axis=1) > _T_CAP
-        converged[active[flat & ~out]] = True
-        active = active[~(flat | out) & (iterations[active] < _MAX_ITER)]
+        # a piece stops at the cap when its cut step does not move it, or
+        # when on concave ground, where the Newton step is trusted, its
+        # optimum lies beyond the cap: the cut step lands on it
+        at_cap = ~lost & (cut < 1.0) & (~moved | (concave & landed))
+        capped[active[at_cap]] = True
+        # the decrement stops a piece on any ground, concave or not
+        stop = ~moved | small | lost | at_cap
+        converged[active[stop & ~lost & ~at_cap]] = True
+        active = active[~stop & (iterations[active] < _MAX_ITER)]
 
     best = int(np.argmax(f))
     if not np.isfinite(f[best]):
         raise FitFailureError("no valid copula parameters found in any piece")
-    signs, _ = _PIECES[best]
-    r = np.empty(3)
-    r[_PIECE_ROLES[best]] = pieces.rho(t[best:best + 1], np.array([best]))[0]
-    rho = normalize_rho(RhoVector(*r))
+    rho = _rho_at(best, t[best])
     return CopulaFit(
         rho=rho,
         loglik=float(w @ copula_log_density(u, rho)),
-        sign_pattern=signs,
+        sign_pattern=tuple(int(s) for s in np.sign(rho.as_array())),
         converged=bool(converged[best]),
         iterations=int(iterations[best]),
-        near_limit=bool(np.max(np.abs(rho.as_array())) > _NEAR_LIMIT),
+        near_limit=bool(capped[best]),
     )
 
 

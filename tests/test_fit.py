@@ -14,6 +14,7 @@ from twcm import (
     InvalidParameterError,
     RhoVector,
     bootstrap_se,
+    constants,
     copula_log_density,
     copula_sample,
     em_fit,
@@ -35,12 +36,42 @@ BUOY_FAMS = ("wrapped_cauchy", "wrapped_cauchy", "weibull")
 
 def rho_in_piece(signs, i) -> RhoVector:
     """A rho with these signs whose permutation check singles out
-    coordinate i: inside one of the 12 pieces of the valid region."""
+    coordinate i: in the quadrant of these signs in the piece of i."""
     abs_rho = np.full(3, 2.0)
     abs_rho[3 - i] = 0.5  # the pair not containing i
     rho = RhoVector(*(np.array(signs) * abs_rho))
     assert validate_rho(rho).passing_permutations == (i,)
     return rho
+
+
+def random_rho_in_piece(signs, i, rng) -> RhoVector:
+    """A random rho with these signs in the piece of coordinate i: rho_ij =
+    a_i a_j with |a_i| > |a_j| + |a_k|."""
+    a = np.abs(rng.normal(size=3)) + 0.05
+    a[i - 1] = (a.sum() - a[i - 1]) * (1.0 + rng.exponential(0.5))
+    rho = RhoVector(*(np.array(signs) * np.array([a[0] * a[1], a[0] * a[2], a[1] * a[2]])))
+    assert validate_rho(rho).passing_permutations == (i,)
+    return rho
+
+
+def count_piece_iterations(monkeypatch) -> list[int]:
+    """The number of pieces of each pass of the copula ascent, as fits
+    made after this call run it."""
+    rows = []
+    ascent = twcm.fit._Pieces.ascent
+
+    def counting(self, t, k, bracket):
+        rows.append(len(k))
+        return ascent(self, t, k, bracket)
+
+    monkeypatch.setattr(twcm.fit._Pieces, "ascent", counting)
+    return rows
+
+
+def two_rows(preset, seed, tied):
+    """Two rows of a preset, each twice if ``tied``."""
+    data = preset.sample(2, seed=seed)
+    return np.repeat(data, 2, axis=0) if tied else data
 
 
 def full_ascent(monkeypatch, fitter, *args):
@@ -166,19 +197,78 @@ class TestFitCopula:
         assert res.loglik >= full.loglik - 1e-9
 
     def test_retirement_saves_piece_iterations(self, monkeypatch):
-        # without retirement every piece runs until it stops itself: 180
-        # piece-iterations or more on such a block; retiring the pieces
-        # that cannot catch the leader leaves 45 on this one
-        rows = []
-        ascent = twcm.fit._Pieces.ascent
-
-        def counting(self, t, k, bracket):
-            rows.append(len(k))
-            return ascent(self, t, k, bracket)
-
-        monkeypatch.setattr(twcm.fit._Pieces, "ascent", counting)
+        # without retirement every piece runs until it stops itself: 12
+        # piece-iterations on this block; retiring the pieces that cannot
+        # catch the leader leaves 9
+        rows = count_piece_iterations(monkeypatch)
         fit_ifm(buoy_mixture().sample(1000, seed=1), BUOY_FAMS)
-        assert sum(rows) <= 60
+        assert sum(rows) <= 10
+
+    @pytest.mark.parametrize("data, families, near_limit", [
+        (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), BUOY_FAMS, True),
+        (two_rows(buoy_mixture(), 0, tied=False), BUOY_FAMS, True),
+        (two_rows(buoy_mixture(), 3, tied=True), BUOY_FAMS, True),
+        (two_rows(protein_model(), 8, tied=False), ["von_mises"] * 3, True),
+        (two_rows(protein_model(), 1, tied=True), ["von_mises"] * 3, True),
+        (two_rows(buoy_mixture(), 5, tied=True), ["von_mises"] * 3, False),
+    ], ids=["cli-rows", "buoy-0", "buoy-3-tied", "protein-8", "protein-1-tied",
+          "buoy-5-tied-von-mises"])
+    def test_degenerate_data_end_in_bounded_time(self, data, families, near_limit,
+                                                 monkeypatch):
+        # on two distinct rows the likelihood grows without bound toward
+        # the edge of the region, and near the edge f is rounding noise;
+        # a piece could run to 2000 iterations there while a step that did
+        # not raise f counted as a move.  The winner now stops at the cap,
+        # without walking along it, or, on the last block, once its
+        # decrement is below what f can resolve; either way not converged
+        rows = count_piece_iterations(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the marginals' caps warn
+            res = fit_ifm(data, families)
+        assert sum(rows) <= 30
+        constants(res.model.rho)
+        assert np.isfinite(res.loglik)
+        assert not res.converged and res.near_limit == near_limit
+
+    @pytest.mark.parametrize("n", [40, 400])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_one_start_a_piece_is_not_beaten_by_a_start_in_any_quadrant(self, signs, i, n):
+        # each piece runs one ascent, from the independence copula at its
+        # centre; the 4 sign patterns are the quadrants of the piece, and
+        # a start in any of the 12 must not end higher
+        rng = np.random.default_rng([n, i, *np.add(signs, 1)])
+        u = copula_sample(n, random_rho_in_piece(signs, i, rng), seed=rng.integers(1 << 30))
+        cold = fit_copula(u).loglik
+        for start_signs in SIGN_PATTERNS:
+            for start_i in (1, 2, 3):
+                warm = fit_copula(u, start=rho_in_piece(start_signs, start_i)).loglik
+                assert cold >= warm - 1e-9 * abs(warm)
+
+    def test_near_limit_is_the_cap(self):
+        # |rho12| = 5957 in the buoy preset's third component lies well
+        # inside its piece; only the cap, where two rows drive the winner,
+        # is a limit
+        comp = buoy_mixture().components[2]
+        _, t = twcm.fit._piece_of(comp.rho)
+        assert np.abs(comp.rho.as_array()).max() > 1e3 and np.abs(t).max() < 1.0
+        res = fit_ifm(comp.sample(1000, seed=5), BUOY_FAMS)
+        assert res.converged and not res.near_limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = fit_ifm(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), BUOY_FAMS)
+        _, t = twcm.fit._piece_of(res.model.rho)
+        assert res.near_limit and not res.converged
+        assert np.abs(t).max() == pytest.approx(twcm.fit._T_CAP, abs=1e-9)
+
+    def test_winner_on_an_axis_is_moved_off_it(self):
+        # every pair cosine sums to 0 on these rows, so the gradient at the
+        # independence copula, t = 0, is 0 and each piece stops there, on
+        # the axes, where a rho is 0; the fit returns a valid rho beside it
+        u = np.array([[0, 0, 0], [0, 0, np.pi], [0, np.pi, 0], [0, np.pi, np.pi]], dtype=float)
+        res = fit_copula(u)
+        constants(res.rho)
+        assert res.loglik == pytest.approx(-4 * 3 * math.log(TWO_PI), rel=1e-12)
 
     def test_invalid_start_rejected(self):
         u = copula_sample(50, RHO_333, seed=3)
