@@ -21,8 +21,9 @@ from twcm import (
 TWO_PI = 2 * np.pi
 
 # --- validity -----------------------------------------------------------
-# Dependence parameters must be nonzero with positive product, and at
-# least one permutation must satisfy the triangle-style inequality.
+# Dependence parameters must be nonzero with positive product, and with
+# rho_ij = a_i a_j one |a_i| must exceed the sum of the other two: the
+# moduli of the amplitudes a fail the triangle inequality.
 for raw in [(1.0, 1.0, 1.0), (3.0, 3.0, 1 / 9), (9.18, -1.17, -0.09)]:
     rho = RhoVector(*raw)
     report = validate_rho(rho)

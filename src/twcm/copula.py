@@ -10,6 +10,11 @@ parameter validity checks, the identifiability normalization
 (rho12*rho13*rho23 = 1), the bivariate/conditional kernels, and exact
 sequential sampling.
 
+Every formula reads the :func:`amplitudes` a, rho_ij = a_i a_j: c1 = sum
+a_i^2, the bracket is |sum a_i e^{i u_i}|^2, and with the |a_i| sorted as
+lo <= mid <= hi, rho is valid when hi > mid + lo, and c2's radicand is
+Heron's product (hi - mid - lo)(hi + mid + lo)(hi - mid + lo)(hi + mid - lo).
+
 Pair and coordinate indices are 1-based throughout, matching the
 parameter names rho12, rho13, rho23.
 """
@@ -71,8 +76,8 @@ class RhoValidity:
     finite: bool
     nonzero: bool
     positive_product: bool
-    # permutation_checks[i-1] is |rho_jk| < |rho_ij rho_ik| / (|rho_ij| + |rho_ik|)
-    # for the permutation that singles out coordinate i.
+    # permutation_checks[i-1] is |a_i| > |a_j| + |a_k| on the amplitudes a,
+    # which only the largest |a_i| can pass.
     permutation_checks: tuple[bool, bool, bool]
 
     @property
@@ -90,26 +95,34 @@ class RhoValidity:
         return tuple(i + 1 for i, ok in enumerate(self.permutation_checks) if ok)
 
 
+def amplitudes(rho: RhoVector) -> tuple[float, float, float]:
+    """(a1, a2, a3) with a1^2 = |rho12 rho13 / rho23|, a2 = rho12 / a1 and
+    a3 = rho13 / a1, so rho_ij = a_i a_j where rho's product is positive;
+    NaN where a1^2 underflows."""
+    r12, r13 = rho.rho12, rho.rho13
+    a1 = math.sqrt(abs(r12 * r13 / rho.rho23)) or math.nan
+    return a1, r12 / a1, r13 / a1
+
+
 def validate_rho(rho: RhoVector) -> RhoValidity:
     """Check the structural validity conditions of the dependence parameters.
 
-    The parameters must be nonzero and finite with positive product, and at
-    least one of the three distinct permutations (i, j, k) must satisfy
-    ``|rho_jk| < |rho_ij rho_ik| / (|rho_ij| + |rho_ik|)``.
+    The parameters must be nonzero and finite with positive product, and
+    one coordinate i must satisfy the permutation check
+    ``|a_i| > |a_j| + |a_k|``, evaluated as the first factor (hi - mid) - lo
+    of c2's radicand, on finite amplitudes.
     """
-    r = rho.as_array()
-    finite = bool(np.all(np.isfinite(r)))
-    nonzero = bool(np.all(r != 0.0))
+    r = (rho.rho12, rho.rho13, rho.rho23)
+    finite = all(math.isfinite(x) for x in r)
+    nonzero = all(x != 0.0 for x in r)
     if not (finite and nonzero):
         return RhoValidity(finite, nonzero, False, (False, False, False))
-    a12, a13, a23 = np.abs(r)
-    positive_product = rho.product > 0.0
-    checks = (
-        a23 < a12 * a13 / (a12 + a13),  # i = 1
-        a13 < a12 * a23 / (a12 + a23),  # i = 2
-        a12 < a13 * a23 / (a13 + a23),  # i = 3
-    )
-    return RhoValidity(finite, nonzero, positive_product, checks)
+    mod = [abs(x) for x in amplitudes(rho)]
+    lo, mid, hi = sorted(mod)
+    passes = (hi - mid) - lo > 0.0 and hi < math.inf
+    dominant = mod.index(hi)
+    checks = tuple(passes and i == dominant for i in range(3))
+    return RhoValidity(finite, nonzero, rho.product > 0.0, checks)
 
 
 def require_valid(rho: RhoVector) -> None:
@@ -142,30 +155,16 @@ class CopulaConstants:
     c2: float
 
 
-def c1_and_radicand(r12, r13, r23):
-    """c1 and the radicand of c2 (c2 = sqrt(radicand) / (2 pi)^3).
-
-    Both are symmetric in the three arguments, which may be arrays of
-    equal shape.
-    """
-    a = r12 * r13 / r23
-    b = r12 * r23 / r13
-    d = r13 * r23 / r12
-    return a + b + d, a * a + b * b + d * d - 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)
-
-
 def constants(rho: RhoVector) -> CopulaConstants:
-    """Compute c1 and c2.  Both are positive and homogeneous of degree 1
-    in rho; c2's radicand must be strictly positive for the density to
-    exist."""
+    """c1 and c2 = sqrt(radicand) / (2 pi)^3, positive and homogeneous of
+    degree 1 in rho.  The radicand's one cancelling factor is
+    :func:`validate_rho`'s check, so it is positive for every valid rho."""
     require_valid(rho)
-    c1, radicand = c1_and_radicand(rho.rho12, rho.rho13, rho.rho23)
-    if radicand <= 0.0:
-        raise InvalidParameterError(
-            f"degenerate copula parameters {rho}: nonpositive radicand {radicand}"
-        )
-    c2 = math.sqrt(radicand) / TWO_PI**3
-    return CopulaConstants(c1, c2)
+    a = amplitudes(rho)
+    lo, mid, hi = sorted(abs(x) for x in a)
+    radicand = ((hi - mid) - lo) * (hi + mid + lo) * (hi - mid + lo) * (hi + mid - lo)
+    c1 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    return CopulaConstants(c1, math.sqrt(radicand) / TWO_PI**3)
 
 
 def _bracket(cc: CopulaConstants, rho: RhoVector, c12, c13, c23):
@@ -214,20 +213,19 @@ class PairwiseMarginalSpec:
 
 
 def pairwise_phi(rho: RhoVector, pair: tuple[int, int]) -> PairwiseMarginalSpec:
-    """Bivariate-marginal concentration phi_ij for a 1-based index pair."""
+    """Bivariate-marginal concentration phi_ij for a 1-based index pair: the
+    root of phi + 1/phi = -b / (a_i a_j), b = a_i^2 + a_j^2 - a_k^2, in the
+    unit disk, formed without cancellation as -2 a_i a_j / (b + sign(b)
+    (2 pi)^3 c2), since b^2 - 4 a_i^2 a_j^2 is c2's radicand."""
     cc = constants(rho)
     i, j = pair
     if not {i, j} < {1, 2, 3} or i == j:
         raise InvalidParameterError(f"invalid coordinate pair {pair}")
-    k = ({1, 2, 3} - {i, j}).pop()
-    rij, rik, rjk = rho.pair(i, j), rho.pair(i, k), rho.pair(j, k)
-    raw = (
-        rik * rjk / rij
-        - rij * rik / rjk
-        - rij * rjk / rik
-        - TWO_PI**3 * cc.c2
-    ) / (2.0 * rij)
-    return PairwiseMarginalSpec(phi=float(effective_concentration(raw)))
+    k = 6 - i - j
+    a = amplitudes(rho)
+    ai, aj, ak = a[i - 1], a[j - 1], a[k - 1]
+    b = ai * ai + aj * aj - ak * ak
+    return PairwiseMarginalSpec(phi=-2.0 * ai * aj / (b + math.copysign(TWO_PI**3 * cc.c2, b)))
 
 
 def _phi_value(phi) -> float:
@@ -270,22 +268,21 @@ class ConditionalWCSpec:
         return float(effective_concentration(self.delta))
 
 
-def conditional_links(rho: RhoVector, i: int) -> tuple[float, float, float]:
-    """(rho_jk, 1/rho_ik, 1/rho_ij) for coordinate i given j < k, the other
-    two."""
+def conditional_links(rho: RhoVector, i: int) -> tuple[float, float]:
+    """(a_j / a_i, a_k / a_i) = (rho_jk / rho_ik, rho_jk / rho_ij) for
+    coordinate i given j < k, the other two."""
     j, k = sorted({1, 2, 3} - {i})
-    return rho.pair(j, k), 1.0 / rho.pair(i, k), 1.0 / rho.pair(i, j)
+    a = amplitudes(rho)
+    return a[j - 1] / a[i - 1], a[k - 1] / a[i - 1]
 
 
 def phi_from_unit(links, z_j, z_k):
-    """phi_{i|jk} from ``links = conditional_links(rho, i)`` and the unit
-    vectors ``z = e^{iu}`` of the two conditioning angles; unchecked.
-
-    Takes NumPy arrays or Python complex numbers and rounds the same on
-    both: NumPy divides a complex by a real as a product with the
-    reciprocal, which is the product written here."""
-    rjk, inv_ik, inv_ij = links
-    return -rjk * (z_j * inv_ik + z_k * inv_ij)
+    """phi_{i|jk} = -(a_j z_j + a_k z_k) / a_i from ``links =
+    conditional_links(rho, i)`` and the unit vectors ``z = e^{iu}`` of the
+    two conditioning angles; unchecked.  Takes NumPy arrays or Python
+    complex numbers, on which a real times z rounds the same."""
+    l_j, l_k = links
+    return -(l_j * z_j + l_k * z_k)
 
 
 def conditional_phi(rho: RhoVector, i: int, u_j, u_k):
@@ -293,9 +290,7 @@ def conditional_phi(rho: RhoVector, i: int, u_j, u_k):
     two, whose values are ``u_j`` and ``u_k`` in increasing coordinate
     order.
 
-    phi_{i|jk} = -rho_jk (rho_ik^{-1} e^{i u_j} + rho_ij^{-1} e^{i u_k});
-    the lower-indexed conditioning angle pairs with the rho linking i to
-    the *other* conditioning coordinate.
+    phi_{i|jk} = -rho_jk (rho_ik^{-1} e^{i u_j} + rho_ij^{-1} e^{i u_k}).
     """
     require_valid(rho)
     if i not in (1, 2, 3):

@@ -20,21 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import TWO_PI, require_positive_density, row_weights, wrap_angle
-from .copula import (
-    RhoVector,
-    _cos_diffs,
-    copula_log_density,
-    require_valid,
-    validate_rho,
-)
+from .copula import RhoVector, _cos_diffs, amplitudes, copula_log_density, require_valid
 from .errors import FitFailureError, InvalidParameterError
 from .marginals import CIRCULAR, family_class, fit_mle
 from .model import TwcmModel, check_rows, marginal_terms
 
-# In the piece that singles out coordinate i, the pairs play the roles
-# (ij, ik, jk); _ROLES[i - 1] gives each role's index in (rho12, rho13, rho23).
-_ROLES = np.array([(0, 1, 2), (0, 2, 1), (1, 2, 0)])
-_T_CAP = 6.0  # keeps 1 - max(|p|, |m|) >= 1.2e-5, so rho's radicand keeps its digits
+# In the piece that singles out coordinate i, with j < k the other two, the
+# bracket's coefficients play the roles (c1, ij, ik, jk); _COLUMNS[i - 1]
+# gives each role's column of phi = (1, C12, C13, C23).
+_COLUMNS = np.array([(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1)])
+# bounds the ascent on degenerate data, whose optimum lies on the region's
+# edge; the radicand, Heron's product, needs no margin from that edge
+_T_CAP = 6.0
 _STEP_MAX = 8.0
 _EIG_FLOOR = 1e-10  # relative to the total weight
 _ARMIJO = 1e-4
@@ -122,20 +119,20 @@ class _Pieces:
     """The weighted copula log-likelihood on the 3 pieces of the valid
     region, in each piece's coordinates t = (t1, t2).
 
-    With rho_ij = a_i a_j, c1 = sum a_i^2, the bracket is
-    |sum a_i e^{i u_i}|^2, and the permutation check that singles out
-    coordinate i is |a_i| > |a_j| + |a_k|.  Piece i - 1 fixes a_i = 1 and
-    takes
+    In the chart of :mod:`twcm.copula`, rho_ij = a_i a_j with the
+    amplitudes a, c1 = sum a_i^2, the bracket is |sum a_i e^{i u_i}|^2, and
+    the permutation check that singles out coordinate i is
+    |a_i| > |a_j| + |a_k|.  Piece i - 1 fixes a_i = 1 and takes
 
         p = a_j + a_k = tanh t1,  m = a_j - a_k = tanh t2,
 
     so the piece is exactly (p, m) in (-1, 1)^2; the 4 sign patterns of rho
     are its quadrants, and on an axis (a zero rho) the density stays smooth,
-    a bivariate wrapped Cauchy times a uniform.  The radicand is
-    (1 - p^2)(1 - m^2).  The bracket is coef . phi with phi = (1, C_ij,
-    C_ik, C_jk) per row and coef = (1 + (p^2 + m^2)/2, p + m, p - m,
-    (p^2 - m^2)/2), and the data enter the derivatives only through the
-    weighted sums of phi / D and phi phi^T / D^2.
+    a bivariate wrapped Cauchy times a uniform.  The radicand, Heron's
+    product, is (1 - p^2)(1 - m^2).  The bracket is coef . phi with
+    phi = (1, C_ij, C_ik, C_jk) per row and coef = (1 + (p^2 + m^2)/2,
+    p + m, p - m, (p^2 - m^2)/2), and the data enter the derivatives only
+    through the weighted sums of phi / D and phi phi^T / D^2.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray):
@@ -150,8 +147,7 @@ class _Pieces:
         and the brackets, shape (len(k), n)."""
         p, m = np.tanh(t).T
         coef = np.empty((len(k), 4))
-        # phi's column of each role is 1 + its pair index
-        coef[np.arange(len(k))[:, None], _columns(k)] = np.column_stack(
+        coef[np.arange(len(k))[:, None], _COLUMNS[k]] = np.column_stack(
             [1.0 + 0.5 * (p * p + m * m), p + m, p - m, 0.5 * (p + m) * (p - m)])
         bracket = coef @ self.phi.T
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +165,7 @@ class _Pieces:
         sech2 = 1.0 / np.cosh(t) ** 2  # 1 - x^2, which keeps its digits
         q = self.w / bracket
         rows = np.arange(m)[:, None]
-        cols = _columns(k)
+        cols = _COLUMNS[k]
         s1 = (q @ self.phi)[rows, cols]
         s2 = ((q / bracket) @ self.phi2).reshape(m, 4, 4)[rows[:, :, None], cols[:, :, None],
                                                           cols[:, None, :]]
@@ -196,20 +192,14 @@ class _Pieces:
         return np.sum(grad * step, axis=1), step, concave
 
 
-def _columns(k: np.ndarray) -> np.ndarray:
-    """phi's columns (1, C_ij, C_ik, C_jk) of pieces ``k``."""
-    return np.column_stack([np.zeros(len(k), dtype=int), 1 + _ROLES[k]])
-
-
 def _piece_of(rho: RhoVector) -> tuple[int, np.ndarray]:
-    """Piece and coordinates of a valid rho, from a_i^2 = rho_ij rho_ik /
-    rho_jk, a_j = rho_ij / a_i^2 and a_k = rho_ik / a_i^2."""
+    """Piece and coordinates of a valid rho: the piece of the largest |a_i|
+    of its :func:`~twcm.copula.amplitudes` a, at a / a_i."""
     require_valid(rho)
-    i = validate_rho(rho).passing_permutations[0]
-    r_ij, r_ik, r_jk = rho.as_array()[_ROLES[i - 1]]
-    a_i2 = r_ij * r_ik / r_jk
-    a_j, a_k = r_ij / a_i2, r_ik / a_i2
-    return i - 1, np.arctanh([a_j + a_k, a_j - a_k])
+    a = np.array(amplitudes(rho))
+    k = int(np.argmax(np.abs(a)))
+    a_j, a_k = np.delete(a, k) / a[k]
+    return k, np.arctanh([a_j + a_k, a_j - a_k])
 
 
 def _rho_at(k: int, t: np.ndarray) -> RhoVector:
@@ -217,13 +207,13 @@ def _rho_at(k: int, t: np.ndarray) -> RhoVector:
     where a rho is 0 (t = 0 on rows whose pair cosines sum to 0), the zero
     a_j or a_k becomes eps, which moves f by O(eps W)."""
     p, m = np.tanh(t)
-    a = 0.5 * np.array([p + m, p - m])
+    a = np.ones(3)
+    a[np.arange(3) != k] = 0.5 * np.array([p + m, p - m])
     a[a == 0.0] = np.finfo(float).eps
-    # (a_j, a_k, a_j a_k) normalized in logs, where the product may underflow
-    log_abs = np.log(np.abs(a))
-    log_abs = np.append(log_abs, log_abs.sum())
-    r = np.empty(3)
-    r[_ROLES[k]] = np.sign([a[0], a[1], a[0] * a[1]]) * np.exp(log_abs - log_abs.mean())
+    # rho_ij = a_i a_j normalized in logs, where a product may underflow
+    pairs = np.array([(0, 1), (0, 2), (1, 2)])
+    log_abs = np.log(np.abs(a))[pairs].sum(axis=1)
+    r = np.prod(np.sign(a)[pairs], axis=1) * np.exp(log_abs - log_abs.mean())
     return RhoVector(*r)
 
 

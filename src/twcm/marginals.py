@@ -362,8 +362,9 @@ _SERIES_BLOCK = 4096
 _START_DW = 0.025
 _START_WMAX = 40.0
 _START_INTERVALS = 16
-# Newton steps of the cardioid quantile: at |rho_c| one ulp below 1/2 the
-# slowest q measured needs 27 to reach the rounding of the CDF.
+# Newton steps of the cardioid quantile, fewer once its values settle (see
+# _symmetric_quantile): at |rho_c| one ulp below 1/2 the slowest q
+# measured needs 27 to reach the rounding of the CDF.
 _CARDIOID_NEWTON_STEPS = 40
 
 
@@ -531,14 +532,22 @@ def _symmetric_quantile(m: Marginal, p, start, step, steps: int):
     [0, 1/2] (1 - p is exact for p >= 1/2), whose root lies in [0, pi].
     ``start(q)`` returns the starting offsets y and bounds lo, hi on the
     root.  Each of ``steps`` calls ``step(y, q)`` moves y toward the root
-    of m._cdf_offset(y) = q, and its result is clipped to [lo, hi].
+    of m._cdf_offset(y) = q, and its result is clipped to [lo, hi].  Once a
+    step returns the y of two steps back, every value is fixed or
+    alternates between two floats, so the loop ends on the y that the
+    remaining steps would end on.
     """
     p = m._check_quantile_arg(p)
     upper = p > 0.5
     q = np.where(upper, 1.0 - p, p)
     y, lo, hi = start(q)
-    for _ in range(steps):
-        y = np.clip(step(y, q), lo, hi)
+    y_back = None  # the y of two steps back
+    for left in reversed(range(steps)):  # steps left after this one
+        y_next = np.clip(step(y, q), lo, hi)
+        if y_back is not None and np.array_equal(y_next, y_back):
+            y = y if left % 2 else y_next
+            break
+        y_back, y = y, y_next
     # the root of q = 1/2 is pi by symmetry; where F is 1/2 to rounding
     # on a whole bracket about pi, a step may end anywhere in it
     y = np.where(q == 0.5, np.pi, y)

@@ -7,6 +7,7 @@ oracles use the midpoint rule, which is spectrally accurate for smooth
 periodic integrands.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,14 +32,51 @@ from twcm import (
     validate_rho,
 )
 from twcm._util import periodic_grid, wc_kernel_log_density, wc_kernel_sample
-from twcm.copula import _bracket
+from twcm.copula import _bracket, amplitudes
+from twcm.presets import buoy_mixture
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 RHO_333 = RhoVector(3.0, 3.0, 1.0 / 9.0)
 RHO_PROTEIN = RhoVector(9.18, -1.17, -0.09)
 RHO_NEG = RhoVector(-2.0, -2.0, 0.25)
 VALID_RHOS = (RHO_333, RHO_PROTEIN, RHO_NEG)
+
+
+def edge_sweep(n=2000, seed=19):
+    """Valid rhos near the region's edge: amplitudes of random signs and
+    moduli 1e-6 .. 1e6 whose dominant |a_i| exceeds |a_j| + |a_k| by a
+    relative 1e-12 .. 1."""
+    rng = np.random.default_rng(seed)
+    rhos = []
+    for _ in range(n):
+        mod = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+        i = rng.integers(3)
+        a = np.empty(3)
+        a[np.arange(3) != i] = mod
+        a[i] = mod.sum() * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))
+        a *= rng.choice([-1.0, 1.0], 3)
+        rhos.append(RhoVector(a[0] * a[1], a[0] * a[2], a[1] * a[2]))
+    return rhos
+
+
+def exact_copula(rho, pair=(1, 2)):
+    """c2, phi of ``pair`` and the edge distance (hi - mid - lo) / hi of the
+    moduli of a_i = sqrt(rho_ij rho_ik / rho_jk), from the paper's formulas
+    in rho at 60 digits."""
+    with mpmath.workdps(60):
+        r = dict(zip([(1, 2), (1, 3), (2, 3)], map(mpmath.mpf, rho.as_array())))
+        r12, r13, r23 = r.values()
+        sq = (r12 * r13 / r23, r12 * r23 / r13, r13 * r23 / r12)
+        root = mpmath.sqrt(sum(x * x for x in sq) - 2 * (r12**2 + r13**2 + r23**2))
+        i, j = pair
+        k = 6 - i - j
+        rij, rik, rjk = r[pair], r[tuple(sorted((i, k)))], r[tuple(sorted((j, k)))]
+        phi = (rik * rjk / rij - rij * rik / rjk - rij * rjk / rik - root) / (2 * rij)
+        lo, mid, hi = sorted(mpmath.sqrt(abs(x)) for x in sq)
+        return (float(root / (2 * mpmath.pi) ** 3), float(phi if abs(phi) <= 1 else 1 / phi),
+                float((hi - mid - lo) / hi))
 
 
 def grid_mean_density(rho, n=64):
@@ -89,6 +127,18 @@ class TestValidity:
     def test_nonfinite_invalid(self):
         assert not validate_rho(RhoVector(np.nan, 1.0, 1.0)).valid
         assert not validate_rho(RhoVector(np.inf, 1.0, 1.0)).valid
+
+    @pytest.mark.parametrize("rho", VALID_RHOS, ids=["333", "protein", "neg"])
+    def test_amplitudes_give_rho(self, rho):
+        a1, a2, a3 = amplitudes(rho)
+        assert a1 > 0.0
+        np.testing.assert_allclose([a1 * a2, a1 * a3, a2 * a3], rho.as_array(), rtol=4 * EPS)
+
+    def test_amplitudes_beyond_the_float_range_are_reported(self):
+        # a1^2 = 1e-510 underflows and a1^2 = 1e650 overflows
+        for rho in (RhoVector(1e-100, 1e-110, 1e300), RhoVector(1e300, 1e300, 1e-50)):
+            report = validate_rho(rho)
+            assert report.positive_product and not report.valid
 
 
 class TestNormalize:
@@ -143,6 +193,22 @@ class TestConstants:
         with pytest.raises(InvalidParameterError):
             constants(RhoVector(1.0, 1.0, 1.0))
 
+    def test_no_valid_rho_rejected_near_the_edge(self):
+        # the radicand is Heron's product of the amplitude moduli, whose one
+        # cancelling factor is validate_rho's own check, so every accepted
+        # rho has c2 > 0, within a few eps / delta of its exact value
+        for rho in edge_sweep():
+            assert validate_rho(rho).valid
+            c2, _, delta = exact_copula(rho)
+            assert constants(rho).c2 == pytest.approx(c2, rel=8.0 * EPS / delta)
+
+    def test_edge_rho_with_a_small_amplitude(self):
+        # the squares of the paper's radicand cancelled to 0.0 here
+        rho = RhoVector(147744.5017389779, -0.7777162428667117, -0.7777121490434653)
+        assert validate_rho(rho).passing_permutations == (1,)
+        c2, _, delta = exact_copula(rho)
+        assert constants(rho).c2 == pytest.approx(c2, rel=8.0 * EPS / delta)
+
 
 class TestLogDensity:
     def test_frozen_origin_value(self):
@@ -190,13 +256,13 @@ class TestLogDensity:
 class TestPairwisePhi:
     def test_frozen_333(self):
         assert pairwise_phi(RHO_333, (1, 2)).phi == pytest.approx(
-            -0.0370879821637399, rel=1e-12
+            -0.0370879821637399, rel=1e-14
         )
         assert pairwise_phi(RHO_333, (1, 3)).phi == pytest.approx(
-            -0.0370879821637399, rel=1e-12
+            -0.0370879821637399, rel=1e-14
         )
         assert pairwise_phi(RHO_333, (2, 3)).phi == pytest.approx(
-            0.00137551842097789, rel=1e-11
+            0.00137551842097789, rel=1e-14
         )
 
     def test_protein_all_pairs_inside_unit_interval(self):
@@ -205,14 +271,28 @@ class TestPairwisePhi:
 
     def test_frozen_protein_values(self):
         assert pairwise_phi(RHO_PROTEIN, (1, 2)).phi == pytest.approx(
-            -0.0769305152621330, rel=1e-12
+            -0.0769305152621330, rel=1e-14
         )
         assert pairwise_phi(RHO_PROTEIN, (1, 3)).phi == pytest.approx(
-            0.00986228392122137, rel=1e-11
+            0.00986228392122137, rel=1e-14
         )
         assert pairwise_phi(RHO_PROTEIN, (2, 3)).phi == pytest.approx(
-            -0.000758710583721010, rel=1e-10
+            -0.000758710583721010, rel=1e-14
         )
+
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("component", range(4))
+    def test_buoy_values_keep_their_digits(self, component, pair):
+        # the inner root is formed as a sum of terms of one sign; the
+        # paper's formula cancelled to -0.0 at component 0's pair (2, 3)
+        rho = buoy_mixture().components[component].rho
+        _, phi, _ = exact_copula(rho, pair)
+        assert pairwise_phi(rho, pair).phi == pytest.approx(phi, rel=1e-14)
+
+    def test_keeps_its_digits_near_the_edge(self):
+        for rho in edge_sweep():
+            _, phi, delta = exact_copula(rho)
+            assert pairwise_phi(rho, (1, 2)).phi == pytest.approx(phi, rel=8.0 * EPS / delta)
 
     @pytest.mark.parametrize("rho", VALID_RHOS, ids=["333", "protein", "neg"])
     def test_marginalization_oracle(self, rho):

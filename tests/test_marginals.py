@@ -294,6 +294,38 @@ class TestQuantile:
         for m in laws:
             assert m.quantile(0.5) == wrap_angle(m.mu + np.pi), m
 
+    @pytest.mark.parametrize("rho_c", [0.1, 0.3, 0.45, 0.499, -0.2, -0.499, marginals.RHO_C_MAX])
+    def test_cardioid_stop_matches_all_newton_steps(self, rho_c):
+        # a step that moves no value is a fixed point, so stopping there
+        # gives the bits of all _CARDIOID_NEWTON_STEPS steps
+        m = Cardioid(mu=2.0, rho_c=rho_c)
+        p = np.random.default_rng(8).random(2000)
+        q = np.minimum(p, 1.0 - p)
+        y = np.minimum(2.0 * np.pi * q / (1.0 + 2.0 * rho_c), np.pi)
+        for _ in range(marginals._CARDIOID_NEWTON_STEPS):
+            y = np.clip(y + marginals._newton_delta(m, y, q, m.pdf(m.mu + y)), 0.0, np.pi)
+        y = np.where(q == 0.5, np.pi, y)
+        expected = wrap_angle(m.mu + np.where(p > 0.5, 2.0 * np.pi - y, y))
+        np.testing.assert_array_equal(m.quantile(p), expected)
+
+    @pytest.mark.parametrize("law, max_steps", [
+        (VonMises(mu=1.0, kappa=5.0), 1),
+        # 9 here: 162 of the 2000 values alternate between two floats from
+        # step 6 on, so a stop only where no value moves would take all 40
+        (Cardioid(mu=2.0, rho_c=0.3), 12),
+    ])
+    def test_quantile_newton_steps(self, monkeypatch, law, max_steps):
+        calls = []
+        newton_delta = marginals._newton_delta
+
+        def counting(*args):
+            calls.append(1)
+            return newton_delta(*args)
+
+        monkeypatch.setattr(marginals, "_newton_delta", counting)
+        law.quantile(np.random.default_rng(8).random(2000))
+        assert len(calls) <= max_steps
+
     def test_weibull_inverse_of_cdf_example(self):
         m = Weibull(shape=2.0, scale=1.0)
         assert m.quantile(1.0 - np.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
