@@ -15,7 +15,8 @@ precision reaches 1.13e-15; the table costs at most one series pass over
 493 values, stores at most 29 fitted intervals (about 53 KB at KAPPA_MAX)
 and is cached per kappa.  The quantile starts from a second per-kappa
 table and takes one step of fifth order, so it reads the CDF table once a
-value.
+value.  Every symmetric circular quantile is such a start plus one step:
+the cardioid's starts from Markley's (1995) solution of Kepler's equation.
 
 Each fit is one deterministic solver: the von Mises mean direction in
 closed form and kappa by Newton on A1(kappa) = rbar; the wrapped Cauchy
@@ -32,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -138,7 +139,7 @@ class Marginal:
 
     # -- serialization ---------------------------------------------------
     def params_dict(self) -> dict:
-        raise NotImplementedError
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict:
         return {
@@ -178,9 +179,6 @@ class CircularUniform(Marginal):
         p = self._check_quantile_arg(p)
         out = TWO_PI * p
         return float_if_scalar(out)
-
-    def params_dict(self):
-        return {}
 
     @classmethod
     def fit(cls, data, weights=None):
@@ -236,9 +234,6 @@ class WrappedCauchy(Marginal):
         p = self._check_quantile_arg(p)
         out = moebius_map(self.mu, self.xi, *half_angle_sincos(p))
         return float_if_scalar(out)
-
-    def params_dict(self):
-        return {"mu": self.mu, "xi": self.xi}
 
     @classmethod
     def fit(cls, data, weights=None):
@@ -362,10 +357,6 @@ _SERIES_BLOCK = 4096
 _START_DW = 0.025
 _START_WMAX = 40.0
 _START_INTERVALS = 16
-# Newton steps of the cardioid quantile, fewer once its values settle (see
-# _symmetric_quantile): at |rho_c| one ulp below 1/2 the slowest q
-# measured needs 27 to reach the rounding of the CDF.
-_CARDIOID_NEWTON_STEPS = 40
 
 
 def _sine_series(y, coef):
@@ -525,32 +516,26 @@ def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     return cdf, y
 
 
-def _symmetric_quantile(m: Marginal, p, start, step, steps: int):
+def _symmetric_quantile(m: Marginal, p, start, step):
     """Quantile of a circular law symmetric about its origin mu.
 
     F(2 pi - y) = 1 - F(y) reduces every p to q = min(p, 1 - p) in
     [0, 1/2] (1 - p is exact for p >= 1/2), whose root lies in [0, pi].
-    ``start(q)`` returns the starting offsets y and bounds lo, hi on the
-    root.  Each of ``steps`` calls ``step(y, q)`` moves y toward the root
-    of m._cdf_offset(y) = q, and its result is clipped to [lo, hi].  Once a
-    step returns the y of two steps back, every value is fixed or
-    alternates between two floats, so the loop ends on the y that the
-    remaining steps would end on.
+    Every such quantile is a start plus one step: ``start(q)`` returns a
+    start y and bounds lo, hi on the root, and one high-order
+    ``step(y, q)`` toward the root of m._cdf_offset(y) = q, clipped to
+    [lo, hi], takes y to the rounding of the CDF.  The cardioid's start is
+    Markley's (1995) for Kepler's equation.
     """
     p = m._check_quantile_arg(p)
     upper = p > 0.5
     q = np.where(upper, 1.0 - p, p)
     y, lo, hi = start(q)
-    y_back = None  # the y of two steps back
-    for left in reversed(range(steps)):  # steps left after this one
-        y_next = np.clip(step(y, q), lo, hi)
-        if y_back is not None and np.array_equal(y_next, y_back):
-            y = y if left % 2 else y_next
-            break
-        y_back, y = y, y_next
-    # the root of q = 1/2 is pi by symmetry; where F is 1/2 to rounding
-    # on a whole bracket about pi, a step may end anywhere in it
-    y = np.where(q == 0.5, np.pi, y)
+    y = np.clip(step(y, q), lo, hi)
+    # by symmetry the root of q = 0 is 0 and that of q = 1/2 is pi; where F
+    # is 1/2 to rounding on a whole bracket about pi, a step may end
+    # anywhere in it
+    y = np.where(q == 0.0, 0.0, np.where(q == 0.5, np.pi, y))
     return float_if_scalar(wrap_angle(m.mu + np.where(upper, TWO_PI - y, y)))
 
 
@@ -659,10 +644,7 @@ class VonMises(Marginal):
                 + a * (6.0 * a * a + 7.0 * kcd2 - d2) / 24.0
             )
 
-        return _symmetric_quantile(self, p, start, step, 1)
-
-    def params_dict(self):
-        return {"mu": self.mu, "kappa": self.kappa}
+        return _symmetric_quantile(self, p, start, step)
 
     @classmethod
     def fit(cls, data, weights=None):
@@ -733,21 +715,39 @@ class Cardioid(Marginal):
         return float_if_scalar(self._cdf_offset(y))
 
     def quantile(self, p):
-        # On [0, pi] the CDF is concave for rho_c > 0 and convex for
-        # rho_c < 0, so Newton from the tangent at y = 0 (clipped to pi)
-        # approaches the root from one side only.  Near |rho_c| = 1/2 the
-        # density almost vanishes at one end of [0, pi] and a step may only
-        # shrink the error by a third, hence the larger step count.
+        # On [0, pi], F(y) = q reads y + 2 rho_c sin y = 2 pi q: Kepler's
+        # equation E - e sin E = M with e = 2 |rho_c|, in E = y, M = 2 pi q
+        # where rho_c <= 0 and E = pi - y, M = pi - 2 pi q where rho_c > 0.
+        # Markley's (1995) cubic (his q, r are a, b) starts E in closed form,
+        # and one step of the inverse series of VonMises.quantile takes it
+        # to rounding.
+        rho = self.rho_c
+        e, flip = 2.0 * abs(rho), rho > 0.0
+
         def start(q):
-            return np.minimum(TWO_PI * q / (1.0 + 2.0 * self.rho_c), np.pi), 0.0, np.pi
+            m = np.pi - TWO_PI * q if flip else TWO_PI * q
+            alpha = (3.0 * np.pi**2 + 1.6 * np.pi * (np.pi - m) / (1.0 + e)) / (np.pi**2 - 6.0)
+            d = 3.0 * (1.0 - e) + alpha * e
+            a = 2.0 * alpha * d * (1.0 - e) - m * m
+            b = 3.0 * alpha * d * (d - 1.0 + e) * m + m * m * m
+            w = np.cbrt(b + np.sqrt(a * a * a + b * b)) ** 2
+            big_e = (2.0 * b * w / (w * w + w * a + a * a) + m) / d
+            return (np.pi - big_e if flip else big_e), 0.0, np.pi
 
         def step(y, q):
-            return y + _newton_delta(self, y, q, self.pdf(self.mu + y))
+            # g1, g2, g3 = -2 rho_c (sin y, cos y, -sin y) / D, D = 1 + 2 rho_c
+            # cos y; the series in u = g1 d, v = g2 d^2 and g3 d^3 = -u d^2
+            rc = 2.0 * rho * np.cos(y)
+            den = 1.0 + rc
+            d = _newton_delta(self, y, q, den / TWO_PI)
+            d2, u = d * d, (-2.0 * rho) * np.sin(y) * d / den
+            v = -rc * d2 / den
+            return y + d * (
+                1.0 - u / 2.0 + (3.0 * u * u - v) / 6.0
+                + u * (10.0 * v - 15.0 * u * u + d2) / 24.0
+            )
 
-        return _symmetric_quantile(self, p, start, step, _CARDIOID_NEWTON_STEPS)
-
-    def params_dict(self):
-        return {"mu": self.mu, "rho_c": self.rho_c}
+        return _symmetric_quantile(self, p, start, step)
 
     @classmethod
     def fit(cls, data, weights=None):
@@ -847,9 +847,6 @@ class Weibull(Marginal):
         p = self._check_quantile_arg(p)
         out = self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
         return float_if_scalar(out)
-
-    def params_dict(self):
-        return {"shape": self.shape, "scale": self.scale}
 
     @classmethod
     def fit(cls, data, weights=None):

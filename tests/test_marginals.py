@@ -294,25 +294,38 @@ class TestQuantile:
         for m in laws:
             assert m.quantile(0.5) == wrap_angle(m.mu + np.pi), m
 
-    @pytest.mark.parametrize("rho_c", [0.1, 0.3, 0.45, 0.499, -0.2, -0.499, marginals.RHO_C_MAX])
-    def test_cardioid_stop_matches_all_newton_steps(self, rho_c):
-        # a step that moves no value is a fixed point, so stopping there
-        # gives the bits of all _CARDIOID_NEWTON_STEPS steps
-        m = Cardioid(mu=2.0, rho_c=rho_c)
-        p = np.random.default_rng(8).random(2000)
-        q = np.minimum(p, 1.0 - p)
-        y = np.minimum(2.0 * np.pi * q / (1.0 + 2.0 * rho_c), np.pi)
-        for _ in range(marginals._CARDIOID_NEWTON_STEPS):
-            y = np.clip(y + marginals._newton_delta(m, y, q, m.pdf(m.mu + y)), 0.0, np.pi)
-        y = np.where(q == 0.5, np.pi, y)
-        expected = wrap_angle(m.mu + np.where(p > 0.5, 2.0 * np.pi - y, y))
-        np.testing.assert_array_equal(m.quantile(p), expected)
+    def test_symmetric_laws_put_the_origin_at_p_zero(self):
+        laws = [VonMises(mu=mu, kappa=kappa)
+                for kappa in np.geomspace(1e-6, marginals.KAPPA_MAX, 400)
+                for mu in (0.0, 2.0)]
+        laws += [Cardioid(mu=mu, rho_c=r)
+                 for r in (0.3, 0.45, -0.499, 0.499, marginals.RHO_C_MAX, -marginals.RHO_C_MAX)
+                 for mu in (0.0, 2.0)]
+        for m in laws:
+            assert m.quantile(0.0) == m.mu, m
+
+    @pytest.mark.parametrize("rho_c", [
+        0.1, 0.3, 0.45, 0.499, -0.2, -0.499, marginals.RHO_C_MAX, -marginals.RHO_C_MAX, 0.0,
+    ])
+    def test_cardioid_quantile_backward_error(self, rho_c):
+        # |F(Q(p)) - p| on the circle, with F in 40 digits at the returned
+        # float, is the CDF's own rounding
+        k = np.arange(1.0, 17.0)
+        p = np.concatenate([
+            np.random.default_rng(8).random(2000), 10.0**-k, 1.0 - 10.0**-k, 0.5 - 10.0**-k,
+        ])
+        x = Cardioid(mu=0.0, rho_c=rho_c).quantile(p)
+        worst = 0.0
+        with mpmath.workdps(40):
+            two_rho, two_pi = 2 * mpmath.mpf(rho_c), 2 * mpmath.pi
+            for xj, pj in zip(x.tolist(), p.tolist()):
+                err = abs((xj + two_rho * mpmath.sin(xj)) / two_pi - pj)
+                worst = max(worst, float(min(err, 1 - err)))
+        assert worst <= 2.5e-16
 
     @pytest.mark.parametrize("law, max_steps", [
         (VonMises(mu=1.0, kappa=5.0), 1),
-        # 9 here: 162 of the 2000 values alternate between two floats from
-        # step 6 on, so a stop only where no value moves would take all 40
-        (Cardioid(mu=2.0, rho_c=0.3), 12),
+        (Cardioid(mu=2.0, rho_c=0.3), 1),
     ])
     def test_quantile_newton_steps(self, monkeypatch, law, max_steps):
         calls = []
