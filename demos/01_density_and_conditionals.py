@@ -56,7 +56,7 @@ print(f"64^3 quadrature of the density: {mass:.10f}")
 # concentration follows from rho in closed form.
 for pair in [(1, 2), (1, 3), (2, 3)]:
     phi = pairwise_phi(rho, pair)
-    print(f"pairwise concentration phi_{pair[0]}{pair[1]} = {phi.phi:+.6f}")
+    print(f"pairwise concentration phi_{pair[0]}{pair[1]} = {phi:+.6f}")
 
 # The one-given-two conditional is wrapped Cauchy with a data-dependent
 # center and concentration:

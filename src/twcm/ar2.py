@@ -41,8 +41,8 @@ from .copula import (
     require_valid,
 )
 from .errors import InvalidParameterError
-from .marginals import CIRCULAR, Marginal
-from .model import composed_cond_1given2, to_copula_scale
+from .marginals import CIRCULAR, Marginal, to_copula_scale
+from .model import composed_cond_1given2
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):
     sin_half, cos_half = half_angle_sincos(rng.random((n - 1, m)))
     u = np.empty((n, m))
     u[0] = to_copula_scale(f, theta_0)
-    phi_23 = pairwise_phi(params.rho, (2, 3)).phi
-    u[1] = moebius_map(u[0], phi_23, sin_half[0], cos_half[0])
+    u[1] = moebius_map(u[0], pairwise_phi(params.rho, (2, 3)), sin_half[0], cos_half[0])
     links = conditional_links(params.rho, 1)
     if m == 1:
         steps, delta = _steps(links, u[0, 0], u[1, 0], sin_half[1:, 0].tolist(),

@@ -60,11 +60,6 @@ class RhoVector:
         """True when the product constraint rho12*rho13*rho23 = 1 holds."""
         return abs(self.product - 1.0) <= _IDENTIFIABLE_TOL
 
-    def pair(self, i: int, j: int) -> float:
-        """rho_ij for 1-based coordinate indices (order-insensitive)."""
-        key = (min(i, j), max(i, j))
-        return {(1, 2): self.rho12, (1, 3): self.rho13, (2, 3): self.rho23}[key]
-
     def scaled(self, t: float) -> "RhoVector":
         return RhoVector(t * self.rho12, t * self.rho13, t * self.rho23)
 
@@ -122,7 +117,8 @@ def validate_rho(rho: RhoVector) -> RhoValidity:
     passes = (hi - mid) - lo > 0.0 and hi < math.inf
     dominant = mod.index(hi)
     checks = tuple(passes and i == dominant for i in range(3))
-    return RhoValidity(finite, nonzero, rho.product > 0.0, checks)
+    # the product's sign is the parity of the negative entries; it may underflow
+    return RhoValidity(finite, nonzero, not ((r[0] < 0.0) ^ (r[1] < 0.0) ^ (r[2] < 0.0)), checks)
 
 
 def require_valid(rho: RhoVector) -> None:
@@ -136,15 +132,15 @@ def require_valid(rho: RhoVector) -> None:
 def normalize_rho(rho: RhoVector) -> RhoVector:
     """Rescale to the identifiable representative with product 1.
 
-    Scaling by any t > 0 leaves the copula density unchanged, so the
-    cube-root factor pins a unique representative without moving the model.
+    Scaling by any t > 0 leaves the copula density unchanged.  Each rho_ij
+    is divided by cbrt|rho12| cbrt|rho13| cbrt|rho23|, so the product, which
+    may overflow or underflow, is never formed.
     """
-    prod = rho.product
-    if not np.isfinite(prod) or prod <= 0.0:
-        raise InvalidParameterError(
-            f"cannot normalize rho with nonpositive product {prod}"
-        )
-    return rho.scaled(prod ** (-1.0 / 3.0))
+    report = validate_rho(rho)
+    if not (report.finite and report.nonzero and report.positive_product):
+        raise InvalidParameterError(f"cannot normalize {rho} to product 1: {report}")
+    r = rho.as_array()
+    return RhoVector(*(r / np.prod(np.cbrt(np.abs(r)))).tolist())
 
 
 @dataclass(frozen=True)
@@ -200,19 +196,7 @@ def copula_density(u, rho: RhoVector):
     return float_if_scalar(np.exp(copula_log_density(u, rho)))
 
 
-@dataclass(frozen=True)
-class PairwiseMarginalSpec:
-    """Concentration of the bivariate marginal kernel for one pair.
-
-    ``phi`` is the representative with |phi| <= 1.  The defining formula
-    may produce the reciprocal representative; both describe the same
-    kernel because t_2 is invariant under phi -> 1/phi.
-    """
-
-    phi: float
-
-
-def pairwise_phi(rho: RhoVector, pair: tuple[int, int]) -> PairwiseMarginalSpec:
+def pairwise_phi(rho: RhoVector, pair: tuple[int, int]) -> float:
     """Bivariate-marginal concentration phi_ij for a 1-based index pair: the
     root of phi + 1/phi = -b / (a_i a_j), b = a_i^2 + a_j^2 - a_k^2, in the
     unit disk, formed without cancellation as -2 a_i a_j / (b + sign(b)
@@ -225,11 +209,7 @@ def pairwise_phi(rho: RhoVector, pair: tuple[int, int]) -> PairwiseMarginalSpec:
     a = amplitudes(rho)
     ai, aj, ak = a[i - 1], a[j - 1], a[k - 1]
     b = ai * ai + aj * aj - ak * ak
-    return PairwiseMarginalSpec(phi=-2.0 * ai * aj / (b + math.copysign(TWO_PI**3 * cc.c2, b)))
-
-
-def _phi_value(phi) -> float:
-    return phi.phi if isinstance(phi, PairwiseMarginalSpec) else float(phi)
+    return -2.0 * ai * aj / (b + math.copysign(TWO_PI**3 * cc.c2, b))
 
 
 def copula_bivariate_density(u_i, u_j, phi):
@@ -247,7 +227,7 @@ def copula_cond_2given1(u, rho: RhoVector):
 def copula_cond_1given1(u_i, u_j, phi):
     """Conditional copula density t_{1|1}(u_i | u_j; phi_ij): a wrapped
     Cauchy kernel centered at u_j."""
-    log_t = wc_kernel_log_density(u_i, np.asarray(u_j, dtype=float), _phi_value(phi))
+    log_t = wc_kernel_log_density(u_i, np.asarray(u_j, dtype=float), phi)
     return float_if_scalar(np.exp(log_t))
 
 
@@ -335,8 +315,7 @@ def copula_sample(n: int, rho: RhoVector, seed=None) -> np.ndarray:
     require_valid(rho)
     rng = as_rng(seed)
     u1 = TWO_PI * rng.random(n)
-    phi12 = pairwise_phi(rho, (1, 2)).phi
-    u2 = wc_kernel_sample(u1, phi12, rng)
+    u2 = wc_kernel_sample(u1, pairwise_phi(rho, (1, 2)), rng)
     ph = conditional_phi(rho, 3, u1, u2)
     u3 = wc_kernel_sample(np.angle(ph), np.abs(ph), rng)
     return np.column_stack([u1, u2, u3])

@@ -20,9 +20,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import TWO_PI, require_positive_density, row_weights, wrap_angle
-from .copula import RhoVector, _cos_diffs, amplitudes, copula_log_density, require_valid
-from .errors import FitFailureError, InvalidParameterError
-from .marginals import CIRCULAR, family_class, fit_mle
+from .copula import (
+    RhoVector,
+    _cos_diffs,
+    amplitudes,
+    copula_log_density,
+    normalize_rho,
+    require_valid,
+)
+from .errors import DomainError, FitFailureError, InvalidParameterError
+from .marginals import (
+    _ARMIJO,
+    _DECREMENT_TOL,
+    CIRCULAR,
+    _weighted_circular_moment,
+    family_class,
+    fit_mle,
+)
 from .model import TwcmModel, check_rows, marginal_terms
 
 # In the piece that singles out coordinate i, with j < k the other two, the
@@ -34,10 +48,8 @@ _COLUMNS = np.array([(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1)])
 _T_CAP = 6.0
 _STEP_MAX = 8.0
 _EIG_FLOOR = 1e-10  # relative to the total weight
-_ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 _MAX_ITER = 2000  # Newton iterations per piece
-_TOL = 1e-10  # Newton decrement, relative to the total weight, of a last step
 _RETIRE = 10.0  # Newton decrements a piece may trail the best piece by
 # f's rounding, relative to sum w / D, which holds for every bracket since
 # each of its coefficients is at most 2
@@ -203,18 +215,15 @@ def _piece_of(rho: RhoVector) -> tuple[int, np.ndarray]:
 
 
 def _rho_at(k: int, t: np.ndarray) -> RhoVector:
-    """The rho of piece ``k`` at ``t``, normalized to product 1.  On an axis,
-    where a rho is 0 (t = 0 on rows whose pair cosines sum to 0), the zero
-    a_j or a_k becomes eps, which moves f by O(eps W)."""
+    """The rho_ij = a_i a_j of piece ``k`` at ``t``, normalized to product 1.
+    An a_j or a_k of modulus below eps, as on an axis, where a rho is 0 (t = 0
+    on rows whose pair cosines sum to 0), takes modulus eps: f moves by
+    O(eps W), and no a_j a_k underflows."""
     p, m = np.tanh(t)
     a = np.ones(3)
     a[np.arange(3) != k] = 0.5 * np.array([p + m, p - m])
-    a[a == 0.0] = np.finfo(float).eps
-    # rho_ij = a_i a_j normalized in logs, where a product may underflow
-    pairs = np.array([(0, 1), (0, 2), (1, 2)])
-    log_abs = np.log(np.abs(a))[pairs].sum(axis=1)
-    r = np.prod(np.sign(a)[pairs], axis=1) * np.exp(log_abs - log_abs.mean())
-    return RhoVector(*r)
+    a = np.copysign(np.maximum(np.abs(a), np.finfo(float).eps), a)
+    return normalize_rho(RhoVector(a[0] * a[1], a[0] * a[2], a[1] * a[2]))
 
 
 def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
@@ -239,6 +248,8 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
         raise InvalidParameterError("pseudo-observations must be a nonempty (n, 3) array")
+    if not np.isfinite(u).all():
+        raise DomainError("pseudo-observations must be finite")
     w = row_weights(weights, u.shape[0])
     pieces = _Pieces(u, w)
     k_all = np.arange(3)
@@ -263,7 +274,7 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
                                                 concave[keep])
             if not active.size:
                 break
-        small = decrement <= _TOL * pieces.wsum
+        small = decrement <= _DECREMENT_TOL * pieces.wsum
         # a gain that f cannot resolve: the line search could not see it
         lost = ~small & (decrement <= _ROUNDING * (1.0 / bracket[active]) @ w)
         # cut each step at the cap
@@ -356,8 +367,7 @@ def parameter_vector(result: FitResult) -> dict[str, float]:
 
 
 def _circular_sd(angles: np.ndarray) -> float:
-    rbar = np.abs(np.mean(np.exp(1j * angles)))
-    rbar = min(rbar, 1.0 - 1e-15)
+    rbar = min(_weighted_circular_moment(angles, np.ones(angles.size))[1], 1.0 - 1e-15)
     return float(np.sqrt(-2.0 * np.log(rbar)))
 
 

@@ -58,10 +58,11 @@ KAPPA_MAX = 1e6
 XI_MAX = 1.0 - 1e-9
 RHO_C_MAX = 0.5 - 1e-9
 
-# The wrapped Cauchy ascent stops on a Newton decrement of at most
-# _DECREMENT_TOL times the total weight (fit_copula's rule), or on a
-# Kent-Tyler step that moves psi by less than RTOL (1 - xi) plus about two
-# ulps; the other Newton solves once their step is below _NEWTON_TOL
+# The wrapped Cauchy ascent, like each piece of fit_copula (which also takes
+# _ARMIJO from here), stops on a Newton decrement of at most _DECREMENT_TOL
+# times the total weight, or on a Kent-Tyler step that moves psi by less than
+# RTOL (1 - xi) plus about two ulps; the other Newton solves once their step
+# is below _NEWTON_TOL
 _DECREMENT_TOL = 1e-10
 _KENT_TYLER_RTOL = 1e-10
 _NEWTON_TOL = 1e-12
@@ -75,9 +76,12 @@ LINEAR = "linear"
 
 
 def _weights_or_ones(data, weights):
+    """Fit or loglik data as a nonempty finite 1-D array, and its row weights."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 1 or data.size == 0:
         raise DomainError("data must be a nonempty 1-D array")
+    if not np.isfinite(data).all():
+        raise DomainError("data must be finite")
     return data, row_weights(weights, data.size)
 
 
@@ -114,7 +118,7 @@ class Marginal:
     def _logpdf_and_u(self, x):
         """``logpdf(x)`` and the pseudo-observation ``2 pi cdf(x)`` of an
         array ``x``: a coordinate's two terms of the joint density."""
-        return self.logpdf(x), TWO_PI * np.asarray(self.cdf(x))
+        return self.logpdf(x), to_copula_scale(self, x)
 
     def _check_quantile_arg(self, p):
         p = np.asarray(p, dtype=float)
@@ -890,6 +894,12 @@ class Weibull(Marginal):
         nu = math.exp(s)
         lam = math.exp(top) * float(np.average(np.exp(nu * dev), weights=w)) ** (1.0 / nu)
         return cls(shape=nu, scale=lam)
+
+
+def to_copula_scale(marginal: Marginal, x) -> np.ndarray:
+    """The pseudo-observation u = 2*pi*F(x) of one marginal; the domain is
+    not checked."""
+    return TWO_PI * np.asarray(marginal.cdf(x))
 
 
 FAMILIES: dict[str, type[Marginal]] = {

@@ -71,12 +71,6 @@ class MixtureModel(JsonFile):
         """Mixture log density at one triple or an (n, 3) block."""
         return float_if_triple(data, log_sum_exp(self.component_log_densities(data)))
 
-    def loglik(self, data) -> float:
-        """Sum of log densities; raises on rows with vanishing density."""
-        values = self.log_density(np.atleast_2d(np.asarray(data, dtype=float)))
-        require_positive_density(values)
-        return float(values.sum())
-
     def sample(self, n: int, seed=None, return_labels: bool = False):
         """Draw n observations; optionally also return component labels."""
         rng = as_rng(seed)

@@ -36,7 +36,7 @@ from .copula import (
     require_valid,
 )
 from .errors import DomainError, InvalidParameterError
-from .marginals import CIRCULAR, Marginal, WrappedCauchy, marginal_from_dict
+from .marginals import CIRCULAR, Marginal, WrappedCauchy, marginal_from_dict, to_copula_scale
 
 
 # Rows per pass of the joint log density: its temporaries then take about
@@ -45,7 +45,13 @@ _ROW_BLOCK = 16384
 
 
 class JsonFile:
-    """JSON persistence through the class's ``to_dict``/``from_dict``."""
+    """JSON persistence through ``to_dict``/``from_dict``; loglik through ``log_density``."""
+
+    def loglik(self, data) -> float:
+        """Sum of log densities; raises on rows with vanishing density."""
+        values = self.log_density(np.atleast_2d(np.asarray(data, dtype=float)))
+        require_positive_density(values)
+        return float(values.sum())
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -121,12 +127,6 @@ class TwcmModel(JsonFile):
 
     def density(self, theta):
         return float_if_scalar(np.exp(self.log_density(theta)))
-
-    def loglik(self, data) -> float:
-        """Sum of log densities; raises on rows with vanishing density."""
-        values = self.log_density(np.atleast_2d(np.asarray(data, dtype=float)))
-        require_positive_density(values)
-        return float(values.sum())
 
     # -- marginal and conditional laws --------------------------------------
     def bivariate_density(self, pair: tuple[int, int], x_i, x_j):
@@ -215,12 +215,6 @@ def check_rows(data, domains) -> np.ndarray:
             + ("..." if rows.size > 20 else "")
         )
     return data
-
-
-def to_copula_scale(marginal: Marginal, x) -> np.ndarray:
-    """The pseudo-observation u = 2*pi*F(x) of one marginal; the domain is
-    not checked."""
-    return TWO_PI * np.asarray(marginal.cdf(x))
 
 
 def marginal_terms(marginals, data):

@@ -155,7 +155,7 @@ def test_criterion_03_code_path_equivalence():
         composed = M_WC.log_density(theta)
         closed = wc_closed_form_log_density(RHO_PROTEIN, WC_MARGS, theta)
         np.testing.assert_allclose(closed, composed, rtol=1e-10)
-        phi = pairwise_phi(RHO_PROTEIN, (1, 2)).phi
+        phi = pairwise_phi(RHO_PROTEIN, (1, 2))
         kp = kato_pewsey_bivariate_density(
             phi, WC_MARGS[0], WC_MARGS[1], theta[:, 0], theta[:, 1]
         )

@@ -51,7 +51,7 @@ def step_by_step(params, n, seed, n_chains=None):
     u = np.empty((m, n))
     theta[:, 0] = f.quantile(rng.random(m))
     u[:, 0] = TWO_PI * np.asarray(f.cdf(theta[:, 0]))
-    phi23 = pairwise_phi(rho, (2, 3)).phi
+    phi23 = pairwise_phi(rho, (2, 3))
     u[:, 1] = wc_kernel_sample(u[:, 0], np.full(m, phi23), rng)
     theta[:, 1] = f.quantile(u[:, 1] / TWO_PI)
     for t in range(2, n):

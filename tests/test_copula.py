@@ -160,6 +160,35 @@ class TestNormalize:
     def test_nonpositive_product_rejected(self):
         with pytest.raises(InvalidParameterError):
             normalize_rho(RhoVector(1.0, 1.0, -1.0))
+        for rho in (RhoVector(0.0, 1.0, 1.0), RhoVector(np.nan, 1.0, 1.0),
+                    RhoVector(np.inf, 1.0, 1.0)):
+            with pytest.raises(InvalidParameterError):
+                normalize_rho(rho)
+
+    def test_close_to_the_exact_scaling(self):
+        # against 50-digit arithmetic: rho_ij / cbrt|rho12 rho13 rho23| is
+        # formed from the three cube roots, each rounded once
+        mpmath.mp.dps = 50
+        rhos = edge_sweep() + list(VALID_RHOS) + [RhoVector(1e6, 1e6, 1e-12)]
+        worst = 0.0
+        for rho in rhos:
+            r = [mpmath.mpf(x) for x in rho.as_array()]
+            scale = mpmath.cbrt(abs(r[0] * r[1] * r[2]))
+            for got, x in zip(normalize_rho(rho).as_array(), r):
+                worst = max(worst, float(abs(mpmath.mpf(got) * scale / x - 1)))
+        assert worst <= 2.5 * EPS
+
+    @pytest.mark.parametrize("rho", [RhoVector(1e150, 1e150, 1e10),
+                                     RhoVector(1e-100, 1e-100, 1e-200)],
+                             ids=["product-overflows", "product-underflows"])
+    def test_product_beyond_the_float_range(self, rho):
+        # both are valid, with amplitudes (1e70, 1e80, 1e80) and
+        # (1, 1e-100, 1e-100); the product rho12 rho13 rho23 is never formed
+        assert validate_rho(rho).valid
+        out = normalize_rho(rho)
+        assert out.identifiable
+        np.testing.assert_allclose(out.as_array() / rho.as_array(),
+                                   out.rho12 / rho.rho12, rtol=4 * EPS)
 
     def test_identifiable_flag(self):
         assert RhoVector(2.0, 2.0, 0.25).identifiable
@@ -255,28 +284,29 @@ class TestLogDensity:
 
 class TestPairwisePhi:
     def test_frozen_333(self):
-        assert pairwise_phi(RHO_333, (1, 2)).phi == pytest.approx(
+        assert pairwise_phi(RHO_333, (1, 2)) == pytest.approx(
             -0.0370879821637399, rel=1e-14
         )
-        assert pairwise_phi(RHO_333, (1, 3)).phi == pytest.approx(
+        assert pairwise_phi(RHO_333, (1, 3)) == pytest.approx(
             -0.0370879821637399, rel=1e-14
         )
-        assert pairwise_phi(RHO_333, (2, 3)).phi == pytest.approx(
+        assert pairwise_phi(RHO_333, (2, 3)) == pytest.approx(
             0.00137551842097789, rel=1e-14
         )
 
     def test_protein_all_pairs_inside_unit_interval(self):
         for pair in ((1, 2), (1, 3), (2, 3)):
-            assert abs(pairwise_phi(RHO_PROTEIN, pair).phi) < 1.0
+            phi = pairwise_phi(RHO_PROTEIN, pair)
+            assert type(phi) is float and abs(phi) < 1.0
 
     def test_frozen_protein_values(self):
-        assert pairwise_phi(RHO_PROTEIN, (1, 2)).phi == pytest.approx(
+        assert pairwise_phi(RHO_PROTEIN, (1, 2)) == pytest.approx(
             -0.0769305152621330, rel=1e-14
         )
-        assert pairwise_phi(RHO_PROTEIN, (1, 3)).phi == pytest.approx(
+        assert pairwise_phi(RHO_PROTEIN, (1, 3)) == pytest.approx(
             0.00986228392122137, rel=1e-14
         )
-        assert pairwise_phi(RHO_PROTEIN, (2, 3)).phi == pytest.approx(
+        assert pairwise_phi(RHO_PROTEIN, (2, 3)) == pytest.approx(
             -0.000758710583721010, rel=1e-14
         )
 
@@ -287,12 +317,12 @@ class TestPairwisePhi:
         # paper's formula cancelled to -0.0 at component 0's pair (2, 3)
         rho = buoy_mixture().components[component].rho
         _, phi, _ = exact_copula(rho, pair)
-        assert pairwise_phi(rho, pair).phi == pytest.approx(phi, rel=1e-14)
+        assert pairwise_phi(rho, pair) == pytest.approx(phi, rel=1e-14)
 
     def test_keeps_its_digits_near_the_edge(self):
         for rho in edge_sweep():
             _, phi, delta = exact_copula(rho)
-            assert pairwise_phi(rho, (1, 2)).phi == pytest.approx(phi, rel=8.0 * EPS / delta)
+            assert pairwise_phi(rho, (1, 2)) == pytest.approx(phi, rel=8.0 * EPS / delta)
 
     @pytest.mark.parametrize("rho", VALID_RHOS, ids=["333", "protein", "neg"])
     def test_marginalization_oracle(self, rho):
@@ -312,8 +342,8 @@ class TestPairwisePhi:
 
     def test_scale_invariance(self):
         for pair in ((1, 2), (1, 3), (2, 3)):
-            a = pairwise_phi(RHO_PROTEIN, pair).phi
-            b = pairwise_phi(RHO_PROTEIN.scaled(3.0), pair).phi
+            a = pairwise_phi(RHO_PROTEIN, pair)
+            b = pairwise_phi(RHO_PROTEIN.scaled(3.0), pair)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_bad_pair_rejected(self):

@@ -306,6 +306,14 @@ class TestFitCopula:
         with pytest.raises(InvalidParameterError):
             fit_copula(np.zeros((10, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_pseudo_observations_raise_domain_error(self, bad):
+        # a data error, not a fit failure
+        u = copula_sample(50, RHO_333, seed=3)
+        u[7, 2] = bad
+        with pytest.raises(DomainError, match="^pseudo-observations must be finite"):
+            fit_copula(u)
+
 
 def _bad_weights(n, case):
     if case == "short":
@@ -468,6 +476,24 @@ class TestBootstrap:
                            FitConfig(seed=5, bootstrap_b=1))
         assert any("degenerate" in w for w in res.warnings)
         assert all(v == 0.0 for v in res.se.values())
+
+    def test_failed_replicates_counted_and_noted(self):
+        # a Weibull column with 2 values apart from 10 equal ones: a
+        # resample of the equal ones alone has no Weibull MLE
+        d = self._tiny_dataset()[:12]
+        data = np.column_stack([d[:, :2], np.r_[np.full(10, 2.0), 3.0, 3.5]])
+        b = 20
+        res = bootstrap_se(data, ["von_mises", "von_mises", "weibull"],
+                           FitConfig(seed=1, bootstrap_b=b))
+        rng = np.random.default_rng(1)
+        tied = sum(np.ptp(data[rng.integers(0, 12, 12), 2]) == 0.0 for _ in range(b))
+        assert res.b_failed == tied > 0.10 * b
+        assert res.warnings == (f"{tied} of {b} bootstrap replicates failed to fit",)
+        assert all(v.size == b - tied for v in res.estimates.values())
+
+    def test_replicate_count_must_be_positive(self):
+        with pytest.raises(InvalidParameterError, match="bootstrap_b"):
+            FitConfig(bootstrap_b=0)
 
     def test_unknown_family_rejected_before_refits(self, monkeypatch):
         calls = []

@@ -658,6 +658,34 @@ class TestFit:
             b = fit_mle(family, data, weights=np.full(data.shape, factor))
             assert b.params_dict() == a.params_dict()
 
+    def test_vonmises_kappa_capped_after_newton(self):
+        # rbar = cos(d) = 1 - 1e-8 passes the closed-form cap at 1 - 1e-12,
+        # and Newton's kappa, about 1 / (2 (1 - rbar)) = 5e7, is then capped
+        d = math.sqrt(2e-8)
+        with pytest.warns(RuntimeWarning, match="von Mises kappa capped"):
+            m = fit_mle("von_mises", [1.0 - d, 1.0 + d])
+        assert m.kappa == marginals.KAPPA_MAX
+        assert m.mu == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_weibull_nonpositive_data_raise_domain_error(self, bad):
+        with pytest.raises(DomainError, match="^Weibull data must be positive"):
+            fit_mle("weibull", [1.0, 2.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", sorted(marginals.FAMILIES))
+    def test_nonfinite_data_raise_domain_error(self, family, bad):
+        # not a misleading parameter error, nor a model fitted to NaN
+        data = np.array([1.0, 2.0, 3.0, bad])
+        with pytest.raises(DomainError, match="^data must be finite"):
+            fit_mle(family, data)
+        with pytest.raises(DomainError, match="^data must be finite"):
+            marginals.FAMILIES[family].fit(data[::-1], weights=np.ones(4))
+
+    def test_nonfinite_data_in_loglik_raise_domain_error(self):
+        with pytest.raises(DomainError, match="^data must be finite"):
+            VonMises(mu=1.0, kappa=2.0).loglik([0.5, np.nan])
+
     @pytest.mark.parametrize(
         "family,true",
         [

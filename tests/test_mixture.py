@@ -227,6 +227,31 @@ class TestEmFit:
         accuracy = max((hard == labels).mean(), (hard != labels).mean())
         assert accuracy > 0.90
 
+    def test_failed_restart_skipped_and_every_failure_reraised(self, monkeypatch):
+        data = two_cluster_data(400)[0]
+        real = twcm.mixture._em_single
+        kept = []
+
+        def first_fails(data, k, families, rng, restart_index, max_iter):
+            if restart_index == 0:
+                raise ComponentCollapseError("restart 0 collapsed")
+            kept.append(real(data, k, families, rng, restart_index, max_iter))
+            return kept[-1]
+
+        monkeypatch.setattr(twcm.mixture, "_em_single", first_fails)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mix, report = em_fit(data, 2, FAMS, FitConfig(seed=5), restarts=2, max_iter=5)
+        assert report.restart_index == 1
+        assert (mix, report) == kept[0]
+
+        def every_fails(data, k, families, rng, restart_index, max_iter):
+            raise ComponentCollapseError(f"restart {restart_index} collapsed")
+
+        monkeypatch.setattr(twcm.mixture, "_em_single", every_fails)
+        with pytest.raises(ComponentCollapseError, match="^restart 2 collapsed"):
+            em_fit(data, 2, FAMS, FitConfig(seed=5), restarts=3)
+
     @staticmethod
     def check_monotone_trace(data, seed, max_iter):
         with warnings.catch_warnings():

@@ -208,7 +208,7 @@ class TestBivariateMarginal:
         rng = np.random.default_rng(9)
         x = TWO_PI * rng.random(1000)
         y = TWO_PI * rng.random(1000)
-        phi = pairwise_phi(RHO, (1, 2)).phi
+        phi = pairwise_phi(RHO, (1, 2))
         kp = kato_pewsey_bivariate_density(phi, WC_MARGS[0], WC_MARGS[1], x, y)
         comp = M_WC.bivariate_density((1, 2), x, y)
         np.testing.assert_allclose(kp, comp, rtol=1e-10)
@@ -369,6 +369,16 @@ class TestSerialization:
         ]
         for m in d["marginals"]:
             assert set(m) == {"family", "params", "origin", "domain"}
+
+    @pytest.mark.parametrize("rho", [RhoVector(1e150, 1e150, 1e10),
+                                     RhoVector(1e-100, 1e-100, 1e-200)],
+                             ids=["product-overflows", "product-underflows"])
+    def test_valid_rho_with_product_beyond_the_float_range_builds(self, rho):
+        m = TwcmModel(rho=rho, marginals=(CircularUniform(),) * 3)
+        assert m.rho.identifiable
+        theta = random_angles(50, seed=21)
+        np.testing.assert_allclose(m.log_density(theta), copula_log_density(theta, rho),
+                                   rtol=1e-12)
 
     def test_rho_normalized_on_construction(self):
         m = TwcmModel(rho=RhoVector(18.36, -2.34, -0.18),
