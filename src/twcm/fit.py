@@ -235,12 +235,14 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
 
     A piece takes its last step and stops as converged once its Newton
     decrement g^T |H|^-1 g, the gain it has left, is at most 1e-10 W (W the
-    total weight).  It stops as not converged when the decrement is at most
-    16 eps sum w / D (D the bracket), below what f can resolve; after 2000
-    iterations; or at the cap |t| = 6, the region's only limit, when a step
-    the cap cuts does not move it or, on concave ground, lands it on the
-    cap; for the winner that sets ``near_limit``.  It also stops when no
-    step raises f.  A piece on concave ground that trails the
+    total weight).  A decrement of at most 16 eps sum w / D (D the bracket)
+    is below what f can resolve: the piece takes no step and stops, as
+    converged if the decrement is also at most 1e-10 W and as not converged
+    otherwise.  A piece also stops as not converged after 2000 iterations,
+    or at the cap |t| = 6, the region's only limit, when a step the cap
+    cuts does not move it or, on concave ground, lands it on the cap; for
+    the winner that sets ``near_limit``.  It also stops when no step
+    raises f.  A piece on concave ground that trails the
     best by more than 10 decrements cannot win and is retired.  The result
     is normalized to product 1, with a winner exactly on an axis of its
     piece, where a rho is 0, moved off it as :func:`_rho_at` says.
@@ -275,8 +277,10 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
             if not active.size:
                 break
         small = decrement <= _DECREMENT_TOL * pieces.wsum
-        # a gain that f cannot resolve: the line search could not see it
-        lost = ~small & (decrement <= _ROUNDING * (1.0 / bracket[active]) @ w)
+        # a gain that f cannot resolve: the line search could not see it, so
+        # such a piece takes no step
+        unresolved = decrement <= _ROUNDING * (1.0 / bracket[active]) @ w
+        lost = ~small & unresolved
         # cut each step at the cap
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.min((_T_CAP - np.sign(step) * t[active]) / np.abs(step), axis=1)
@@ -284,7 +288,7 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
         moved = np.zeros(active.size, dtype=bool)
         landed = np.zeros(active.size, dtype=bool)
         alpha = 1.0
-        pending = np.flatnonzero(~lost & (cut > 0.0))
+        pending = np.flatnonzero(~unresolved & (cut > 0.0))
         for _ in range(_MAX_HALVINGS):
             if not pending.size:
                 break

@@ -9,11 +9,13 @@ reproducible.
 
 The von Mises CDF has no closed form.  Its exact Fourier series is summed
 once per kappa, at the nodes of a piecewise Chebyshev table of degree 16
-that then gives the CDF at any angle to within 6e-16 of the series up to
-kappa = 1e5 and 8.1e-16 beyond, where the series' own rounding in double
-precision reaches 1.13e-15; the table costs at most one series pass over
-493 values, stores at most 29 fitted intervals (about 53 KB at KAPPA_MAX)
-and is cached per kappa.  The quantile starts from a second per-kappa
+that then gives the CDF at any angle to within 5.6e-16 of the exact series
+up to kappa = 1e5 and 9.5e-16 beyond, where the double-precision sum it is
+fitted to errs by up to 6.7e-16 itself; the table costs at most one series
+pass over 493 values, stores at most 29 fitted intervals (about 53 KB at
+KAPPA_MAX) and is cached per kappa.  The Bessel functions behind the
+series coefficients, the normaliser and the fit come from math and numpy
+alone (:mod:`twcm._bessel`).  The quantile starts from a second per-kappa
 table and takes one step of fifth order, so it reads the CDF table once a
 value.  Every symmetric circular quantile is such a start plus one step:
 the cardioid's starts from Markley's (1995) solution of Kepler's equation.
@@ -38,8 +40,8 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-from scipy.special import i0e, i1e, ive
 
+from . import _bessel
 from ._util import (
     TWO_PI,
     HalfOffset,
@@ -400,12 +402,12 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     (J,) index of each interval's row in ``coef``, -1 on a linear interval.
 
     An interval is about one standard deviation wide, where S is smooth
-    enough for degree 16 to reach rounding: against the series summed in
-    long double, at 401 kappa from 0 to KAPPA_MAX, the table is within
-    5.7e-16 up to kappa = 1e5 and within 8.1e-16 beyond, where the double
-    sum of _sine_series that it is fitted to errs by up to 1.13e-15 itself
-    (tests/test_marginals.py compares the two double sums).  Each
-    interval is fitted to _sine_series at its Chebyshev-Lobatto points,
+    enough for degree 16 to reach rounding: against 50-digit coefficients
+    summed in long double, at 401 kappa from 0 to KAPPA_MAX (300 random
+    points and the ends of every fitted interval), the table is within
+    5.6e-16 up to kappa = 1e5 and within 9.5e-16 beyond, where the double
+    sum of _sine_series that it is fitted to errs by up to 6.7e-16 itself.
+    Each interval is fitted to _sine_series at its Chebyshev-Lobatto points,
     solved at the float nodes through the map t that evaluation uses, so
     that node rounding does not enter the fit.  Where w = kappa (1 - cos y)
     exceeds _START_WMAX on a whole interval, F is 1/2 to within 2^-54 (see
@@ -478,9 +480,17 @@ def _vonmises_coefficients(kappa: float) -> np.ndarray:
     less the trailing terms whose absolute sum is at most _SERIES_TAIL: a
     bound on what they add to the CDF, far below its rounding.  Of the
     40 + 20 sqrt(kappa) terms evaluated, at most 0.85 (40 + 10 sqrt(kappa))
-    are kept at any kappa up to KAPPA_MAX (measured on 30 000 kappa)."""
-    k = np.arange(1, int(40.0 + 20.0 * math.sqrt(kappa)) + 1)
-    coef = ive(k, kappa) / i0e(kappa) / (k * np.pi)
+    are kept at any kappa up to KAPPA_MAX (measured on 30 000 kappa).
+
+    The ratios I_k / I_0 are Gautschi's backward recurrence, started
+    20 + 2 sqrt(kappa) orders past the last term evaluated, with its
+    product in long double (:func:`twcm._bessel.ratios`).  At 108 kappa
+    from 1e-3 to KAPPA_MAX the kept coefficients are within 5.6e-16
+    (2.5 eps) relative of 50-digit ones, where long double is x86's
+    80-bit type; where it is plain float64 that grows to about 6e-15 at
+    KAPPA_MAX."""
+    n = int(40.0 + 20.0 * math.sqrt(kappa))
+    coef = _bessel.ratios(kappa, n) / (np.arange(1, n + 1) * np.pi)
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
     coef = coef[: np.count_nonzero(tail > _SERIES_TAIL)]
     coef.flags.writeable = False
@@ -556,8 +566,15 @@ class VonMises(Marginal):
 
     The CDF is the integral of the Fourier expansion from the origin mu,
     read from a per-kappa piecewise Chebyshev table of its sine part that
-    is fitted to the exact series and agrees with it to within 6e-16 up
-    to kappa = 1e5 (8.1e-16 beyond; see :func:`_vonmises_cdf_table`).
+    is fitted to the series and agrees with the exact series to within
+    5.6e-16 up to kappa = 1e5 (9.5e-16 beyond; see
+    :func:`_vonmises_cdf_table`).  The series coefficients I_k / I_0 come
+    from Gautschi's backward recurrence started 20 + 2 sqrt(kappa) orders
+    past the last one evaluated (:func:`twcm._bessel.ratios`), within
+    5.6e-16 relative of 50-digit values where long double is x86's
+    extended type; the log normaliser log(2 pi I0(kappa)) from a power
+    series below kappa = 25 and Hankel's asymptotic series from there on,
+    within 5.6 eps, cached per kappa (:func:`twcm._bessel.log_two_pi_i0e`).
     Evaluation costs 17 coefficients a value whatever kappa is, in O(n)
     memory.  Coefficients and tables are built once per kappa and cached,
     so the series is paid for once per kappa.
@@ -591,6 +608,8 @@ class VonMises(Marginal):
                 f"von Mises requires finite mu and 0 <= kappa <= {KAPPA_MAX:g}"
             )
         object.__setattr__(self, "mu", float(wrap_angle(self.mu)))
+        # a Python float keeps the scalar loops of _bessel off NumPy scalars
+        object.__setattr__(self, "kappa", float(self.kappa))
 
     @property
     def origin(self):
@@ -598,11 +617,8 @@ class VonMises(Marginal):
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        # log(2*pi*I0(k)) = log(2*pi*i0e(k)) + k, stable for large kappa
-        out = (
-            self.kappa * (np.cos(x - self.mu) - 1.0)
-            - np.log(TWO_PI * i0e(self.kappa))
-        )
+        # log(2 pi I0(k)) = log(2 pi i0e(k)) + k, stable for large kappa
+        out = self.kappa * (np.cos(x - self.mu) - 1.0) - _bessel.log_two_pi_i0e(self.kappa)
         return float_if_scalar(out)
 
     def _cdf_offset(self, y):
@@ -617,7 +633,7 @@ class VonMises(Marginal):
     def quantile(self, p):
         nodes_cdf, nodes_y = _vonmises_start_table(self.kappa)
         kappa = self.kappa
-        log_norm = np.log(TWO_PI * i0e(kappa))
+        log_norm = _bessel.log_two_pi_i0e(kappa)
 
         def start(q):
             # side="right" puts every q < F(hi) below hi, so a bracket whose
@@ -659,7 +675,16 @@ class VonMises(Marginal):
 
 
 def _solve_vonmises_kappa(rbar: float) -> float:
-    """Solve A1(kappa) = rbar by Newton from the standard starting value."""
+    """Solve A1(kappa) = rbar by Halley's method from the standard starting
+    value, with A1 from :func:`twcm._bessel.a1`.
+
+    A1' = 1 - A1^2 - A1 / kappa and A1'' = A1 / kappa^2 - A1' (2 A1 +
+    1 / kappa) follow from A1 itself, so each cubically convergent step
+    costs one A1, and the solve takes 2 or 3 of them for rbar from 0.5 to
+    0.99999, where Newton's method took 3 to 5.  The step is at most twice
+    Newton's.
+    """
+    rbar = float(rbar)  # Python floats: NumPy scalars would slow each A1 down
     if rbar <= 0.0:
         return 0.0
     if rbar >= 1.0 - 1e-12:
@@ -667,12 +692,14 @@ def _solve_vonmises_kappa(rbar: float) -> float:
         return KAPPA_MAX
     kappa = rbar * (2.0 - rbar**2) / (1.0 - rbar**2)
     for _ in range(100):
-        a1 = i1e(kappa) / i0e(kappa)
-        # d A1 / d kappa
-        deriv = 1.0 - a1 * a1 - a1 / max(kappa, 1e-12)
+        a1 = _bessel.a1(kappa)
+        k = max(kappa, 1e-12)
+        deriv = 1.0 - a1 * a1 - a1 / k
         if deriv <= 0.0:
             break
-        step = (a1 - rbar) / deriv
+        f = a1 - rbar
+        curv = a1 / (k * k) - deriv * (2.0 * a1 + 1.0 / k)
+        step = f / deriv / max(1.0 - 0.5 * f * curv / (deriv * deriv), 0.5)
         kappa -= step
         if kappa <= 0.0:
             kappa = 1e-8

@@ -1,0 +1,94 @@
+"""The math-only Bessel functions of the von Mises law against 40-digit
+mpmath: e^-x I0, e^-x I1, the log normaliser, A1 = I1 / I0, its inverse
+in the von Mises fit, and the log density from kappa = 0 to KAPPA_MAX."""
+
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+
+from twcm import VonMises, _bessel, marginals
+
+EPS = np.finfo(float).eps
+# 300 log-spaced x, and the two sides of the switch to Hankel's series
+XS = np.concatenate([
+    np.geomspace(1e-8, 1e6, 300),
+    [np.nextafter(_bessel._SERIES_MAX, 0.0), _bessel._SERIES_MAX],
+])
+
+
+def _mp_bessel(x):
+    """e^-x I0(x), e^-x I1(x) and log(2 pi I0(x)) - x at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        i0, i1 = mpmath.besseli(0, x), mpmath.besseli(1, x)
+        scale = mpmath.exp(-x)
+        return i0 * scale, i1 * scale, mpmath.log(2 * mpmath.pi * i0) - x
+
+
+def _rel(value, exact):
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value) - exact) / abs(exact))
+
+
+@pytest.mark.parametrize("x", XS)
+def test_scalars_match_mpmath(x):
+    # the worst of 3 500 x from 1e-8 to 1e6: i0e 5.2, i1e 4.8 and A1 1.6
+    # eps relative, the log normaliser 5.6 eps relative or, where it is
+    # below 1 in size, absolute
+    i0e, i1e = _bessel.i0e_i1e(x)
+    exact_i0e, exact_i1e, exact_log = _mp_bessel(x)
+    assert _rel(i0e, exact_i0e) <= 6.0 * EPS
+    assert _rel(i1e, exact_i1e) <= 6.0 * EPS
+    with mpmath.workdps(40):
+        exact_a1 = exact_i1e / exact_i0e
+        log_err = float(abs(mpmath.mpf(_bessel.log_two_pi_i0e(x)) - exact_log))
+    assert _rel(_bessel.a1(x), exact_a1) <= 2.0 * EPS
+    assert log_err <= 6.0 * EPS * max(1.0, abs(float(exact_log)))
+
+
+def test_scalars_at_zero():
+    assert _bessel.i0e_i1e(0.0) == (1.0, 0.0)
+    assert _bessel.a1(0.0) == 0.0
+    assert _bessel.log_two_pi_i0e(0.0) == np.log(2.0 * np.pi)
+
+
+def test_solve_inverts_a1_up_to_the_cap():
+    # rbar over (0, 1 - 1e-12).  The root is ill-conditioned as rbar -> 1
+    # (dkappa / kappa = 2 kappa drbar), so the check is the backward error:
+    # A1(kappa) is within 3 eps (rbar + A1'(kappa) kappa) of rbar, 1.9
+    # measured.  Past A1(KAPPA_MAX) the fit warns once and caps kappa.
+    rbars = np.concatenate([np.geomspace(1e-8, 0.5, 100), 1.0 - np.geomspace(1e-12, 0.5, 200)])
+    with mpmath.workdps(40):
+        a1_cap = mpmath.besseli(1, marginals.KAPPA_MAX) / mpmath.besseli(0, marginals.KAPPA_MAX)
+    for rbar in rbars.tolist():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kappa = marginals._solve_vonmises_kappa(rbar)
+        if rbar >= a1_cap:
+            assert kappa == marginals.KAPPA_MAX and len(caught) == 1, rbar
+            continue
+        assert not caught and 0.0 < kappa < marginals.KAPPA_MAX, rbar
+        with mpmath.workdps(40):
+            k = mpmath.mpf(kappa)
+            a1 = mpmath.besseli(1, k) / mpmath.besseli(0, k)
+            slope = 1 - a1 * a1 - a1 / k
+            assert abs(a1 - rbar) <= 3.0 * EPS * (rbar + slope * k), rbar
+
+
+@pytest.mark.parametrize(
+    "kappa", [0.0, *np.geomspace(1e-9, marginals.KAPPA_MAX, 31).tolist()]
+)
+def test_vonmises_logpdf_matches_mpmath(kappa):
+    # at the mode and the antimode cos is exact, so only the normaliser
+    # errs; elsewhere the float64 cosine adds its rounding times kappa
+    x = np.array([0.0, np.pi, 0.3, 1.0, 2.5])
+    got = VonMises(mu=0.0, kappa=kappa).logpdf(x)
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        norm = mpmath.log(2 * mpmath.pi * mpmath.besseli(0, k))
+        for xi, g in zip(x.tolist(), got.tolist()):
+            exact = k * mpmath.cos(xi) - norm
+            cos_rounding = 0.0 if xi in (0.0, np.pi) else kappa
+            assert abs(g - exact) <= 6.0 * EPS * (max(1.0, abs(float(exact))) + cos_rounding)

@@ -82,14 +82,22 @@ INGEST_CASES = {
 }
 
 
-def test_import_does_not_load_scipy_optimize():
-    # every CLI process pays for what `import twcm` loads
+def test_import_does_not_load_scipy():
+    # every CLI process pays for what `import twcm` loads; scipy is a test
+    # dependency only
     src = str(Path(twcm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, twcm; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import twcm\n"
+        "print(scipy())\n"
+        "import twcm.cli\n"
+        "print(scipy())\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["[]", "[]"]
 
 
 class TestColumnSpecs:

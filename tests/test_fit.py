@@ -204,6 +204,22 @@ class TestFitCopula:
         fit_ifm(buoy_mixture().sample(1000, seed=1), BUOY_FAMS)
         assert sum(rows) <= 10
 
+    def test_unresolved_gain_takes_no_line_search(self, monkeypatch):
+        # the winner's third decrement on this sample, 1.1e-19 W, is below
+        # what f resolves: the piece stops without the 50 halvings that
+        # found no trial point above rounding (53 evaluations of f before)
+        calls = []
+        value = twcm.fit._Pieces.value
+
+        def counting(self, t, k):
+            calls.append(len(k))
+            return value(self, t, k)
+
+        monkeypatch.setattr(twcm.fit._Pieces, "value", counting)
+        res = fit_ifm(buoy_mixture().components[0].sample(1000, seed=1), BUOY_FAMS)
+        assert len(calls) == 3
+        assert res.converged and res.iterations == 3 and not res.near_limit
+
     @pytest.mark.parametrize("data, families, near_limit", [
         (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), BUOY_FAMS, True),
         (two_rows(buoy_mixture(), 0, tied=False), BUOY_FAMS, True),

@@ -1,6 +1,7 @@
 """Marginal family checks: densities, CDFs, quantiles, sampling, and
 weighted maximum likelihood."""
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import i0e, ive
 from scipy.stats import kstest
 
 from twcm import (
@@ -40,10 +40,48 @@ def _cos_fraction(v: Fraction) -> Fraction:
     return total
 
 
-def _vonmises_cdf_terms(kappa: float) -> int:
-    """Untrimmed length of the von Mises CDF series, far past its last term
-    above the 2^-60 tail: the reference for the trimmed coefficients."""
-    return int(max(32, kappa + 12.0 * np.sqrt(kappa + 1.0) + 20.0))
+@functools.lru_cache(maxsize=None)
+def _reference_coefficients(kappa: float) -> np.ndarray:
+    """The von Mises CDF series coefficients I_k(kappa) / (I_0(kappa) k pi),
+    k = 1, 2, ..., up to the last whose ratio I_k / I_0 is at least 1e-30,
+    in np.longdouble (x86's 80-bit type, eps 1.1e-19): the backward
+    recurrence r_k = I_k / I_{k-1} = kappa / (2k + kappa r_{k+1}) run at 50
+    digits from r = 0 at twice the last order that can be kept, where its
+    start changes none of those digits
+    (:func:`test_reference_coefficients_match_besseli` checks it)."""
+    top = int(60.0 + 12.0 * math.sqrt(kappa))  # I_top / I_0 < 1e-30
+    with mpmath.workdps(50):
+        x = mpmath.mpf(kappa)
+        r, rs = mpmath.mpf(0), []
+        for k in range(2 * top, 0, -1):
+            r = x / (2 * k + x * r)
+            rs.append(r)
+        coef, ratio = [], mpmath.mpf(1)
+        for k, r in enumerate(reversed(rs), start=1):
+            ratio *= r
+            if ratio < 1e-30:
+                break
+            coef.append(np.longdouble(mpmath.nstr(ratio / (k * mpmath.pi), 25)))
+    assert k < top
+    out = np.array(coef, dtype=np.longdouble)
+    out.flags.writeable = False
+    return out
+
+
+def _reference_sine(y, coef) -> np.ndarray:
+    """``sum_k coef[k-1] sin(k y)`` in np.longdouble, by the Reinsch form of
+    Clenshaw's recurrence that :func:`marginals._sine_series` runs in
+    float64."""
+    y = np.asarray(y).astype(np.longdouble)
+    upper = np.cos(y) >= 0.0
+    s = np.where(upper, 1, -1).astype(np.longdouble)
+    st = -4 * np.where(upper, np.sin(y / 2), np.cos(y / 2)) ** 2
+    b, d, tmp = np.zeros_like(y), np.zeros_like(y), np.empty_like(y)
+    for k in range(coef.size, 0, -1):
+        d += np.multiply(st, b, out=tmp)
+        d += np.multiply(s, coef[k - 1], out=tmp) if k % 2 else coef[k - 1]
+        b += d
+    return s * b * np.sin(y)
 
 
 ALL_MODELS = [
@@ -400,6 +438,18 @@ class TestQuantile:
             m.quantile(-0.1)
 
 
+@pytest.mark.parametrize("kappa", [0.8, 84.4, 1e3])
+def test_reference_coefficients_match_besseli(kappa):
+    # the 50-digit recurrence behind the series references, against
+    # mpmath's own I_k at its first, a middle and its last order
+    coef = _reference_coefficients(kappa)
+    for k in (1, coef.size // 2, coef.size):
+        with mpmath.workdps(40):
+            exact = mpmath.besseli(k, kappa) / mpmath.besseli(0, kappa) / (k * mpmath.pi)
+            err = abs(mpmath.mpf(str(coef[k - 1])) - exact) / exact
+        assert err <= float(np.finfo(np.longdouble).eps), (kappa, k)
+
+
 class TestVonMisesAcrossKappa:
     """Exact round trip and bounded memory from the uniform law up to the
     concentration cap the fitter itself produces."""
@@ -468,21 +518,20 @@ class TestVonMisesAcrossKappa:
     @pytest.mark.parametrize("kappa", [0.8, 27.6, 84.4, 1e3])
     def test_cdf_matches_direct_series(self, kappa):
         # the series y/2pi + sum_k I_k/I_0 sin(k y)/(k pi) summed term by
-        # term over the same terms; the two sums differ only in rounding
+        # term in long double from 50-digit coefficients
         x = TWO_PI * np.random.default_rng(20).random(300)
-        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
-        ratios = ive(k, kappa) / i0e(kappa)
-        direct = x / TWO_PI + (ratios / k) @ np.sin(np.outer(k, x)) / np.pi
+        coef = _reference_coefficients(kappa)
+        k = np.arange(1, coef.size + 1, dtype=np.longdouble)
+        direct = x / TWO_PI + coef @ np.sin(np.outer(k, x.astype(np.longdouble)))
         m = VonMises(mu=0.0, kappa=kappa)
-        np.testing.assert_allclose(m.cdf(x), direct, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m.cdf(x), direct.astype(float), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("kappa", [0.8, 5.0, 84.4, 1e3, 1e5])
     def test_trimmed_series_matches_full_series(self, kappa):
         # the dropped tail adds at most 2^-60; the rest is rounding
         y = TWO_PI * np.random.default_rng(21).random(300)
-        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
-        full = ive(k, kappa) / i0e(kappa) / (k * np.pi)
-        untrimmed = np.clip(y / TWO_PI + marginals._sine_series(y, full), 0.0, 1.0)
+        full = y / TWO_PI + _reference_sine(y, _reference_coefficients(kappa))
+        untrimmed = np.clip(full.astype(float), 0.0, 1.0)
         m = VonMises(mu=0.0, kappa=kappa)
         np.testing.assert_allclose(m.cdf(y), untrimmed, rtol=0, atol=1e-15)
 
@@ -490,21 +539,17 @@ class TestVonMisesAcrossKappa:
         "kappa", [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1e4, 1e5, marginals.KAPPA_MAX]
     )
     def test_table_matches_series(self, kappa):
-        # the table's sine part against the series on every coefficient
-        # (trailing exact zeros dropped, which changes no sum) at random
-        # points, every interval end, one ulp either side of it, 0, pi and
-        # the last float below 2 pi.  At KAPPA_MAX the series' own rounding
-        # over its 8 500 terms reaches 5.7e-16 against a 40-digit integral,
-        # so there the two roundings add up to at most 1e-15.
+        # the table's sine part against the series on every 50-digit
+        # coefficient, summed in long double, at random points, every
+        # interval end, one ulp either side of it, 0, pi and the last float
+        # below 2 pi.  At KAPPA_MAX the float64 series the table is fitted
+        # to errs by up to 6.7e-16 itself over its 8 500 terms, so there the
+        # bound is 1e-15.
         table = marginals._vonmises_cdf_table(kappa)
         y = _table_test_points(table[1].size)
-        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
-        full = np.trim_zeros(ive(k, kappa) / i0e(kappa) / (k * np.pi), "b")
+        exact = _reference_sine(y, _reference_coefficients(kappa))
         bound = 1e-15 if kappa == marginals.KAPPA_MAX else 6e-16
-        np.testing.assert_allclose(
-            marginals._table_sine(y, table), marginals._sine_series(y, full),
-            rtol=0, atol=bound,
-        )
+        np.testing.assert_allclose(marginals._table_sine(y, table), exact, rtol=0, atol=bound)
 
     @pytest.mark.parametrize("kappa", [84.4, 1e5, marginals.KAPPA_MAX])
     def test_table_build_sums_few_series_points(self, kappa, monkeypatch):
@@ -549,13 +594,17 @@ class TestVonMisesAcrossKappa:
         assert marginals._vonmises_coefficients(84.4).size <= 90
 
     @pytest.mark.parametrize("kappa", np.geomspace(1e-3, marginals.KAPPA_MAX, 40))
-    def test_coefficients_equal_trimmed_full_series(self, kappa):
-        # the sqrt(kappa) bound on the evaluated terms drops no kept term
-        k = np.arange(1, _vonmises_cdf_terms(kappa) + 1)
-        full = ive(k, kappa) / i0e(kappa) / (k * np.pi)
+    def test_coefficients_match_trimmed_reference_series(self, kappa):
+        # the sqrt(kappa) bound on the evaluated terms drops no kept term:
+        # the coefficients keep as many terms as the 50-digit series keeps
+        # above the 2^-60 tail, each within 3 eps relative (2.5 eps is the
+        # worst of 108 kappa from 1e-3 to KAPPA_MAX)
+        full = _reference_coefficients(kappa)
         tail = np.cumsum(np.abs(full[::-1]))[::-1]
         kept = full[: np.count_nonzero(tail > marginals._SERIES_TAIL)]
-        np.testing.assert_array_equal(marginals._vonmises_coefficients(kappa), kept)
+        coef = marginals._vonmises_coefficients(kappa)
+        assert coef.size == kept.size
+        assert np.max(np.abs(coef / kept - 1.0)) <= 3.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("method", ["cdf", "quantile"])
     def test_blocked_series_matches_block_by_block(self, method):
