@@ -1,4 +1,5 @@
-"""Shared numerical helpers: angle wrapping, the wrapped Cauchy law (one
+"""Shared numerical helpers: angle wrapping (exact, with a fast path for
+long float64 arrays within one turn of [0, 2 pi)), the wrapped Cauchy law (one
 log density, one CDF and one Moebius draw: the log density and the CDF
 both read the sin and cos of one :class:`HalfOffset`, so that the marginal
 computes that pair once for both, and the log density serves every copula
@@ -18,9 +19,26 @@ TWO_PI = 2.0 * np.pi
 # |concentration| closer to 1 than this is treated as singular.
 _UNIT_CONC_TOL = 1e-12
 
+# float64 arrays of at least this many angles may take wrap_angle's fast path
+_FAST_WRAP_MIN = 1024
+
 
 def wrap_angle(x):
-    """Reduce angles to [0, 2*pi). Accepts scalars or arrays."""
+    """Reduce angles to [0, 2*pi). Accepts scalars or arrays.
+
+    A float64 array of at least _FAST_WRAP_MIN values, all in
+    [-2 pi, 4 pi), is reduced by one subtraction and one addition of 2 pi,
+    which give ``np.mod``'s result bit for bit: x - 2 pi is exact on
+    [2 pi, 4 pi) (Sterbenz), as fmod is; ``np.mod`` adds 2 pi to a negative
+    x with the same rounding; and where ``np.mod`` gives +0.0 (x = +-0,
+    +-2 pi) this gives 2 pi or +0.0, and :func:`_below_full_turn` sets
+    2 pi to +0.0.  Everything else, NaN and inf included, goes through
+    ``np.mod``, which costs several times as much."""
+    if (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.size >= _FAST_WRAP_MIN
+            and x.min() >= -TWO_PI and x.max() < 2.0 * TWO_PI):  # NaN fails both
+        r = x - TWO_PI * (x >= TWO_PI)
+        r += TWO_PI * (r <= 0.0)
+        return _below_full_turn(r)
     return _below_full_turn(np.mod(x, TWO_PI))
 
 

@@ -40,7 +40,7 @@ from .fit import (
 )
 from .marginals import CIRCULAR, LINEAR, marginal_from_dict
 from .mixture import MixtureModel, responsibilities, select_k
-from .model import TwcmModel, outside_domain
+from .model import TwcmModel, inside_domain, outside_domain
 from .presets import PRESETS
 
 
@@ -95,14 +95,16 @@ def ingest(path, specs) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """
     text = _read_text(path)
     data, linenos, rejected = _parse_plain(text) or _parse_records(text)
-    failing = outside_domain(data, [spec.domain for spec in specs])
-    bad = failing.any(axis=1)
-    for r in np.flatnonzero(bad):
-        i = int(np.argmax(failing[r]))
-        kind = "nonpositive" if np.isfinite(data[r, i]) else "non-finite"
-        rejected.append((int(linenos[r]), f"{kind} value in {specs[i].name}"))
+    domains = [spec.domain for spec in specs]
+    if not inside_domain(data, domains):
+        failing = outside_domain(data, domains)
+        bad = failing.any(axis=1)
+        for r in np.flatnonzero(bad):
+            i = int(np.argmax(failing[r]))
+            kind = "nonpositive" if np.isfinite(data[r, i]) else "non-finite"
+            rejected.append((int(linenos[r]), f"{kind} value in {specs[i].name}"))
+        data = data[~bad]
     rejected.sort()
-    data = data[~bad]
     for i, spec in enumerate(specs):
         if spec.domain == CIRCULAR:
             if spec.unit == "degrees":

@@ -398,8 +398,9 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     the CDF on J = ceil(2 pi sqrt(kappa + 1)) equal intervals [a_j, a_j + h)
     of [0, 2 pi), h = 2 pi / J, in the variable t = (y - a_j) (2 / h) - 1.
     Returns ``(coef, row)``: the Chebyshev coefficients of the F fitted
-    intervals, one row of _TABLE_DEGREE + 1 each, shape (F, 17), and the
-    (J,) index of each interval's row in ``coef``, -1 on a linear interval.
+    intervals, coefficient-major, shape (17, F) (_TABLE_DEGREE + 1 rows,
+    each contiguous), and the (J,) index of each interval's column in
+    ``coef``, -1 on a linear interval.
 
     An interval is about one standard deviation wide, where S is smooth
     enough for degree 16 to reach rounding: against 50-digit coefficients
@@ -430,6 +431,7 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     s = _sine_series(y, _vonmises_coefficients(kappa))
     # the explicit trailing axis makes s a stack of columns on NumPy 1 and 2
     coef = np.linalg.solve(chebvander(t, _TABLE_DEGREE), s[..., None])[..., 0]
+    coef = np.ascontiguousarray(coef.T)
     for arr in (coef, row):
         arr.flags.writeable = False
     return coef, row
@@ -438,12 +440,14 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
 def _table_sine(y, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """S(y) from :func:`_vonmises_cdf_table` at a flat array y in [0, 2 pi].
 
-    Each block of _SERIES_BLOCK values gathers its intervals' coefficient
-    rows and runs Clenshaw's recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on
-    every value by itself, so a value's result does not depend on the rest
-    of the array.  On a linear interval j the recurrence would reduce to
-    c_1 t + c_0, with c_1 = -h / 4 pi and c_0 = 1/2 - (a_j + h / 2) / 2 pi;
-    that is computed instead, bit for bit.
+    Each block of _SERIES_BLOCK values gathers its intervals' coefficients
+    in one ``take`` from the coefficient-major table, so that each
+    coefficient of the block is one contiguous row, and runs Clenshaw's
+    recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on every value by itself,
+    so a value's result does not depend on the rest of the array.  On a
+    linear interval j the recurrence would reduce to c_1 t + c_0, with
+    c_1 = -h / 4 pi and c_0 = 1/2 - (a_j + h / 2) / 2 pi; that is computed
+    instead, bit for bit.
     """
     coef, row = table
     n = row.size
@@ -454,19 +458,20 @@ def _table_sine(y, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         # fmin maps NaN to the last interval, and t keeps it NaN
         j = np.fmin(block * (n / TWO_PI), n - 1).astype(np.intp)
         k = row[j]
-        # one gather of whole rows, read a coefficient column at a time
-        c = coef[k]
+        # one gather, (17, B): the recurrence reads a contiguous row c[i] at
+        # a time, and may overwrite c[_TABLE_DEGREE], which it reads first
+        c = coef.take(k, axis=1)
         t = (block - j * h) * (2.0 / h) - 1.0
         t2 = 2.0 * t
-        b1, b2, tmp = c[:, _TABLE_DEGREE].copy(), np.zeros_like(t), np.empty_like(t)
+        b1, b2, tmp = c[_TABLE_DEGREE], np.zeros_like(t), np.empty_like(t)
         for i in range(_TABLE_DEGREE - 1, 0, -1):
             np.multiply(t2, b1, out=tmp)
             tmp -= b2
-            tmp += c[:, i]
+            tmp += c[i]
             b1, b2, tmp = tmp, b1, b2
         b1 *= t
         b1 -= b2
-        b1 += c[:, 0]
+        b1 += c[0]
         linear = k < 0
         if linear.any():
             jl = j[linear]
@@ -860,19 +865,28 @@ class Weibull(Marginal):
             raise DomainError("Weibull observations must be positive and finite")
         return x
 
-    def logpdf(self, x):
+    def _logpdf_and_power(self, x):
+        """logpdf(x) and the z**nu, z = x / lam, that it subtracts, after
+        one domain check."""
         x = self._check_domain(x)
         nu, lam = self.shape, self.scale
         z = x / lam
         with np.errstate(over="ignore"):  # z**nu -> inf means logpdf -> -inf
-            out = np.log(nu / lam) + (nu - 1.0) * np.log(z) - z**nu
-        return float_if_scalar(out)
+            zn = z**nu
+            return np.log(nu / lam) + (nu - 1.0) * np.log(z) - zn, zn
+
+    def logpdf(self, x):
+        return float_if_scalar(self._logpdf_and_power(x)[0])
 
     def cdf(self, x):
         x = self._check_domain(x)
         with np.errstate(over="ignore"):
             out = -np.expm1(-((x / self.scale) ** self.shape))
         return float_if_scalar(out)
+
+    def _logpdf_and_u(self, x):
+        logpdf, zn = self._logpdf_and_power(x)
+        return logpdf, TWO_PI * -np.expm1(-zn)
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)

@@ -201,15 +201,25 @@ def outside_domain(data: np.ndarray, domains) -> np.ndarray:
     return ~np.isfinite(data) | (linear & (data <= 0.0))
 
 
+def inside_domain(data: np.ndarray, domains) -> bool:
+    """Whether :func:`outside_domain` marks no entry of an (n, 3) array, by
+    one finiteness pass and one sign pass per linear column, without the
+    mask or its row reduction."""
+    return bool(np.isfinite(data).all()) and all(
+        (data[:, i] > 0.0).all() for i, d in enumerate(domains) if d != CIRCULAR
+    )
+
+
 def check_rows(data, domains) -> np.ndarray:
     """``data`` as a nonempty float (n, 3) array with every row inside the
     coordinate ``domains``; raises :class:`DomainError` naming the
-    offending 0-based rows."""
+    offending 0-based rows.  Only data that fail :func:`inside_domain`
+    build the mask that names them."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
         raise DomainError("data must be a nonempty (n, 3) array")
-    rows = np.flatnonzero(outside_domain(data, domains).any(axis=1))
-    if rows.size:
+    if not inside_domain(data, domains):
+        rows = np.flatnonzero(outside_domain(data, domains).any(axis=1))
         raise DomainError(
             f"rows outside the model domain: {rows.tolist()[:20]}"
             + ("..." if rows.size > 20 else "")

@@ -532,7 +532,8 @@ class TestBootstrap:
 class TestRowCheck:
     """Each fitter checks the caller's rows once, before it fits anything,
     so the error names rows of the data passed in, not of a resample or an
-    EM partition."""
+    EM partition.  Only rows that fail the one-pass check are masked and
+    named, by fitters and log densities alike."""
 
     BUOY = ("wrapped_cauchy", "wrapped_cauchy", "weibull")
 
@@ -557,3 +558,43 @@ class TestRowCheck:
     def test_family_count_checked(self):
         with pytest.raises(InvalidParameterError, match="exactly 3"):
             fit_ifm(protein_model().sample(20, seed=1), ["von_mises"] * 2)
+
+    EVALUATORS = [
+        lambda data: buoy_mixture().components[0].log_density(data),
+        lambda data: buoy_mixture().log_density(data),
+        lambda data: fit_ifm(data, BUOY_FAMS),
+    ]
+    EVALUATOR_IDS = ["TwcmModel.log_density", "MixtureModel.log_density", "fit_ifm"]
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS, ids=EVALUATOR_IDS)
+    @pytest.mark.parametrize("column, value", [
+        (0, np.nan), (1, np.inf), (0, -np.inf), (2, np.nan), (2, np.inf), (2, 0.0), (2, -0.0),
+        (2, -3.0),
+    ])
+    def test_rows_outside_are_named(self, evaluate, column, value):
+        # the one-pass check lets nothing through that the entrywise mask
+        # catches, and names every such row, 0-based, in order
+        data = buoy_mixture().sample(3000, seed=5)
+        bad = [0, 41, 1234, 2999]
+        data[bad, column] = value
+        with pytest.raises(DomainError, match=r"rows outside the model domain: "
+                           r"\[0, 41, 1234, 2999\]$"):
+            evaluate(data)
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS, ids=EVALUATOR_IDS)
+    def test_more_than_twenty_rows_outside_end_in_ellipsis(self, evaluate):
+        data = buoy_mixture().sample(3000, seed=6)
+        data[::100, 2] = -1.0
+        data[50, 1] = np.nan
+        named = [0, 50] + list(range(100, 1900, 100))
+        with pytest.raises(DomainError) as info:
+            evaluate(data)
+        assert str(info.value) == f"rows outside the model domain: {named}..."
+
+    def test_zero_and_negative_angles_are_inside(self):
+        # a circular coordinate takes any finite angle; only the linear one
+        # must be positive
+        data = buoy_mixture().sample(3000, seed=7)
+        data[::2, :2] = -0.0
+        data[1::2, :2] = -5.0
+        assert np.isfinite(buoy_mixture().log_density(data)).all()

@@ -4,6 +4,7 @@ weighted maximum likelihood."""
 import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -25,7 +26,13 @@ from twcm import (
     fit_mle,
 )
 from twcm import marginals
-from twcm._util import moebius_map, wc_log_density, wrap_angle
+from twcm._util import (
+    _FAST_WRAP_MIN,
+    _below_full_turn,
+    moebius_map,
+    wc_log_density,
+    wrap_angle,
+)
 
 TWO_PI = 2.0 * np.pi
 PI_FRACTION = Fraction("3.14159265358979323846264338327950288419716939937511")
@@ -577,7 +584,7 @@ class TestVonMisesAcrossKappa:
         full = np.zeros((marginals._TABLE_DEGREE + 1, n))
         full[0] = 0.5 - (h * np.arange(n) + 0.5 * h) / TWO_PI
         full[1] = -0.5 * h / TWO_PI
-        full[:, row >= 0] = coef.T
+        full[:, row >= 0] = coef
         y = np.concatenate([
             _table_test_points(n), TWO_PI * np.random.default_rng(25).random(10**6)
         ])
@@ -872,6 +879,74 @@ class TestFit:
             fit_mle("von_mises", data, weights=np.zeros(3))
 
 
+class TestWrapAngle:
+    """wrap_angle's fast path for long float64 arrays within one turn of
+    [0, 2 pi) gives np.mod's reduction bit for bit, once the full turn is
+    set to 0; every other input still goes through np.mod."""
+
+    ULP_EDGES = [
+        0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(2.0 * TWO_PI, 0.0),
+        np.nextafter(-TWO_PI, 0.0), -1e-300, -1e-17, -5e-324, 5e-324,
+    ]
+    OUTSIDE = [np.nextafter(-TWO_PI, -7.0), 2.0 * TWO_PI, 1e300, -1e300, np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def _expected(x):
+        with np.errstate(invalid="ignore"):  # np.mod of +-inf
+            return _below_full_turn(np.mod(x, TWO_PI))
+
+    @staticmethod
+    def _wrap_counting_mod(x, monkeypatch):
+        """wrap_angle(x) and the number of np.mod calls it made."""
+        calls = []
+        mod = np.mod
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return mod(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "mod", counted)
+            out = wrap_angle(x)
+        return out, len(calls)
+
+    def test_random_angles_match_mod_bit_for_bit(self, monkeypatch):
+        x = np.random.default_rng(31).uniform(-TWO_PI, 2.0 * TWO_PI, 10**6)
+        x = np.concatenate([x, self.ULP_EDGES])
+        expected = self._expected(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, mods = self._wrap_counting_mod(x, monkeypatch)
+        assert mods == 0
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+        assert out.min() >= 0.0 and out.max() < TWO_PI
+
+    @pytest.mark.parametrize("edge", ULP_EDGES + OUTSIDE)
+    def test_each_edge_in_a_long_array_matches_mod(self, edge, monkeypatch):
+        x = np.random.default_rng(32).uniform(-TWO_PI, 2.0 * TWO_PI, 2 * _FAST_WRAP_MIN)
+        x[::7] = edge
+        with np.errstate(invalid="ignore"):  # np.mod of +-inf
+            out, mods = self._wrap_counting_mod(x, monkeypatch)
+        assert mods == (0 if edge in self.ULP_EDGES else 1)
+        np.testing.assert_array_equal(out.view(np.int64), self._expected(x).view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int32])
+    def test_other_dtypes_keep_mod_result(self, dtype):
+        x = np.arange(-3 * _FAST_WRAP_MIN, 3 * _FAST_WRAP_MIN).astype(dtype) % 13 - 6
+        expected = self._expected(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = wrap_angle(x)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+
+    def test_scalars_and_short_arrays_use_mod(self, monkeypatch):
+        for x in (2.5, np.float64(-1.0), np.full(_FAST_WRAP_MIN - 1, 1.0)):
+            out, mods = self._wrap_counting_mod(x, monkeypatch)
+            assert mods == 1
+            assert np.array_equal(out, self._expected(x))
+
+
 class TestParameterValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -886,11 +961,13 @@ class TestParameterValidation:
     @pytest.mark.parametrize("x", [-1e-17, -5e-324, -0.0, -TWO_PI * (1.0 - 2.0**-53)])
     def test_angles_just_below_zero_wrap_below_two_pi(self, x):
         # np.mod and % round a tiny negative angle up to 2 pi itself; that
-        # one value becomes 0, and every other stays as np.mod gives it
+        # one value becomes 0, and every other stays as np.mod gives it; a
+        # long array takes wrap_angle's fast path
         reduced = np.mod(x, TWO_PI)
         expected = 0.0 if reduced == TWO_PI else reduced
         for out in (
             wrap_angle(x), wrap_angle(np.array([x, x]))[1],
+            wrap_angle(np.full(_FAST_WRAP_MIN, x))[1],
             moebius_map(x, 0.5, 0.0, 1.0), moebius_map(np.array([x, x]), 0.5, 0.0, 1.0)[1],
             WrappedCauchy(mu=x, xi=0.5).mu,
         ):
