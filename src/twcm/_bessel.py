@@ -1,22 +1,18 @@
-"""Modified Bessel functions of the first kind, from math and numpy alone.
+"""Modified Bessel functions of the first kind, from math alone.
 
-The von Mises law needs them for three things: its log normaliser
-log(2 pi I0(kappa)), the ratio A1 = I1 / I0 that its fit inverts, and the
-ratios I_k / I0 that weight its CDF series.  Below x = _SERIES_MAX the
+The von Mises law needs them for two things: its log normaliser
+log(2 pi I0(kappa)) and the ratio A1 = I1 / I0 that its fit inverts; its
+CDF integrates the density and needs neither.  Below x = _SERIES_MAX the
 scalars e^-x I0(x) and e^-x I1(x) are power series and A1 is Gauss's
 continued fraction; from there on all three come from Hankel's asymptotic
 series, whose terms fall below 2^-56 by the 19th.  Each scalar is one
-pass of one loop in Python floats.  The CDF ratios come from Gautschi's
-(1967) backward recurrence for r_k = I_k / I_{k-1} and a cumulative
-product.
+pass of one loop in Python floats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 _SERIES_MAX = 25.0
 _EPS = 2.0**-56  # a term below this share of the sum changes no digit
@@ -109,36 +105,3 @@ def log_two_pi_i0e(kappa: float) -> float:
     kappa, cached per kappa."""
     return math.log(2.0 * math.pi * i0e_i1e(kappa)[0])
 
-
-def ratios(kappa: float, n: int) -> np.ndarray:
-    """I_k(kappa) / I0(kappa) for k = 1 .. n, in float64.
-
-    Gautschi's (1967) backward recurrence for r_k = I_k / I_{k-1} =
-    kappa / (2k + kappa r_{k+1}) starts from r = 0 at order
-    n + 20 + 2 sqrt(kappa), past the last order wanted; the start's error
-    at order k shrinks as (I_start / I_k)^2, and at eight kappa from 1e-3
-    to 1e6 every ratio up to order n is bit-equal to one from a start 3n
-    orders further out.  The loop carries m_k = 2k -
-    kappa s_{k+1}, with s = 1 - r, so that r_k = kappa / (m_k + kappa) and
-    s_k = m_k / (m_k + kappa) each keep their relative digits: r where
-    I_k / I_{k-1} is small, s where it is near 1, as it is up to
-    k ~ sqrt(kappa) at large kappa.  The cumulative product of the r_k,
-    each formed from m_k as the smaller of r_k and 1 - s_k, runs in
-    np.longdouble.  Where that type is x86's 80-bit extended precision,
-    the CDF coefficients I_k / (I_0 k pi) made from them are within
-    5.6e-16 relative of 50-digit ones at every order the CDF keeps, at
-    108 kappa up to 1e6; where long double is plain float64, the
-    product's rounding grows that to about 6e-15 at kappa = 1e6.
-    """
-    top = n + int(20.0 + 2.0 * math.sqrt(kappa))
-    m = []
-    append = m.append
-    s = 1.0
-    for two_k in np.arange(2.0 * top, 0.0, -2.0).tolist():
-        mk = two_k - kappa * s
-        s = mk / (mk + kappa)
-        append(mk)
-    mk = np.array(m[:-n - 1:-1]).astype(np.longdouble)
-    den = mk + kappa
-    r = kappa / den
-    return np.cumprod(np.where(r < 0.5, r, 1.0 - mk / den)).astype(float)

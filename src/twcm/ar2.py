@@ -31,7 +31,6 @@ from ._util import (
     moebius_map,
     reflect_concentration,
     require_nonsingular,
-    wrap_angle,
 )
 from .copula import (
     RhoVector,
@@ -130,7 +129,6 @@ def simulate(params: Ar2Params, n: int, seed=None, n_chains: int | None = None):
     theta = np.empty((m, n))
     theta[:, 0] = theta_0
     theta[:, 1:] = f.quantile(u[1:].T / TWO_PI)
-    theta = wrap_angle(theta)
     return theta[0] if n_chains is None else theta
 
 

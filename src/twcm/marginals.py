@@ -7,15 +7,14 @@ fitting.  The circular CDF origin is the location parameter mu, so the
 copula pseudo-observations u = 2*pi*F(theta) are well defined and
 reproducible.
 
-The von Mises CDF has no closed form.  Its exact Fourier series is summed
-once per kappa, at the nodes of a piecewise Chebyshev table of degree 16
-that then gives the CDF at any angle to within 5.6e-16 of the exact series
-up to kappa = 1e5 and 9.5e-16 beyond, where the double-precision sum it is
-fitted to errs by up to 6.7e-16 itself; the table costs at most one series
-pass over 493 values, stores at most 29 fitted intervals (about 53 KB at
-KAPPA_MAX) and is cached per kappa.  The Bessel functions behind the
-series coefficients, the normaliser and the fit come from math and numpy
-alone (:mod:`twcm._bessel`).  The quantile starts from a second per-kappa
+The von Mises CDF has no closed form.  It is the integral of the density,
+taken once per kappa in closed form on a piecewise Chebyshev fit of
+degree 16 to the density, and stored as a table that gives the CDF at any
+angle to within 4.8e-16 of the exact Fourier series up to KAPPA_MAX; the
+table evaluates the density at most at 493 points, stores at most 29
+fitted intervals (about 53 KB at KAPPA_MAX) and is cached per kappa.  The
+Bessel functions behind the normaliser and the fit come from math alone
+(:mod:`twcm._bessel`).  The quantile starts from a second per-kappa
 table and takes one step of fifth order, so it reads the CDF table once a
 value.  Every symmetric circular quantile is such a start plus one step:
 the cardioid's starts from Markley's (1995) solution of Kepler's equation.
@@ -45,6 +44,7 @@ from . import _bessel
 from ._util import (
     TWO_PI,
     HalfOffset,
+    _below_full_turn,
     as_rng,
     float_if_scalar,
     half_angle_sincos,
@@ -350,12 +350,12 @@ def _wrapped_cauchy_mle(theta, w):
     return mu, (1.0 - b) / (1.0 + b), iteration
 
 
-# The CDF series drops trailing terms that sum to at most _SERIES_TAIL in
-# absolute value.  The CDF table has _TABLE_DEGREE + 1 coefficients an
-# interval and is evaluated over blocks of _SERIES_BLOCK values.
-_SERIES_TAIL = 2.0**-60
+# The CDF table has _TABLE_DEGREE + 1 coefficients an interval and is
+# evaluated over blocks of _SERIES_BLOCK values.  _TURN_GAP is
+# 2 pi - TWO_PI, the sliver of the period that the float period leaves out.
 _TABLE_DEGREE = 16
 _SERIES_BLOCK = 4096
+_TURN_GAP = 2.4492935982947064e-16
 
 # Quantile start table: nodes equally spaced in w = kappa (1 - cos y) up to
 # w = 40, at most _START_DW apart and at least _START_INTERVALS intervals
@@ -363,33 +363,6 @@ _SERIES_BLOCK = 4096
 _START_DW = 0.025
 _START_WMAX = 40.0
 _START_INTERVALS = 16
-
-
-def _sine_series(y, coef):
-    """``sum_k coef[k-1] sin(k y)`` by Clenshaw's recurrence in Reinsch's form.
-
-    Clenshaw's b_k = c_k + 2 cos(y) b_{k+1} - b_{k+2} gives the sum as
-    b_1 sin(y) but loses digits where cos(y) = +-1.  With s = sign(cos y)
-    and t = 2 cos(y) - 2 s, Reinsch's differences d_k = b_k - s b_{k+1}
-    obey d_k = c_k + t b_{k+1} + s d_{k+1}, which stays accurate there.
-    Scaled as B_k = s^k b_k and D_k = s^k d_k this reads
-    D_k = s^k c_k + s t B_{k+1} + D_{k+1}, B_k = B_{k+1} + D_k, with
-    s t = -4 sin^2(y/2) or -4 cos^2(y/2), and the sum is s B_1 sin(y).
-    Only the nodes of the CDF table (:func:`_vonmises_cdf_table`) are
-    summed this way, a few hundred values per kappa.
-    """
-    y = np.asarray(y, dtype=float)
-    upper = np.cos(y) >= 0.0
-    s = np.where(upper, 1.0, -1.0)
-    st = -4.0 * np.where(upper, np.sin(0.5 * y), np.cos(0.5 * y)) ** 2
-    b = np.zeros_like(y)
-    d = np.zeros_like(y)
-    tmp = np.empty_like(y)
-    for k, c in zip(range(coef.size, 0, -1), coef[::-1].tolist()):
-        d += np.multiply(st, b, out=tmp)
-        d += np.multiply(s, c, out=tmp) if k % 2 else c
-        b += d
-    return s * b * np.sin(y)
 
 
 @functools.lru_cache(maxsize=32)
@@ -402,36 +375,58 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     each contiguous), and the (J,) index of each interval's column in
     ``coef``, -1 on a linear interval.
 
-    An interval is about one standard deviation wide, where S is smooth
-    enough for degree 16 to reach rounding: against 50-digit coefficients
-    summed in long double, at 401 kappa from 0 to KAPPA_MAX (300 random
-    points and the ends of every fitted interval), the table is within
-    5.6e-16 up to kappa = 1e5 and within 9.5e-16 beyond, where the double
-    sum of _sine_series that it is fitted to errs by up to 6.7e-16 itself.
-    Each interval is fitted to _sine_series at its Chebyshev-Lobatto points,
-    solved at the float nodes through the map t that evaluation uses, so
-    that node rounding does not enter the fit.  Where w = kappa (1 - cos y)
-    exceeds _START_WMAX on a whole interval, F is 1/2 to within 2^-54 (see
-    _vonmises_start_table) and S = 1/2 - y / 2pi exactly: that interval is
-    linear, evaluated from its index by :func:`_table_sine` and not stored.
-    So the build sums the series at most at 29 * 17 points, and F is at
+    The CDF is the integral of the density, so each interval fits the
+    unnormalised density g(y) = exp(-2 kappa sin^2(y / 2)) at its 17
+    Chebyshev-Lobatto points, solved at the float nodes through the map t
+    that evaluation uses, and integrates the fit c_k in closed form:
+    G(t) = (h / 2) sum_k b_k T_k(t) with b_k = (c_{k-1} - c_{k+1}) / 2k,
+    b_1 = c_0 - c_2 / 2 and b_0 such that G(-1) = 0.  The T_17 term
+    b_17 = c_16 / 34 is dropped; it moves F by less than 7e-19 at 401
+    kappa from 0 to KAPPA_MAX.  An interval is about one standard
+    deviation wide, where g is smooth enough for degree 16 to reach
+    rounding.  Interval j holds the mass M_j = G_j up to the next float
+    edge (the last one up to TWO_PI), so that F is continuous where
+    evaluation passes from one interval to the next, and
+    F = (P_j + G_j(t)) / T, with P_j the exact sum of the masses before
+    it and T their exact sum plus g(0) (2 pi - TWO_PI), the sliver of the
+    period that [0, TWO_PI) leaves out.  Against the 50-digit Fourier
+    series summed in long double, at 401 kappa from 0 to KAPPA_MAX (300
+    random points and the ends of every fitted interval), the table is
+    within 4.8e-16.  Where w = kappa (1 - cos y) exceeds _START_WMAX on a
+    whole interval, F is 1/2 to within 2^-54 (see _vonmises_start_table)
+    and S = 1/2 - y / 2pi exactly: that interval is linear, evaluated from
+    its index by :func:`_table_sine`, not stored and given no mass.  So
+    the build evaluates the density at most at 29 * 17 points, and F is at
     most 29, whatever kappa is.
     """
     n = math.ceil(TWO_PI * math.sqrt(kappa + 1.0))
     h = TWO_PI / n
     edges = h * np.arange(n + 1)
+    edges[-1] = TWO_PI
     w = 2.0 * kappa * np.sin(0.5 * edges) ** 2
     fitted = (w[:-1] <= _START_WMAX) | (w[1:] <= _START_WMAX)
     row = np.full(n, -1, dtype=np.intp)
     row[fitted] = np.arange(np.count_nonzero(fitted))
-    a = edges[:-1][fitted, None]
+    a = edges[:-1][fitted]
     nodes = np.cos(np.pi * np.arange(_TABLE_DEGREE, -1, -1) / _TABLE_DEGREE)
-    y = a + (nodes + 1.0) * (0.5 * h)
-    t = (y - a) * (2.0 / h) - 1.0
-    s = _sine_series(y, _vonmises_coefficients(kappa))
-    # the explicit trailing axis makes s a stack of columns on NumPy 1 and 2
-    coef = np.linalg.solve(chebvander(t, _TABLE_DEGREE), s[..., None])[..., 0]
-    coef = np.ascontiguousarray(coef.T)
+    y = a[:, None] + (nodes + 1.0) * (0.5 * h)
+    t = (y - a[:, None]) * (2.0 / h) - 1.0
+    g = np.exp(-2.0 * kappa * np.sin(0.5 * y) ** 2)
+    # the explicit trailing axis makes g a stack of columns on NumPy 1 and 2
+    c = np.linalg.solve(chebvander(t, _TABLE_DEGREE), g[..., None])[..., 0].T
+    b = np.empty(c.shape)  # C order: the stored rows are contiguous
+    b[1] = c[0] - 0.5 * c[2]
+    b[2:-1] = (c[1:-2] - c[3:]) / np.arange(4.0, 2.0 * _TABLE_DEGREE, 2.0)[:, None]
+    b[-1] = c[-2] / (2.0 * _TABLE_DEGREE)
+    b[0] = (-1.0) ** np.arange(_TABLE_DEGREE) @ b[1:]  # G(-1) = 0
+    b *= 0.5 * h
+    t_end = (edges[1:][fitted] - a) * (2.0 / h) - 1.0
+    mass = np.einsum("fk,kf->f", chebvander(t_end, _TABLE_DEGREE), b).tolist()
+    total = math.fsum(mass + [_TURN_GAP])
+    before = np.array([math.fsum(mass[:j]) for j in range(len(mass))])
+    coef = b / total
+    coef[0] += before / total - (a + 0.5 * h) / TWO_PI
+    coef[1] -= 0.5 * h / TWO_PI
     for arr in (coef, row):
         arr.flags.writeable = False
     return coef, row
@@ -478,28 +473,6 @@ def _table_sine(y, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
             b1[linear] = (-0.5 * h / TWO_PI) * t[linear] + (0.5 - (jl * h + 0.5 * h) / TWO_PI)
         out[start:start + block.size] = b1
     return out
-
-
-def _vonmises_coefficients(kappa: float) -> np.ndarray:
-    """CDF series coefficients I_k(kappa) / (I_0(kappa) k pi), k = 1, 2, ...,
-    less the trailing terms whose absolute sum is at most _SERIES_TAIL: a
-    bound on what they add to the CDF, far below its rounding.  Of the
-    40 + 20 sqrt(kappa) terms evaluated, at most 0.85 (40 + 10 sqrt(kappa))
-    are kept at any kappa up to KAPPA_MAX (measured on 30 000 kappa).
-
-    The ratios I_k / I_0 are Gautschi's backward recurrence, started
-    20 + 2 sqrt(kappa) orders past the last term evaluated, with its
-    product in long double (:func:`twcm._bessel.ratios`).  At 108 kappa
-    from 1e-3 to KAPPA_MAX the kept coefficients are within 5.6e-16
-    (2.5 eps) relative of 50-digit ones, where long double is x86's
-    80-bit type; where it is plain float64 that grows to about 6e-15 at
-    KAPPA_MAX."""
-    n = int(40.0 + 20.0 * math.sqrt(kappa))
-    coef = _bessel.ratios(kappa, n) / (np.arange(1, n + 1) * np.pi)
-    tail = np.cumsum(np.abs(coef[::-1]))[::-1]
-    coef = coef[: np.count_nonzero(tail > _SERIES_TAIL)]
-    coef.flags.writeable = False
-    return coef
 
 
 @functools.lru_cache(maxsize=32)
@@ -569,20 +542,16 @@ def _newton_delta(m: Marginal, y, q, dens):
 class VonMises(Marginal):
     """Von Mises with location mu and concentration kappa >= 0.
 
-    The CDF is the integral of the Fourier expansion from the origin mu,
-    read from a per-kappa piecewise Chebyshev table of its sine part that
-    is fitted to the series and agrees with the exact series to within
-    5.6e-16 up to kappa = 1e5 (9.5e-16 beyond; see
-    :func:`_vonmises_cdf_table`).  The series coefficients I_k / I_0 come
-    from Gautschi's backward recurrence started 20 + 2 sqrt(kappa) orders
-    past the last one evaluated (:func:`twcm._bessel.ratios`), within
-    5.6e-16 relative of 50-digit values where long double is x86's
-    extended type; the log normaliser log(2 pi I0(kappa)) from a power
-    series below kappa = 25 and Hankel's asymptotic series from there on,
-    within 5.6 eps, cached per kappa (:func:`twcm._bessel.log_two_pi_i0e`).
-    Evaluation costs 17 coefficients a value whatever kappa is, in O(n)
-    memory.  Coefficients and tables are built once per kappa and cached,
-    so the series is paid for once per kappa.
+    The CDF is the integral of the density from the origin mu, read from a
+    per-kappa piecewise Chebyshev table of its sine part F(y) - y / 2pi
+    that integrates a fit to the density in closed form and agrees with
+    the exact Fourier series to within 4.8e-16 up to KAPPA_MAX (see
+    :func:`_vonmises_cdf_table`).  The log normaliser log(2 pi I0(kappa))
+    comes from a power series below kappa = 25 and Hankel's asymptotic
+    series from there on, within 5.6 eps, cached per kappa
+    (:func:`twcm._bessel.log_two_pi_i0e`).  Evaluation costs 17
+    coefficients a value whatever kappa is, in O(n) memory.  Tables are
+    built once per kappa and cached.
 
     The quantile interpolates a per-kappa table of the CDF linearly
     (:func:`_vonmises_start_table`) and takes one step of the inverse
@@ -747,8 +716,9 @@ class Cardioid(Marginal):
         return y / TWO_PI + self.rho_c * np.sin(y) / np.pi
 
     def cdf(self, x):
+        # just below mu, where the CDF rounds up to 1 at rho_c < 0, it is 0
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
-        return float_if_scalar(self._cdf_offset(y))
+        return float_if_scalar(_below_full_turn(self._cdf_offset(y), 1.0))
 
     def quantile(self, p):
         # On [0, pi], F(y) = q reads y + 2 rho_c sin y = 2 pi q: Kepler's
@@ -867,13 +837,16 @@ class Weibull(Marginal):
 
     def _logpdf_and_power(self, x):
         """logpdf(x) and the z**nu, z = x / lam, that it subtracts, after
-        one domain check."""
+        one domain check.  Where z**nu overflows, logpdf is -inf: the
+        arithmetic would give NaN there once z itself overflows, as
+        inf - inf or 0 * inf."""
         x = self._check_domain(x)
         nu, lam = self.shape, self.scale
-        z = x / lam
-        with np.errstate(over="ignore"):  # z**nu -> inf means logpdf -> -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x / lam
             zn = z**nu
-            return np.log(nu / lam) + (nu - 1.0) * np.log(z) - zn, zn
+            logpdf = np.log(nu / lam) + (nu - 1.0) * np.log(z) - zn
+        return np.where(zn == np.inf, -np.inf, logpdf), zn
 
     def logpdf(self, x):
         return float_if_scalar(self._logpdf_and_power(x)[0])

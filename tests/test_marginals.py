@@ -77,8 +77,9 @@ def _reference_coefficients(kappa: float) -> np.ndarray:
 
 def _reference_sine(y, coef) -> np.ndarray:
     """``sum_k coef[k-1] sin(k y)`` in np.longdouble, by the Reinsch form of
-    Clenshaw's recurrence that :func:`marginals._sine_series` runs in
-    float64."""
+    Clenshaw's recurrence, which stays accurate where cos(y) = +-1: with
+    s = sign(cos y), the differences d_k = b_k - s b_{k+1} of Clenshaw's
+    b_k obey d_k = c_k + t b_{k+1} + s d_{k+1}, t = 2 cos(y) - 2 s."""
     y = np.asarray(y).astype(np.longdouble)
     upper = np.cos(y) >= 0.0
     s = np.where(upper, 1, -1).astype(np.longdouble)
@@ -231,6 +232,24 @@ class TestDensities:
         )
         assert np.all(m.pdf(x) >= 0.0)
 
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+    def test_weibull_log_density_is_minus_inf_where_the_power_overflows(self, shape):
+        # z = x / lam overflows at 1e306 / 1e-5, and z**nu with it; where
+        # only z**nu overflows (1e200 / 1e-5 at nu = 2) the log density is
+        # -inf too, on logpdf and on the copula path alike, with no warning
+        m = Weibull(shape=shape, scale=1e-5)
+        x = np.array([1e306, 1e200, 1.5e-5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logpdf = m.logpdf(x)
+            joint, u = m._logpdf_and_u(x)
+            assert m.logpdf(1e306) == -np.inf
+        want_inf = np.array([True, shape > 1.0, False])
+        assert np.array_equal(np.isneginf(logpdf), want_inf)
+        np.testing.assert_array_equal(joint, logpdf)
+        assert np.all(np.isfinite(logpdf[~want_inf]))
+        assert np.all(u[want_inf] == TWO_PI)
+
     def test_weibull_domain_error(self):
         m = Weibull(shape=2.0, scale=1.0)
         with pytest.raises(DomainError):
@@ -287,6 +306,27 @@ class TestCdf:
             x = np.concatenate([mu + 10.0 ** -np.arange(1, 13), mu - 10.0 ** -np.arange(1, 13)])
             exact = [wc_cdf_exact(v, mu, xi) for v in x]
             np.testing.assert_allclose(m.cdf(x), exact, rtol=0.0, atol=2.3e-16)
+
+    @pytest.mark.parametrize(
+        "m",
+        [m for m in ALL_MODELS if m.domain == "circular"]
+        + [Cardioid(mu=0.0, rho_c=-0.4999), Cardioid(mu=2.0, rho_c=-0.4999999)],
+        ids=IDS[:6] + ["cardioid_neg", "cardioid_cap"],
+    )
+    def test_circular_cdf_just_below_origin_stays_below_one(self, m):
+        # x just below mu is almost a full turn from the origin: the CDF is
+        # in [0, 1) there, 0 where it would round up to 1, so that the
+        # quantile takes it back to the circle
+        mu = m.origin
+        below = np.concatenate([
+            [np.nextafter(mu, -np.inf), np.nextafter(TWO_PI, 0.0) if mu == 0.0 else mu],
+            mu - np.array([1e-17, 1e-16, 4e-16, 1e-15, 1e-14, 1e-12, 1e-9]),
+        ])
+        for x in [*below, below]:
+            p = m.cdf(x)
+            assert np.all((0.0 <= p) & (p < 1.0)), x
+            back = m.quantile(p)
+            assert np.all((0.0 <= back) & (back < TWO_PI)), x
 
     def test_weibull_cdf_at_scale(self):
         m = Weibull(shape=3.3, scale=2.5)
@@ -457,6 +497,13 @@ def test_reference_coefficients_match_besseli(kappa):
         assert err <= float(np.finfo(np.longdouble).eps), (kappa, k)
 
 
+def test_turn_gap_is_what_the_float_period_leaves_out():
+    # the CDF table's total mass adds g(0) (2 pi - TWO_PI) for the sliver
+    # of the period above the float TWO_PI
+    with mpmath.workdps(40):
+        assert marginals._TURN_GAP == float(2 * mpmath.pi - mpmath.mpf(TWO_PI))
+
+
 class TestVonMisesAcrossKappa:
     """Exact round trip and bounded memory from the uniform law up to the
     concentration cap the fitter itself produces."""
@@ -535,7 +582,8 @@ class TestVonMisesAcrossKappa:
 
     @pytest.mark.parametrize("kappa", [0.8, 5.0, 84.4, 1e3, 1e5])
     def test_trimmed_series_matches_full_series(self, kappa):
-        # the dropped tail adds at most 2^-60; the rest is rounding
+        # the CDF against the full 50-digit series rounded to float: the
+        # table's error, within 6e-16, and the rounding of y / 2 pi + S
         y = TWO_PI * np.random.default_rng(21).random(300)
         full = y / TWO_PI + _reference_sine(y, _reference_coefficients(kappa))
         untrimmed = np.clip(full.astype(float), 0.0, 1.0)
@@ -543,35 +591,29 @@ class TestVonMisesAcrossKappa:
         np.testing.assert_allclose(m.cdf(y), untrimmed, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
-        "kappa", [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1e4, 1e5, marginals.KAPPA_MAX]
+        "kappa",
+        [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1e4, 1e5, marginals.KAPPA_MAX]
+        # two kappa of np.geomspace(1e-3, KAPPA_MAX, 400) above 2e5
+        + [float(np.geomspace(1e-3, marginals.KAPPA_MAX, 400)[i]) for i in (386, 391)],
     )
     def test_table_matches_series(self, kappa):
-        # the table's sine part against the series on every 50-digit
-        # coefficient, summed in long double, at random points, every
-        # interval end, one ulp either side of it, 0, pi and the last float
-        # below 2 pi.  At KAPPA_MAX the float64 series the table is fitted
-        # to errs by up to 6.7e-16 itself over its 8 500 terms, so there the
-        # bound is 1e-15.
+        # the table's sine part, the integral of the density less y / 2 pi,
+        # against the series on every 50-digit coefficient, summed in long
+        # double, at random points, every interval end, one ulp either side
+        # of it, 0, pi and the last float below 2 pi
         table = marginals._vonmises_cdf_table(kappa)
         y = _table_test_points(table[1].size)
         exact = _reference_sine(y, _reference_coefficients(kappa))
-        bound = 1e-15 if kappa == marginals.KAPPA_MAX else 6e-16
-        np.testing.assert_allclose(marginals._table_sine(y, table), exact, rtol=0, atol=bound)
+        np.testing.assert_allclose(marginals._table_sine(y, table), exact, rtol=0, atol=6e-16)
 
     @pytest.mark.parametrize("kappa", [84.4, 1e5, marginals.KAPPA_MAX])
-    def test_table_build_sums_few_series_points(self, kappa, monkeypatch):
+    def test_table_stores_few_fitted_intervals(self, kappa):
         # only intervals with w = kappa (1 - cos y) <= 40 somewhere are
-        # fitted: at most 29 of them at any kappa, 32 allowed here
-        points = []
-        series = marginals._sine_series
-
-        def counted(y, coef):
-            points.append(np.size(y))
-            return series(y, coef)
-
-        monkeypatch.setattr(marginals, "_sine_series", counted)
-        marginals._vonmises_cdf_table(kappa)
-        assert 0 < sum(points) <= 32 * (marginals._TABLE_DEGREE + 1)
+        # fitted, and the build evaluates the density only at their 17
+        # nodes each: at most 29 of them at any kappa, 32 allowed here
+        coef, row = marginals._vonmises_cdf_table(kappa)
+        assert coef.shape[0] == marginals._TABLE_DEGREE + 1
+        assert 0 < coef.shape[1] == np.count_nonzero(row >= 0) <= 32
 
     @pytest.mark.parametrize("kappa", [17.3, 27.6, 84.4, 1e5, marginals.KAPPA_MAX])
     def test_cdf_equals_full_table(self, kappa):
@@ -597,21 +639,16 @@ class TestVonMisesAcrossKappa:
         coef, row = marginals._vonmises_cdf_table(marginals.KAPPA_MAX)
         assert coef.nbytes + row.nbytes <= 64 * 1024
 
-    def test_trimmed_term_count(self):
-        assert marginals._vonmises_coefficients(84.4).size <= 90
-
     @pytest.mark.parametrize("kappa", np.geomspace(1e-3, marginals.KAPPA_MAX, 40))
     def test_coefficients_match_trimmed_reference_series(self, kappa):
-        # the sqrt(kappa) bound on the evaluated terms drops no kept term:
-        # the coefficients keep as many terms as the 50-digit series keeps
-        # above the 2^-60 tail, each within 3 eps relative (2.5 eps is the
-        # worst of 108 kappa from 1e-3 to KAPPA_MAX)
-        full = _reference_coefficients(kappa)
-        tail = np.cumsum(np.abs(full[::-1]))[::-1]
-        kept = full[: np.count_nonzero(tail > marginals._SERIES_TAIL)]
-        coef = marginals._vonmises_coefficients(kappa)
-        assert coef.size == kept.size
-        assert np.max(np.abs(coef / kept - 1.0)) <= 3.0 * np.finfo(float).eps
+        # the table's Chebyshev coefficients, summed by _table_sine, against
+        # the 50-digit series trimmed where I_k / I_0 < 1e-30, at 40 kappa
+        # from 1e-3 to the cap: within 6e-16 at random points, every
+        # interval end and one ulp either side of it
+        table = marginals._vonmises_cdf_table(kappa)
+        y = _table_test_points(table[1].size)
+        exact = _reference_sine(y, _reference_coefficients(kappa))
+        np.testing.assert_allclose(marginals._table_sine(y, table), exact, rtol=0, atol=6e-16)
 
     @pytest.mark.parametrize("method", ["cdf", "quantile"])
     def test_blocked_series_matches_block_by_block(self, method):
