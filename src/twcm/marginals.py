@@ -9,15 +9,16 @@ reproducible.
 
 The von Mises CDF has no closed form.  It is the integral of the density,
 taken once per kappa in closed form on a piecewise Chebyshev fit of
-degree 16 to the density, and stored as a table that gives the CDF at any
+degree 14 to the density, and stored as a table that gives the CDF at any
 angle to within 4.8e-16 of the exact Fourier series up to KAPPA_MAX; the
-table evaluates the density at most at 493 points, stores at most 29
-fitted intervals (about 53 KB at KAPPA_MAX) and is cached per kappa.  The
+table evaluates the density at most at 435 points, stores at most 29
+fitted intervals (about 52 KB at KAPPA_MAX) and is cached per kappa.  The
 Bessel functions behind the normaliser and the fit come from math alone
 (:mod:`twcm._bessel`).  The quantile starts from a second per-kappa
-table and takes one step of fifth order, so it reads the CDF table once a
-value.  Every symmetric circular quantile is such a start plus one step:
-the cardioid's starts from Markley's (1995) solution of Kepler's equation.
+table, whose interval a guide table finds without binary search, and
+takes one step of fifth order, so it reads the CDF table once a value.
+Every symmetric circular quantile is such a start plus one step: the
+cardioid's starts from Markley's (1995) solution of Kepler's equation.
 
 Each fit is one deterministic solver: the von Mises mean direction in
 closed form and kappa by Newton on A1(kappa) = rbar; the wrapped Cauchy
@@ -59,6 +60,8 @@ from .errors import DomainError, InvalidParameterError
 KAPPA_MAX = 1e6
 XI_MAX = 1.0 - 1e-9
 RHO_C_MAX = 0.5 - 1e-9
+# A1 is increasing, so a von Mises fit caps kappa at every rbar >= this
+_A1_AT_KAPPA_MAX = _bessel.a1(KAPPA_MAX)
 
 # The wrapped Cauchy ascent, like each piece of fit_copula (which also takes
 # _ARMIJO from here), stops on a Newton decrement of at most _DECREMENT_TOL
@@ -353,7 +356,7 @@ def _wrapped_cauchy_mle(theta, w):
 # The CDF table has _TABLE_DEGREE + 1 coefficients an interval and is
 # evaluated over blocks of _SERIES_BLOCK values.  _TURN_GAP is
 # 2 pi - TWO_PI, the sliver of the period that the float period leaves out.
-_TABLE_DEGREE = 16
+_TABLE_DEGREE = 14
 _SERIES_BLOCK = 4096
 _TURN_GAP = 2.4492935982947064e-16
 
@@ -371,33 +374,34 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     the CDF on J = ceil(2 pi sqrt(kappa + 1)) equal intervals [a_j, a_j + h)
     of [0, 2 pi), h = 2 pi / J, in the variable t = (y - a_j) (2 / h) - 1.
     Returns ``(coef, row)``: the Chebyshev coefficients of the F fitted
-    intervals, coefficient-major, shape (17, F) (_TABLE_DEGREE + 1 rows,
+    intervals, coefficient-major, shape (15, F) (_TABLE_DEGREE + 1 rows,
     each contiguous), and the (J,) index of each interval's column in
     ``coef``, -1 on a linear interval.
 
     The CDF is the integral of the density, so each interval fits the
-    unnormalised density g(y) = exp(-2 kappa sin^2(y / 2)) at its 17
+    unnormalised density g(y) = exp(-2 kappa sin^2(y / 2)) at its 15
     Chebyshev-Lobatto points, solved at the float nodes through the map t
     that evaluation uses, and integrates the fit c_k in closed form:
     G(t) = (h / 2) sum_k b_k T_k(t) with b_k = (c_{k-1} - c_{k+1}) / 2k,
-    b_1 = c_0 - c_2 / 2 and b_0 such that G(-1) = 0.  The T_17 term
-    b_17 = c_16 / 34 is dropped; it moves F by less than 7e-19 at 401
+    b_1 = c_0 - c_2 / 2 and b_0 such that G(-1) = 0.  The T_15 term
+    b_15 = c_14 / 30 is dropped; it moves F by less than 3.4e-17 at 401
     kappa from 0 to KAPPA_MAX.  An interval is about one standard
-    deviation wide, where g is smooth enough for degree 16 to reach
-    rounding.  Interval j holds the mass M_j = G_j up to the next float
-    edge (the last one up to TWO_PI), so that F is continuous where
-    evaluation passes from one interval to the next, and
-    F = (P_j + G_j(t)) / T, with P_j the exact sum of the masses before
-    it and T their exact sum plus g(0) (2 pi - TWO_PI), the sliver of the
-    period that [0, TWO_PI) leaves out.  Against the 50-digit Fourier
-    series summed in long double, at 401 kappa from 0 to KAPPA_MAX (300
-    random points and the ends of every fitted interval), the table is
-    within 4.8e-16.  Where w = kappa (1 - cos y) exceeds _START_WMAX on a
-    whole interval, F is 1/2 to within 2^-54 (see _vonmises_start_table)
-    and S = 1/2 - y / 2pi exactly: that interval is linear, evaluated from
-    its index by :func:`_table_sine`, not stored and given no mass.  So
-    the build evaluates the density at most at 29 * 17 points, and F is at
-    most 29, whatever kappa is.
+    deviation wide, where g is smooth enough for degree 14 to reach
+    rounding (degree 12 leaves 9.3e-15).  Interval j holds the mass
+    M_j = G_j up to the next float edge (the last one up to TWO_PI), so
+    that F is continuous where evaluation passes from one interval to the
+    next, and F = (P_j + G_j(t)) / T, with P_j the exact sum of the masses
+    before it and T their exact sum plus g(0) (2 pi - TWO_PI), the sliver
+    of the period that [0, TWO_PI) leaves out.  Against the 50-digit
+    Fourier series summed in long double, at 401 kappa from 0 to KAPPA_MAX
+    (300 random points and the ends of every fitted interval), the table
+    is within 4.8e-16 (4.72e-16 at kappa = 87.1, as at degree 16).  Where
+    w = kappa (1 - cos y) exceeds _START_WMAX on a whole interval, F is 1/2
+    to within 2^-54 (see _vonmises_start_table) and S = 1/2 - y / 2pi
+    exactly: that interval is linear, evaluated from its index by
+    :func:`_table_sine`, not stored and given no mass.  So the build
+    evaluates the density at most at 29 * 15 points, and F is at most 29,
+    whatever kappa is.
     """
     n = math.ceil(TWO_PI * math.sqrt(kappa + 1.0))
     h = TWO_PI / n
@@ -453,7 +457,7 @@ def _table_sine(y, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         # fmin maps NaN to the last interval, and t keeps it NaN
         j = np.fmin(block * (n / TWO_PI), n - 1).astype(np.intp)
         k = row[j]
-        # one gather, (17, B): the recurrence reads a contiguous row c[i] at
+        # one gather, (15, B): the recurrence reads a contiguous row c[i] at
         # a time, and may overwrite c[_TABLE_DEGREE], which it reads first
         c = coef.take(k, axis=1)
         t = (block - j * h) * (2.0 / h) - 1.0
@@ -476,8 +480,9 @@ def _table_sine(y, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (F(y_j), y_j) of the CDF on the half-period [0, pi].
+def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, ...]:
+    """Nodes (F(y_j), y_j) of the CDF on the half-period [0, pi], the slope
+    of each interval's chord, and the guide table of :func:`_start_interval`.
 
     Newton's error constant for F(y) = q is |f'/2f| = kappa sin(y) / 2, so
     nodes equally spaced in w = kappa (1 - cos y) (dw = kappa sin(y) dy)
@@ -492,6 +497,14 @@ def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     them (3.3e-16).  Past w = 40 the half-period holds less mass than
     2^-54, the gap below 1/2, so the last interval [y(40), pi] only meets
     q = 1/2, where F equals 1/2 to rounding on all of it.
+
+    The guide table (Chen & Asau 1974; Devroye 1986, sec. III.2.4) splits
+    [0, 1/2] into C equal cells, C a power of two and at least twice the
+    node count (64 cells at small kappa, 4096 from kappa = 12.8 on), and
+    holds the interval of each cell's left end c / 2C, or -1 where the
+    next cell's is more than one interval further on: the flat tail, where
+    many nodes share a cell (25 or 26 of 4096 cells from kappa = 12.8 on),
+    and the last cell, which q = 1/2 alone meets.
     """
     # w / 2 kappa = sin^2(y / 2) at the nodes w = 0, dw, 2 dw, ...
     n = math.ceil(min(_START_WMAX, 2.0 * kappa) / _START_DW)
@@ -503,9 +516,42 @@ def _vonmises_start_table(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     cdf = VonMises(0.0, kappa)._cdf_offset(y)
     cdf[-1] = 0.5
     cdf = np.minimum(np.maximum.accumulate(cdf), 0.5)  # rounding in the flat tail
-    for arr in (cdf, y):
+    span = np.diff(cdf)
+    slope = np.divide(np.diff(y), span, out=np.zeros_like(span), where=span > 0.0)
+    cells = 1 << (2 * cdf.size - 1).bit_length()
+    guide = _searched_interval(np.arange(cells + 1) / (2.0 * cells), cdf)
+    guide[:-1][np.diff(guide) > 1] = -1
+    guide[-1] = -1
+    for arr in (cdf, y, slope, guide):
         arr.flags.writeable = False
-    return cdf, y
+    return cdf, y, slope, guide
+
+
+def _searched_interval(q, cdf):
+    """The interval i of each q by binary search: cdf[i] <= q < cdf[i + 1],
+    clipped to the cdf.size - 1 intervals."""
+    return np.clip(np.searchsorted(cdf, q, side="right") - 1, 0, cdf.size - 2)
+
+
+def _start_interval(q, cdf, guide):
+    """:func:`_searched_interval` of q in [0, 1/2] (an array), bit for bit,
+    from the guide table of :func:`_vonmises_start_table`.
+
+    q 2C is exact for C cells, a power of two, so q lies in the cell
+    c = floor(q 2C).  The interval is monotone in q, so where guide[c] =
+    i >= 0 it is i or i + 1, and q >= cdf[i + 1] tells which.  Values in a
+    cell marked -1 take the binary search: at most 0.65% of uniform q from
+    kappa = 12.8 on, 2.6% at kappa = 5 and 9.6% at kappa = 1.55, the most.
+    """
+    cells = guide.size - 1
+    # fmin maps NaN to the last cell
+    c = np.fmin(q * (2.0 * cells), cells).astype(np.intp)
+    i = np.asarray(guide.take(c))  # a 0-d c takes a scalar
+    searched = i < 0
+    i += cdf.take(i + 1) <= q
+    if searched.any():
+        i[searched] = _searched_interval(q[searched], cdf)
+    return i
 
 
 def _symmetric_quantile(m: Marginal, p, start, step):
@@ -549,12 +595,15 @@ class VonMises(Marginal):
     :func:`_vonmises_cdf_table`).  The log normaliser log(2 pi I0(kappa))
     comes from a power series below kappa = 25 and Hankel's asymptotic
     series from there on, within 5.6 eps, cached per kappa
-    (:func:`twcm._bessel.log_two_pi_i0e`).  Evaluation costs 17
-    coefficients a value whatever kappa is, in O(n) memory.  Tables are
-    built once per kappa and cached.
+    (:func:`twcm._bessel.log_two_pi_i0e`).  Evaluation costs 15
+    coefficients a value (degree 14) whatever kappa is, in O(n) memory.
+    Tables are built once per kappa and cached.
 
     The quantile interpolates a per-kappa table of the CDF linearly
-    (:func:`_vonmises_start_table`) and takes one step of the inverse
+    (:func:`_vonmises_start_table`), in the interval that a guide table
+    finds with one multiply and one ``take``, binary search only in its
+    flat-tail cells, bit for bit as binary search everywhere
+    (:func:`_start_interval`), and takes one step of the inverse
     function's Taylor series to 4th order in the Newton step
     d = (q - F(y)) / f(y) (Householder's method of order 5):
 
@@ -605,21 +654,18 @@ class VonMises(Marginal):
         return float_if_scalar(np.clip(self._cdf_offset(y), 0.0, 1.0))
 
     def quantile(self, p):
-        nodes_cdf, nodes_y = _vonmises_start_table(self.kappa)
+        nodes_cdf, nodes_y, slope, guide = _vonmises_start_table(self.kappa)
         kappa = self.kappa
         log_norm = _bessel.log_two_pi_i0e(kappa)
 
         def start(q):
-            # side="right" puts every q < F(hi) below hi, so a bracket whose
-            # two CDF values are equal (the flat tail) only meets q = 1/2,
-            # whose root is hi = pi
-            i = np.searchsorted(nodes_cdf, q, side="right") - 1
-            i = np.clip(i, 0, nodes_cdf.size - 2)
-            lo, hi = nodes_y[i], nodes_y[i + 1]
-            c1 = nodes_cdf[i + 1]
-            span = c1 - nodes_cdf[i]
-            slope = np.divide(hi - lo, span, out=np.zeros_like(span), where=span > 0.0)
-            return hi - slope * (c1 - q), lo, hi
+            # every q < F(hi) lies below hi, so a bracket whose two CDF
+            # values are equal (the flat tail) only meets q = 1/2, whose
+            # root is hi = pi
+            i = _start_interval(q, nodes_cdf, guide)
+            j = i + 1
+            hi = nodes_y.take(j)
+            return hi - slope.take(i) * (nodes_cdf.take(j) - q), nodes_y.take(i), hi
 
         def step(y, q):
             # the class docstring's series in a = -g1 d = kappa s d, where
@@ -656,12 +702,17 @@ def _solve_vonmises_kappa(rbar: float) -> float:
     1 / kappa) follow from A1 itself, so each cubically convergent step
     costs one A1, and the solve takes 2 or 3 of them for rbar from 0.5 to
     0.99999, where Newton's method took 3 to 5.  The step is at most twice
-    Newton's.
+    Newton's.  A1 is increasing, so every rbar >= A1(KAPPA_MAX) is capped
+    before any step: far past the cap A1' ~ 1 / 2 kappa^2 is below the
+    rounding of 1 - A1^2 - A1 / kappa, and steps taken there wander.  Below
+    the cap kappa stays positive: A1 is concave, so a step from below the
+    root moves up, and one from above is shorter than Newton's; at 240 000
+    rbar from 1e-300 up to the cap no step took kappa below 0.93 of itself.
     """
     rbar = float(rbar)  # Python floats: NumPy scalars would slow each A1 down
     if rbar <= 0.0:
         return 0.0
-    if rbar >= 1.0 - 1e-12:
+    if rbar >= _A1_AT_KAPPA_MAX:
         _warn_capped("von Mises kappa")
         return KAPPA_MAX
     kappa = rbar * (2.0 - rbar**2) / (1.0 - rbar**2)
@@ -675,8 +726,6 @@ def _solve_vonmises_kappa(rbar: float) -> float:
         curv = a1 / (k * k) - deriv * (2.0 * a1 + 1.0 / k)
         step = f / deriv / max(1.0 - 0.5 * f * curv / (deriv * deriv), 0.5)
         kappa -= step
-        if kappa <= 0.0:
-            kappa = 1e-8
         if abs(step) < 1e-12 * max(1.0, kappa):
             break
     if kappa > KAPPA_MAX:

@@ -77,6 +77,22 @@ def test_solve_inverts_a1_up_to_the_cap():
             assert abs(a1 - rbar) <= 3.0 * EPS * (rbar + slope * k), rbar
 
 
+def test_solve_stays_positive_and_inverts_a1_across_rbar():
+    # 240 000 rbar from 1e-300 to 1 - 1e-12: below A1(KAPPA_MAX) kappa is
+    # positive and A1(kappa) is rbar to 1e-12 relative (6.9e-16 measured);
+    # at and above it kappa is capped
+    rbars = np.concatenate([np.geomspace(1e-300, 0.5, 120000), 1.0 - np.geomspace(1e-12, 0.5, 120000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kappas = np.array([marginals._solve_vonmises_kappa(r) for r in rbars.tolist()])
+    capped = rbars >= _bessel.a1(marginals.KAPPA_MAX)
+    assert np.all(kappas[capped] == marginals.KAPPA_MAX)
+    kappas, rbars = kappas[~capped], rbars[~capped]
+    assert np.all(kappas > 0.0)
+    a1 = np.array([_bessel.a1(k) for k in kappas.tolist()])
+    assert np.max(np.abs(a1 - rbars) / rbars) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "kappa", [0.0, *np.geomspace(1e-9, marginals.KAPPA_MAX, 31).tolist()]
 )

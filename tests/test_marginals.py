@@ -118,7 +118,7 @@ def _table_test_points(n):
 
 
 def _full_table_sine(y, table):
-    """Clenshaw's recurrence on a (17, J) table holding every interval, one
+    """Clenshaw's recurrence on a (degree + 1, J) table holding every interval, one
     value at a time in the order of :func:`marginals._table_sine`."""
     n = table.shape[1]
     h = TWO_PI / n
@@ -569,6 +569,36 @@ class TestVonMisesAcrossKappa:
         m.quantile(p)
         assert sum(values) == p.size
 
+    @pytest.mark.parametrize(
+        "kappa", [0.0, 0.0117] + np.geomspace(1e-9, marginals.KAPPA_MAX, 60).tolist()
+    )
+    def test_guide_table_finds_the_searched_interval(self, kappa):
+        # the guide table's start interval is binary search's, so draws are
+        # too: at random q, every node's CDF value and one ulp either side,
+        # 0, 1/2 and the float below it, NaN, and each q alone as a 0-d array
+        cdf, _, _, guide = marginals._vonmises_start_table(kappa)
+        q = np.concatenate([
+            0.5 * np.random.default_rng(28).random(5000),
+            cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 1.0),
+            [0.0, 0.5, np.nextafter(0.5, 0.0), np.nan],
+        ])
+        q = q[~(q < 0.0) & ~(q > 0.5)]
+        searched = np.clip(np.searchsorted(cdf, q, side="right") - 1, 0, cdf.size - 2)
+        np.testing.assert_array_equal(marginals._start_interval(q, cdf, guide), searched)
+        for v, i in zip(q[-300:], searched[-300:]):
+            assert marginals._start_interval(np.asarray(v), cdf, guide) == i
+
+    @pytest.mark.parametrize("kappa", [0.0117, 1.55, 5.0, 27.6, marginals.KAPPA_MAX])
+    def test_scalar_quantile_matches_array(self, kappa):
+        # a float, a 0-d array and an array element give the same bits,
+        # also in the guide table's searched cells near q = 1/2
+        m = VonMises(mu=2.0, kappa=kappa)
+        p = np.array([0.0, 0.3, 0.4999, np.nextafter(0.5, 0.0), 0.5, 0.5001, 0.9])
+        x = m.quantile(p)
+        for pj, xj in zip(p.tolist(), x.tolist()):
+            assert m.quantile(pj) == xj and isinstance(m.quantile(pj), float)
+            assert m.quantile(np.asarray(pj)) == xj
+
     @pytest.mark.parametrize("kappa", [0.8, 27.6, 84.4, 1e3])
     def test_cdf_matches_direct_series(self, kappa):
         # the series y/2pi + sum_k I_k/I_0 sin(k y)/(k pi) summed term by
@@ -592,7 +622,7 @@ class TestVonMisesAcrossKappa:
 
     @pytest.mark.parametrize(
         "kappa",
-        [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1e4, 1e5, marginals.KAPPA_MAX]
+        [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1230.9, 1e4, 1e5, marginals.KAPPA_MAX]
         # two kappa of np.geomspace(1e-3, KAPPA_MAX, 400) above 2e5
         + [float(np.geomspace(1e-3, marginals.KAPPA_MAX, 400)[i]) for i in (386, 391)],
     )
@@ -609,8 +639,9 @@ class TestVonMisesAcrossKappa:
     @pytest.mark.parametrize("kappa", [84.4, 1e5, marginals.KAPPA_MAX])
     def test_table_stores_few_fitted_intervals(self, kappa):
         # only intervals with w = kappa (1 - cos y) <= 40 somewhere are
-        # fitted, and the build evaluates the density only at their 17
-        # nodes each: at most 29 of them at any kappa, 32 allowed here
+        # fitted, and the build evaluates the density only at their
+        # _TABLE_DEGREE + 1 nodes each: at most 29 of them at any kappa,
+        # 32 allowed here
         coef, row = marginals._vonmises_cdf_table(kappa)
         assert coef.shape[0] == marginals._TABLE_DEGREE + 1
         assert 0 < coef.shape[1] == np.count_nonzero(row >= 0) <= 32
@@ -752,13 +783,24 @@ class TestFit:
             assert b.params_dict() == a.params_dict()
 
     def test_vonmises_kappa_capped_after_newton(self):
-        # rbar = cos(d) = 1 - 1e-8 passes the closed-form cap at 1 - 1e-12,
-        # and Newton's kappa, about 1 / (2 (1 - rbar)) = 5e7, is then capped
+        # rbar = cos(d) = 1 - 1e-8 is above A1(KAPPA_MAX) = 1 - 5e-7: the
+        # root, about 1 / (2 (1 - rbar)) = 5e7, is past the cap
         d = math.sqrt(2e-8)
         with pytest.warns(RuntimeWarning, match="von Mises kappa capped"):
             m = fit_mle("von_mises", [1.0 - d, 1.0 + d])
         assert m.kappa == marginals.KAPPA_MAX
         assert m.mu == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [
+        1.2839901995099755e-4, 1.285169258462923e-4, 1.292857642882144e-4,
+        1.2935046752337616e-4, 1.293507675383769e-4,
+    ])
+    def test_vonmises_kappa_capped_far_past_the_cap(self, d):
+        # rbar = 1 - 8.4e-9, where the A1 solve's steps, once taken, wandered
+        # in rounding and fitted kappa = 1298, 144.5, 5.68, 1e-8 and 105 098
+        with pytest.warns(RuntimeWarning, match="von Mises kappa capped"):
+            m = fit_mle("von_mises", [1.0 - d, 1.0 + d])
+        assert m.kappa == marginals.KAPPA_MAX
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_weibull_nonpositive_data_raise_domain_error(self, bad):

@@ -271,6 +271,19 @@ class TestEmFit:
         # accepting every two-step refit loses up to 1.10 nats an iteration here
         self.check_monotone_trace(buoy_mixture().sample(1000, seed=3), 4, 500)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "EM from one uniform hard random start stops in a poor local optimum "
+        "here: -4.3722 nats/row after 62 iterations, below the -4.30 floor "
+        "that perfbench's buoy em_fit gate holds (restarts=2 reaches -4.0566)"
+    ))
+    def test_single_start_reaches_the_benchmark_floor(self):
+        # the data and config of perfbench's buoy em_fit at seed 2, cycle 7
+        data = buoy_mixture().sample(100000, seed=904665937)[:1000]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, report = em_fit(data, 2, FAMS, FitConfig(seed=2982218165), restarts=1)
+        assert report.loglik / len(data) >= -4.30
+
     def test_extra_component_does_not_stall(self):
         # the buoy preset has four regimes, so a third component must help;
         # keeping only the refits that raise their own Q_j at every step
