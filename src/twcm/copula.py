@@ -189,7 +189,13 @@ def copula_log_density(u, rho: RhoVector):
 def log_density_columns(cc: CopulaConstants, rho: RhoVector, u1, u2, u3):
     """:func:`copula_log_density` with the constants ``cc`` of ``rho`` and
     the three coordinates passed apart; unchecked."""
-    return np.log(cc.c2) - np.log(_bracket(cc, rho, *_cos_diffs(u1, u2, u3)))
+    return log_density_cosines(cc, rho, *_cos_diffs(u1, u2, u3))
+
+
+def log_density_cosines(cc: CopulaConstants, rho: RhoVector, c12, c13, c23):
+    """:func:`log_density_columns` at the cosines of the pairwise
+    differences, :func:`_cos_diffs`; unchecked."""
+    return np.log(cc.c2) - np.log(_bracket(cc, rho, c12, c13, c23))
 
 
 def copula_density(u, rho: RhoVector):

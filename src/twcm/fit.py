@@ -24,7 +24,8 @@ from .copula import (
     RhoVector,
     _cos_diffs,
     amplitudes,
-    copula_log_density,
+    constants,
+    log_density_cosines,
     normalize_rho,
     require_valid,
 )
@@ -43,6 +44,16 @@ from .model import TwcmModel, check_rows, marginal_terms
 # bracket's coefficients play the roles (c1, ij, ik, jk); _COLUMNS[i - 1]
 # gives each role's column of phi = (1, C12, C13, C23).
 _COLUMNS = np.array([(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1)])
+# v = d coef / d(p, m) in roles (c1, ij, ik, jk) by (t1, t2) is
+# ((x1, x2), (1, 1), (1, -1), (x1, -x2)) at x = tanh t: x where _V_IS_X,
+# else 1, times _V_SIGNS; _DV is its derivative in x
+_V_IS_X = np.array([[True, True], [False, False], [False, False], [True, True]])
+_V_SIGNS = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
+_DV = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+# _ROLES[k] gives each column of phi its role in piece k, _COLUMNS inverted
+_ROLES = tuple(tuple(r) for r in np.argsort(_COLUMNS, axis=1).tolist())
+for _a in (_COLUMNS, _V_IS_X, _V_SIGNS, _DV):
+    _a.flags.writeable = False
 # bounds the ascent on degenerate data, whose optimum lies on the region's
 # edge; the radicand, Heron's product, needs no margin from that edge
 _T_CAP = 6.0
@@ -145,6 +156,13 @@ class _Pieces:
     phi = (1, C_ij, C_ik, C_jk) per row and coef = (1 + (p^2 + m^2)/2,
     p + m, p - m, (p^2 - m^2)/2), and the data enter the derivatives only
     through the weighted sums of phi / D and phi phi^T / D^2.
+
+    :meth:`value` and :meth:`ascent` batch the work over rows across the
+    pieces ``k`` they are given: one matmul over the n rows for all of
+    them, and one stacked ``eigh``.  What belongs to one piece alone (its
+    4 coefficients, the cut of its step to length 8 and its decrement) is
+    formed on Python floats, in the order of the NumPy expressions it
+    replaced, and returned as lists, one entry a piece.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray):
@@ -153,25 +171,26 @@ class _Pieces:
         self.w = w
         self.wsum = float(w.sum())
 
-    def value(self, t: np.ndarray, k: np.ndarray):
+    def value(self, t: np.ndarray, k):
         """Log-likelihood of pieces ``k`` at ``t`` (less the constant
-        -3 W log 2 pi + 2 W log 2; -inf outside the numerically valid set)
-        and the brackets, shape (len(k), n)."""
-        p, m = np.tanh(t).T
-        coef = np.empty((len(k), 4))
-        coef[np.arange(len(k))[:, None], _COLUMNS[k]] = np.column_stack(
-            [1.0 + 0.5 * (p * p + m * m), p + m, p - m, 0.5 * (p + m) * (p - m)])
-        bracket = coef @ self.phi.T
+        -3 W log 2 pi + 2 W log 2; -inf outside the numerically valid set),
+        a list, and the brackets, shape (len(k), n)."""
+        coef = []
+        for (p, m), piece in zip(np.tanh(t).tolist(), k):
+            roles = (1.0 + 0.5 * (p * p + m * m), p + m, p - m, 0.5 * (p + m) * (p - m))
+            coef.append([roles[r] for r in _ROLES[piece]])
+        bracket = np.array(coef) @ self.phi.T
         with np.errstate(divide="ignore", invalid="ignore"):
             # log(2 cosh t), and -W log(cosh t1 cosh t2) is half the log-radicand
-            f = -self.wsum * np.logaddexp(t, -t).sum(axis=1) - np.log(bracket) @ self.w
-        f[~np.isfinite(f)] = -np.inf
-        return f, bracket
+            log_cosh = np.logaddexp(t, -t).tolist()
+            log_d = (np.log(bracket) @ self.w).tolist()
+        f = (-self.wsum * (c1 + c2) - d for (c1, c2), d in zip(log_cosh, log_d))
+        return [x if math.isfinite(x) else -math.inf for x in f], bracket
 
-    def ascent(self, t: np.ndarray, k: np.ndarray, bracket: np.ndarray):
+    def ascent(self, t: np.ndarray, k, bracket: np.ndarray):
         """Newton decrement g^T step, modified Newton step |H|^-1 g (cut to
         length 8) of pieces ``k`` at ``t``, and whether each piece's Hessian
-        is negative definite there."""
+        is negative definite there, as lists, one entry a piece."""
         m = len(k)
         x = np.tanh(t)
         sech2 = 1.0 / np.cosh(t) ** 2  # 1 - x^2, which keeps its digits
@@ -184,24 +203,28 @@ class _Pieces:
         # coef's derivatives in t, roles (c1, ij, ik, jk) by (t1, t2), are
         # v * sech^2 t with v = d coef / d(p, m); the second derivatives are
         # diagonal in t
-        one = np.ones(m)
-        v = np.stack([np.column_stack([x[:, 0], one, one, x[:, 0]]),
-                      np.column_stack([x[:, 1], one, -one, -x[:, 1]])], axis=2)
-        dv = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        v = np.where(_V_IS_X, x[:, None, :], 1.0) * _V_SIGNS
         jac = v * sech2[:, None, :]
         v_s1 = np.einsum("mca,mc->ma", v, s1)
         grad = -self.wsum * x - sech2 * v_s1
         hess = np.einsum("mca,mcd,mdb->mab", jac, s2, jac)
-        hess[:, [0, 1], [0, 1]] -= sech2 * (self.wsum + sech2 * (s1 @ dv) - 2.0 * x * v_s1)
+        diag = sech2 * (self.wsum + sech2 * (s1 @ _DV) - 2.0 * x * v_s1)
+        hess[:, 0, 0] -= diag[:, 0]
+        hess[:, 1, 1] -= diag[:, 1]
         # ascend along |eigenvalues| so the step is uphill wherever the
         # Hessian is not negative definite
         lam, vec = np.linalg.eigh(hess)
-        concave = lam[:, -1] < 0.0
+        concave = (lam[:, -1] < 0.0).tolist()
         lam = np.maximum(np.abs(lam), _EIG_FLOOR * self.wsum)
-        step = np.einsum("mab,mb->ma", vec, np.einsum("mab,ma->mb", vec, grad) / lam)
-        norm = np.linalg.norm(step, axis=1)
-        step *= np.minimum(1.0, _STEP_MAX / np.maximum(norm, 1e-300))[:, None]
-        return np.sum(grad * step, axis=1), step, concave
+        step = np.einsum("mab,mb->ma", vec, np.einsum("mab,ma->mb", vec, grad) / lam).tolist()
+        decrement = []
+        for s, (g1, g2) in zip(step, grad.tolist()):
+            # NaN as the first argument of min and max stays NaN
+            cut = min(_STEP_MAX / max(math.sqrt(s[0] * s[0] + s[1] * s[1]), 1e-300), 1.0)
+            s[0] *= cut
+            s[1] *= cut
+            decrement.append(g1 * s[0] + g2 * s[1])
+        return decrement, step, concave
 
 
 def _piece_of(rho: RhoVector) -> tuple[int, np.ndarray]:
@@ -226,6 +249,25 @@ def _rho_at(k: int, t: np.ndarray) -> RhoVector:
     return normalize_rho(RhoVector(a[0] * a[1], a[0] * a[2], a[1] * a[2]))
 
 
+def _cut(t: list[float], step: list[float]) -> float:
+    """The fraction of ``step`` from ``t`` that keeps every |t_j| within
+    the cap, at most 1: a zero component sets no bound, and a NaN one gives
+    1, so that the trial point is NaN and fails the line search."""
+    cut = 1.0
+    for t_j, s_j in zip(t, step):
+        if s_j > 0.0:
+            room = (_T_CAP - t_j) / s_j
+        elif s_j < 0.0:
+            room = (_T_CAP + t_j) / -s_j
+        elif s_j == 0.0:
+            continue
+        else:
+            return 1.0
+        if room < cut:
+            cut = room
+    return cut
+
+
 def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     """Maximize the copula log-likelihood of the (n, 3) copula-scale angles
     ``u`` over the 3 pieces of the valid region, in the coordinates t of
@@ -246,6 +288,19 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     best by more than 10 decrements cannot win and is retired.  The result
     is normalized to product 1, with a winner exactly on an axis of its
     piece, where a rho is 0, moved off it as :func:`_rho_at` says.
+
+    The ascent runs on the weights scaled by the power of two that puts W
+    in [1/2, 1), which moves no step or stop, so that f stays finite for
+    any finite W; the log-likelihood is in the caller's scale.
+
+    The work over rows, in :meth:`_Pieces.value` and
+    :meth:`_Pieces.ascent`, is batched over the pieces still running.  The
+    decisions of each piece (retirement, the stop rules, the cut at the
+    cap, and the line search's trial points and Armijo test) run on Python
+    floats, in the operation order of the NumPy masks they replaced, so
+    that the fit is theirs bit for bit: on at most 3 pieces a NumPy call
+    costs more than its arithmetic.  A loop batched over R datasets would
+    make these decisions scale with R, and masks could pay again there.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.ndim != 2 or u.shape[1] != 3 or u.shape[0] == 0:
@@ -253,79 +308,91 @@ def fit_copula(u, weights=None, start: RhoVector | None = None) -> CopulaFit:
     if not np.isfinite(u).all():
         raise DomainError("pseudo-observations must be finite")
     w = row_weights(weights, u.shape[0])
-    pieces = _Pieces(u, w)
-    k_all = np.arange(3)
+    pieces = _Pieces(u, np.ldexp(w, -math.frexp(w.sum())[1]))
     t = np.zeros((3, 2))
     if start is not None:
         k0, t0 = _piece_of(start)
         t[k0] = np.clip(t0, -_T_CAP, _T_CAP)
-    f, bracket = pieces.value(t, k_all)
-    iterations = np.zeros(3, dtype=int)
-    converged = np.zeros(3, dtype=bool)
-    capped = np.zeros(3, dtype=bool)
-    active = k_all[np.isfinite(f)]
-    while active.size:
-        decrement, step, concave = pieces.ascent(t[active], active, bracket[active])
+    f, bracket = pieces.value(t, range(3))
+    t = t.tolist()
+    iterations = [0, 0, 0]
+    converged = [False, False, False]
+    capped = [False, False, False]
+    active = [k for k in range(3) if math.isfinite(f[k])]
+    while active:
+        decrement, step, concave = pieces.ascent(
+            np.array([t[k] for k in active]), active, bracket[active])
         # where the Hessian is negative definite, the decrement is the gain
         # a piece has left, half of it near a quadratic optimum.  The best f
         # never falls, so a piece trailing it by many decrements cannot win.
         # A NaN decrement keeps the piece.
-        keep = ~(concave & (f.max() - f[active] > _RETIRE * decrement))
-        if not keep.all():
-            active, step, decrement, concave = (active[keep], step[keep], decrement[keep],
-                                                concave[keep])
-            if not active.size:
+        best_f = max(f)
+        keep = [i for i, k in enumerate(active)
+                if not (concave[i] and best_f - f[k] > _RETIRE * decrement[i])]
+        if len(keep) < len(active):
+            if not keep:
                 break
-        small = decrement <= _DECREMENT_TOL * pieces.wsum
+            active, decrement, step, concave = ([a[i] for i in keep] for a in (
+                active, decrement, step, concave))
         # a gain that f cannot resolve: the line search could not see it, so
         # such a piece takes no step
-        unresolved = decrement <= _ROUNDING * (1.0 / bracket[active]) @ w
-        lost = ~small & unresolved
-        # cut each step at the cap
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.min((_T_CAP - np.sign(step) * t[active]) / np.abs(step), axis=1)
-        cut = np.where(room < 1.0, room, 1.0)
-        moved = np.zeros(active.size, dtype=bool)
-        landed = np.zeros(active.size, dtype=bool)
+        rounding = (_ROUNDING * (1.0 / bracket[active]) @ pieces.w).tolist()
+        cut = [_cut(t[k], s) for k, s in zip(active, step)]
+        moved = [False] * len(active)
+        landed = [False] * len(active)
         alpha = 1.0
-        pending = np.flatnonzero(~unresolved & (cut > 0.0))
+        pending = [i for i, d in enumerate(decrement) if not d <= rounding[i] and cut[i] > 0.0]
         for _ in range(_MAX_HALVINGS):
-            if not pending.size:
+            if not pending:
                 break
-            k = active[pending]
-            trial = np.clip(t[k] + (alpha * cut[pending, None]) * step[pending],
-                            -_T_CAP, _T_CAP)
-            f_try, b_try = pieces.value(trial, k)
-            # a step moves only if it raises f, also where the Armijo margin
-            # rounds away
-            ok = f_try > f[k] + _ARMIJO * alpha * cut[pending] * decrement[pending]
-            t[k[ok]], f[k[ok]], bracket[k[ok]] = trial[ok], f_try[ok], b_try[ok]
-            moved[pending[ok]] = True
-            landed[pending[ok]] = alpha == 1.0
-            pending = pending[~ok]
+            trial = []
+            for i in pending:
+                t_k, s, a = t[active[i]], step[i], alpha * cut[i]
+                trial.append([min(max(t_k[0] + a * s[0], -_T_CAP), _T_CAP),
+                              min(max(t_k[1] + a * s[1], -_T_CAP), _T_CAP)])
+            f_try, b_try = pieces.value(np.array(trial), [active[i] for i in pending])
+            failed = []
+            for r, i in enumerate(pending):
+                k = active[i]
+                # a step moves only if it raises f, also where the Armijo
+                # margin rounds away
+                if f_try[r] > f[k] + _ARMIJO * alpha * cut[i] * decrement[i]:
+                    t[k], f[k], bracket[k] = trial[r], f_try[r], b_try[r]
+                    moved[i] = True
+                    landed[i] = alpha == 1.0
+                else:
+                    failed.append(i)
+            pending = failed
             alpha *= 0.5
-        iterations[active] += 1
-        # a piece stops at the cap when its cut step does not move it, or
-        # when on concave ground, where the Newton step is trusted, its
-        # optimum lies beyond the cap: the cut step lands on it
-        at_cap = ~lost & (cut < 1.0) & (~moved | (concave & landed))
-        capped[active[at_cap]] = True
-        # the decrement stops a piece on any ground, concave or not
-        stop = ~moved | small | lost | at_cap
-        converged[active[stop & ~lost & ~at_cap]] = True
-        active = active[~stop & (iterations[active] < _MAX_ITER)]
+        still = []
+        for i, k in enumerate(active):
+            iterations[k] += 1
+            small = decrement[i] <= _DECREMENT_TOL * pieces.wsum
+            lost = not small and decrement[i] <= rounding[i]
+            # a piece stops at the cap when its cut step does not move it,
+            # or when on concave ground, where the Newton step is trusted,
+            # its optimum lies beyond the cap: the cut step lands on it
+            at_cap = not lost and cut[i] < 1.0 and (not moved[i] or (concave[i] and landed[i]))
+            # the decrement stops a piece on any ground, concave or not
+            if not moved[i] or small or lost or at_cap:
+                capped[k] = at_cap
+                converged[k] = not (lost or at_cap)
+            elif iterations[k] < _MAX_ITER:
+                still.append(k)
+        active = still
 
-    best = int(np.argmax(f))
-    if not np.isfinite(f[best]):
-        raise FitFailureError("no valid copula parameters found in any piece")
-    rho = _rho_at(best, t[best])
+    # f is finite at t = 0, where every bracket is 1, and t moves only
+    # when f rises, so the best piece's f is finite
+    best = f.index(max(f))
+    rho = _rho_at(best, np.array(t[best]))
+    c12, c13, c23 = pieces.phi[:, 1:].T
     return CopulaFit(
         rho=rho,
-        loglik=float(w @ copula_log_density(u, rho)),
+        loglik=float(w @ log_density_cosines(constants(rho), rho, c12, c13, c23)),
         sign_pattern=tuple(int(s) for s in np.sign(rho.as_array())),
-        converged=bool(converged[best]),
-        iterations=int(iterations[best]),
-        near_limit=bool(capped[best]),
+        converged=converged[best],
+        iterations=iterations[best],
+        near_limit=capped[best],
     )
 
 

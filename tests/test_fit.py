@@ -1,6 +1,7 @@
 """Fitting machinery: information criteria, the constrained copula search,
 two-step estimation, and the bootstrap."""
 
+import itertools
 import math
 import warnings
 
@@ -80,6 +81,153 @@ def full_ascent(monkeypatch, fitter, *args):
     with np.errstate(invalid="ignore"):  # inf * 0 for a flat piece
         return fitter(*args)
 
+
+class VectorisedPieces(twcm.fit._Pieces):
+    """:class:`twcm.fit._Pieces` with the piece-level arithmetic on NumPy
+    arrays: the coefficients scattered into place, the step cut to length
+    8 and the decrement summed over all pieces at once."""
+
+    def value(self, t, k):
+        p, m = np.tanh(t).T
+        coef = np.empty((len(k), 4))
+        coef[np.arange(len(k))[:, None], twcm.fit._COLUMNS[k]] = np.column_stack(
+            [1.0 + 0.5 * (p * p + m * m), p + m, p - m, 0.5 * (p + m) * (p - m)])
+        bracket = coef @ self.phi.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = -self.wsum * np.logaddexp(t, -t).sum(axis=1) - np.log(bracket) @ self.w
+        f[~np.isfinite(f)] = -np.inf
+        return f, bracket
+
+    def ascent(self, t, k, bracket):
+        m = len(k)
+        x = np.tanh(t)
+        sech2 = 1.0 / np.cosh(t) ** 2
+        q = self.w / bracket
+        rows = np.arange(m)[:, None]
+        cols = twcm.fit._COLUMNS[k]
+        s1 = (q @ self.phi)[rows, cols]
+        s2 = ((q / bracket) @ self.phi2).reshape(m, 4, 4)[rows[:, :, None], cols[:, :, None],
+                                                          cols[:, None, :]]
+        one = np.ones(m)
+        v = np.stack([np.column_stack([x[:, 0], one, one, x[:, 0]]),
+                      np.column_stack([x[:, 1], one, -one, -x[:, 1]])], axis=2)
+        dv = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        jac = v * sech2[:, None, :]
+        v_s1 = np.einsum("mca,mc->ma", v, s1)
+        grad = -self.wsum * x - sech2 * v_s1
+        hess = np.einsum("mca,mcd,mdb->mab", jac, s2, jac)
+        hess[:, [0, 1], [0, 1]] -= sech2 * (self.wsum + sech2 * (s1 @ dv) - 2.0 * x * v_s1)
+        lam, vec = np.linalg.eigh(hess)
+        concave = lam[:, -1] < 0.0
+        lam = np.maximum(np.abs(lam), twcm.fit._EIG_FLOOR * self.wsum)
+        step = np.einsum("mab,mb->ma", vec, np.einsum("mab,ma->mb", vec, grad) / lam)
+        norm = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, twcm.fit._STEP_MAX / np.maximum(norm, 1e-300))[:, None]
+        return np.sum(grad * step, axis=1), step, concave
+
+
+def vectorised_fit_copula(u, weights=None, start=None) -> twcm.fit.CopulaFit:
+    """Reference copula ascent: :func:`twcm.fit.fit_copula`'s loop with
+    every per-piece decision made on NumPy masks over the running pieces,
+    on the unscaled weights, and the log-likelihood from
+    :func:`copula_log_density`."""
+    fit = twcm.fit
+    u = np.asarray(u, dtype=float)
+    w = np.ones(len(u)) if weights is None else np.asarray(weights, dtype=float)
+    pieces = VectorisedPieces(u, w)
+    k_all = np.arange(3)
+    t = np.zeros((3, 2))
+    if start is not None:
+        k0, t0 = fit._piece_of(start)
+        t[k0] = np.clip(t0, -fit._T_CAP, fit._T_CAP)
+    f, bracket = pieces.value(t, k_all)
+    iterations = np.zeros(3, dtype=int)
+    converged = np.zeros(3, dtype=bool)
+    capped = np.zeros(3, dtype=bool)
+    active = k_all[np.isfinite(f)]
+    while active.size:
+        decrement, step, concave = pieces.ascent(t[active], active, bracket[active])
+        keep = ~(concave & (f.max() - f[active] > fit._RETIRE * decrement))
+        if not keep.all():
+            active, step, decrement, concave = (active[keep], step[keep], decrement[keep],
+                                                concave[keep])
+            if not active.size:
+                break
+        small = decrement <= fit._DECREMENT_TOL * pieces.wsum
+        unresolved = decrement <= fit._ROUNDING * (1.0 / bracket[active]) @ w
+        lost = ~small & unresolved
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.min((fit._T_CAP - np.sign(step) * t[active]) / np.abs(step), axis=1)
+        cut = np.where(room < 1.0, room, 1.0)
+        moved = np.zeros(active.size, dtype=bool)
+        landed = np.zeros(active.size, dtype=bool)
+        alpha = 1.0
+        pending = np.flatnonzero(~unresolved & (cut > 0.0))
+        for _ in range(fit._MAX_HALVINGS):
+            if not pending.size:
+                break
+            k = active[pending]
+            trial = np.clip(t[k] + (alpha * cut[pending, None]) * step[pending],
+                            -fit._T_CAP, fit._T_CAP)
+            f_try, b_try = pieces.value(trial, k)
+            ok = f_try > f[k] + fit._ARMIJO * alpha * cut[pending] * decrement[pending]
+            t[k[ok]], f[k[ok]], bracket[k[ok]] = trial[ok], f_try[ok], b_try[ok]
+            moved[pending[ok]] = True
+            landed[pending[ok]] = alpha == 1.0
+            pending = pending[~ok]
+            alpha *= 0.5
+        iterations[active] += 1
+        at_cap = ~lost & (cut < 1.0) & (~moved | (concave & landed))
+        capped[active[at_cap]] = True
+        stop = ~moved | small | lost | at_cap
+        converged[active[stop & ~lost & ~at_cap]] = True
+        active = active[~stop & (iterations[active] < fit._MAX_ITER)]
+    best = int(np.argmax(f))
+    rho = fit._rho_at(best, t[best])
+    return fit.CopulaFit(
+        rho=rho,
+        loglik=float(w @ copula_log_density(u, rho)),
+        sign_pattern=tuple(int(s) for s in np.sign(rho.as_array())),
+        converged=bool(converged[best]),
+        iterations=int(iterations[best]),
+        near_limit=bool(capped[best]),
+    )
+
+
+def assert_same_copula_fit(a, b):
+    np.testing.assert_array_equal(a.rho.as_array(), b.rho.as_array())
+    assert (a.loglik, a.sign_pattern, a.converged, a.iterations, a.near_limit) == (
+        b.loglik, b.sign_pattern, b.converged, b.iterations, b.near_limit)
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Check every copula fit made after this fixture, fit_ifm's and EM's
+    too, against :func:`vectorised_fit_copula`; returns the fits."""
+    fits = []
+    fit_copula_ = twcm.fit.fit_copula
+
+    def checked(u, weights=None, start=None):
+        res = fit_copula_(u, weights, start)
+        assert_same_copula_fit(res, vectorised_fit_copula(u, weights, start))
+        fits.append(res)
+        return res
+
+    monkeypatch.setattr(twcm.fit, "fit_copula", checked)
+    return fits
+
+
+# (data, families, whether the winner ends on the cap)
+DEGENERATE_BLOCKS = [
+    (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), BUOY_FAMS, True),
+    (two_rows(buoy_mixture(), 0, tied=False), BUOY_FAMS, True),
+    (two_rows(buoy_mixture(), 3, tied=True), BUOY_FAMS, True),
+    (two_rows(protein_model(), 8, tied=False), ["von_mises"] * 3, True),
+    (two_rows(protein_model(), 1, tied=True), ["von_mises"] * 3, True),
+    (two_rows(buoy_mixture(), 5, tied=True), ["von_mises"] * 3, False),
+]
+DEGENERATE_IDS = ["cli-rows", "buoy-0", "buoy-3-tied", "protein-8", "protein-1-tied",
+                  "buoy-5-tied-von-mises"]
 
 # published bootstrap standard errors for the reference fit
 RHO_SE = np.array([4.99, 4.60, 4.41])
@@ -220,15 +368,8 @@ class TestFitCopula:
         assert len(calls) == 3
         assert res.converged and res.iterations == 3 and not res.near_limit
 
-    @pytest.mark.parametrize("data, families, near_limit", [
-        (np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), BUOY_FAMS, True),
-        (two_rows(buoy_mixture(), 0, tied=False), BUOY_FAMS, True),
-        (two_rows(buoy_mixture(), 3, tied=True), BUOY_FAMS, True),
-        (two_rows(protein_model(), 8, tied=False), ["von_mises"] * 3, True),
-        (two_rows(protein_model(), 1, tied=True), ["von_mises"] * 3, True),
-        (two_rows(buoy_mixture(), 5, tied=True), ["von_mises"] * 3, False),
-    ], ids=["cli-rows", "buoy-0", "buoy-3-tied", "protein-8", "protein-1-tied",
-          "buoy-5-tied-von-mises"])
+    @pytest.mark.parametrize("data, families, near_limit", DEGENERATE_BLOCKS,
+                             ids=DEGENERATE_IDS)
     def test_degenerate_data_end_in_bounded_time(self, data, families, near_limit,
                                                  monkeypatch):
         # on two distinct rows the likelihood grows without bound toward
@@ -302,6 +443,25 @@ class TestFitCopula:
             assert b.loglik == scale * a.loglik
             assert b.iterations == a.iterations
 
+    @pytest.mark.parametrize("total", [1.2e308, 1.5e308])
+    def test_huge_finite_weights(self, total):
+        # -2 W log 2, f at t = 0, overflowed past W = 1.3e308, and the
+        # sums of w / D before it; the ascent runs on w 2^-e, W = m 2^e,
+        # so that these weights fit as the same weights at 2^-1000 do, and
+        # as no weights do, but for the last bits of a constant weight
+        u = copula_sample(200, RHO_333, seed=3)
+        weights = np.full(200, total / 200)
+        with np.errstate(over="ignore"):  # sum w log c is below -1.8e308
+            huge = fit_copula(u, weights=weights)
+        assert huge.loglik == -np.inf
+        scaled = fit_copula(u, weights=weights * 2.0**-1000)
+        np.testing.assert_array_equal(huge.rho.as_array(), scaled.rho.as_array())
+        plain = fit_copula(u)
+        np.testing.assert_allclose(huge.rho.as_array(), plain.rho.as_array(), rtol=1e-14)
+        for fit in (scaled, plain):
+            assert (huge.sign_pattern, huge.converged, huge.iterations, huge.near_limit) == (
+                fit.sign_pattern, fit.converged, fit.iterations, fit.near_limit)
+
     def test_stops_at_a_negligible_newton_decrement(self):
         # here a stop on two small gains in the log-likelihood left a
         # decrement of 2.3e-13 W and rho 5e-4 off; the decrement stop
@@ -329,6 +489,91 @@ class TestFitCopula:
         u[7, 2] = bad
         with pytest.raises(DomainError, match="^pseudo-observations must be finite"):
             fit_copula(u)
+
+
+class TestLoopMatchesReference:
+    """fit_copula makes each piece's decisions on Python floats; the
+    reference makes them on NumPy masks.  Every field must match, bit for
+    bit, wherever the fit is called."""
+
+    @pytest.mark.parametrize("n", [2000, 200, 40])
+    @pytest.mark.parametrize("preset, families", [(protein_model, ["von_mises"] * 3),
+                                                  (buoy_mixture, BUOY_FAMS)],
+                             ids=["protein", "buoy"])
+    def test_presets(self, against_reference, preset, families, n):
+        for seed in range(3):
+            fit_ifm(preset().sample(n, seed=seed), families)
+        assert len(against_reference) == 3
+
+    @pytest.mark.parametrize("component", range(4))
+    def test_buoy_components(self, against_reference, component):
+        comp = buoy_mixture().components[component]
+        for seed in range(3):
+            fit_ifm(comp.sample(500, seed=seed), BUOY_FAMS)
+        assert len(against_reference) == 3
+
+    def test_weights(self, against_reference):
+        u = copula_sample(300, RHO_333, seed=3)
+        rng = np.random.default_rng(7)
+        uniform = rng.random(300) * (rng.random(300) < 0.8)  # a fifth of the rows dropped
+        wide = np.exp(rng.normal(0.0, 8.0, 300))
+        for w in (uniform, wide, uniform * 2.0**-30, wide * 2.0**40):
+            twcm.fit.fit_copula(u, weights=w)
+        assert len(against_reference) == 4
+
+    def test_cut_at_the_cap(self):
+        # the reference's cut on every pairing of these components: a zero
+        # one sets no bound and a NaN one gives 1, as np.min propagates it
+        # and the room is then not below 1
+        cap = twcm.fit._T_CAP
+        values = [0.0, -0.0, 1e-300, -1e-300, 0.5, -2.0, 5.9, -7.0, np.nan]
+        for t in itertools.product([0.0, 5.5, -cap, cap], repeat=2):
+            for step in itertools.product(values, repeat=2):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    room = np.min((cap - np.sign(step) * np.array(t)) / np.abs(step))
+                assert twcm.fit._cut(list(t), list(step)) == np.where(room < 1.0, room, 1.0)
+
+    @pytest.mark.parametrize("data, families, near_limit", DEGENERATE_BLOCKS,
+                             ids=DEGENERATE_IDS)
+    def test_degenerate_blocks(self, against_reference, data, families, near_limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the marginals' caps warn
+            fit_ifm(data, families)
+        assert against_reference[0].near_limit == near_limit
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_start_in_every_quadrant_piece(self, against_reference, signs, i):
+        u = copula_sample(200, RHO_333, seed=3)
+        twcm.fit.fit_copula(u, start=rho_in_piece(signs, i))
+        assert len(against_reference) == 1
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_without_retirement(self, against_reference, monkeypatch, signs, i):
+        # _RETIRE is read at call time; at inf, inf * 0 is NaN and keeps a
+        # piece whose decrement is 0
+        u = copula_sample(40, rho_in_piece(signs, i), seed=140)
+        full_ascent(monkeypatch, twcm.fit.fit_copula, u)
+        assert len(against_reference) == 1
+
+    def test_winner_on_an_axis(self, against_reference):
+        u = np.array([[0, 0, 0], [0, 0, np.pi], [0, np.pi, 0], [0, np.pi, np.pi]], dtype=float)
+        twcm.fit.fit_copula(u)
+        assert against_reference[0].iterations == 1
+
+    def test_cap(self, against_reference):
+        fit_ifm(buoy_mixture().components[2].sample(1000, seed=5), BUOY_FAMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_ifm(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), BUOY_FAMS)
+        assert [fit.near_limit for fit in against_reference] == [False, True]
+
+    def test_em_m_steps(self, against_reference):
+        # weighted refits warm-started from the previous M-step
+        em_fit(buoy_mixture().sample(300, seed=201), 2, BUOY_FAMS, FitConfig(seed=201),
+               restarts=1)
+        assert len(against_reference) > 10
 
 
 def _bad_weights(n, case):

@@ -926,6 +926,33 @@ class TestFit:
             values.append(self._wc_loglik(theta, w, *marginals._wrapped_cauchy_mle(theta, w)[:2]))
         assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
 
+    def test_wrapped_cauchy_start_past_the_cap_is_returned(self):
+        # three distinct angles within 2e-5 rad: no angle holds half the
+        # weight, and the mean resultant is already past XI_MAX, so the
+        # ascent does not start and the fit caps the start
+        theta = np.array([0.0, 1e-5, 2e-5])
+        w = np.ones(3)
+        assert marginals._half_weight_atom(theta, w) is None
+        mu, xi, iterations = marginals._wrapped_cauchy_mle(theta, w)
+        assert (mu, xi) == marginals._weighted_circular_moment(theta, w)
+        assert xi >= marginals.XI_MAX and iterations == 0
+        with pytest.warns(RuntimeWarning, match="xi capped"):
+            assert fit_mle("wrapped_cauchy", theta) == WrappedCauchy(mu=mu, xi=marginals.XI_MAX)
+
+    def test_wrapped_cauchy_kent_tyler_stop(self):
+        # two tight antipodal pairs, weighted 1 +- 1e-11: the likelihood is
+        # almost flat along their axis and M almost singular, so the Newton
+        # step leaves the disk; the Kent-Tyler step moves psi by less than
+        # 1e-10 (1 - xi) and ends the ascent, as it ends the reference
+        theta = np.array([0.0, 1e-7, np.pi, np.pi + 1e-7])
+        w = np.array([1.0 + 1e-11, 1.0 + 1e-11, 1.0 - 1e-11, 1.0 - 1e-11])
+        assert marginals._half_weight_atom(theta, w) is None
+        mu, xi, iterations = marginals._wrapped_cauchy_mle(theta, w)
+        ref_mu, ref_xi, steps = _kent_tyler(theta, w)
+        assert iterations == steps == 1
+        reference = self._wc_loglik(theta, w, ref_mu, ref_xi)
+        assert self._wc_loglik(theta, w, mu, xi) >= reference - 1e-12 * abs(reference)
+
     def test_cardioid_optimum_on_the_cap(self):
         # at this seed the unconstrained optimum lies beyond |rho_c| =
         # RHO_C_MAX, so the fit must end on the cap circle, at the best mu
