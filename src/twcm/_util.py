@@ -4,11 +4,14 @@ log density, one CDF and one Moebius draw: the log density and the CDF
 both read the sin and cos of one :class:`HalfOffset`, so that the marginal
 computes that pair once for both, and the log density serves every copula
 kernel too), the scalar-in, float-out return contract, the zero-density
-check and the row-weight check."""
+check, the row-weight check and the thread pool that scores blocks of rows."""
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+import threading
 
 import numpy as np
 
@@ -21,6 +24,11 @@ _UNIT_CONC_TOL = 1e-12
 
 # float64 arrays of at least this many angles may take wrap_angle's fast path
 _FAST_WRAP_MIN = 1024
+
+# The most rows in one task of for_row_blocks, which scores the rows of the
+# joint and mixture log densities: a block's temporaries take about 2 MB,
+# whatever the number of rows, and stay in cache.
+_ROW_BLOCK = 16384
 
 
 def wrap_angle(x):
@@ -228,3 +236,130 @@ def moebius_map(center, xi, sin_half, cos_half):
 def periodic_grid(n):
     """Midpoint grid for spectrally-accurate quadrature on [0, 2*pi)."""
     return TWO_PI * (np.arange(n) + 0.5) / n
+
+
+# The helper threads of for_row_blocks: (count, executor), built on first use.
+_pool = None
+_pool_lock = threading.Lock()
+_in_pool = threading.local()  # ``active`` is set in the pool's own threads
+
+
+def _forget_pool():
+    """After a fork: the child has none of the parent's pool threads, and a
+    submit to the inherited pool would wait for them forever."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_count() -> int:
+    """Threads that score rows: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _other_cpus():
+    """The CPUs the calling thread may run on, but for the one it runs on
+    now; None where the system does not tell."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # the processor is field 39, the 37th after the name's ")"
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {here}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return None
+
+
+def _mark_pool_thread():
+    _in_pool.active = True
+
+
+def _helper_pool(helpers: int):
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != helpers:
+            # imported here, so that importing twcm does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = helpers, ThreadPoolExecutor(
+                helpers, thread_name_prefix="twcm-rows", initializer=_mark_pool_thread)
+        return _pool[1]
+
+
+def for_row_blocks(n: int, fn) -> None:
+    """Call ``fn(rows)`` on each slice ``rows`` of a split of ``n`` rows
+    into blocks of at most _ROW_BLOCK: the calling thread and up to
+    :func:`_worker_count` - 1 pool threads take the blocks in turn, and
+    NumPy's ufuncs release the GIL, so they overlap.  The blocks are of
+    equal size and fill whole rounds of the threads, so that none waits
+    on a longer block (20 000 rows on 2 threads are 2 blocks of 10 000,
+    10^5 rows 8 blocks of 12 500).
+
+    ``fn`` must write only its own rows and read nothing that another block
+    writes; then the result does not depend on the thread count.  Pool
+    threads run in a copy of the caller's context, under the caller's
+    ``np.errstate``, on the CPUs but the caller's: a woken thread is
+    otherwise often put on the waker's CPU, and the scheduler takes longer
+    to move it than a call lasts.  The call returns once every block has
+    ended, without waiting for a pool thread that found none left, and
+    then raises the exception of the first failing block in row order.
+    One block, one CPU, or a call from a pool thread itself (whose tasks
+    could wait on each other) runs the blocks in order on the calling
+    thread alone."""
+    count = -(-n // _ROW_BLOCK)
+    cpus = 1 if count < 2 or getattr(_in_pool, "active", False) else _worker_count()
+    workers = min(cpus, count)
+    count = -(-count // workers) * workers
+    edges = [n * k // count for k in range(count + 1)]
+    blocks = [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+    if workers < 2:
+        for rows in blocks:
+            fn(rows)
+        return
+    from queue import Empty, SimpleQueue
+
+    todo, ended = SimpleQueue(), SimpleQueue()
+    for item in enumerate(blocks):
+        todo.put(item)
+    failed = {}
+
+    def drain():
+        while True:
+            try:
+                i, rows = todo.get_nowait()
+            except Empty:
+                return
+            try:
+                fn(rows)
+            except BaseException as exc:  # raised below, in row order
+                failed[i] = exc
+            ended.put(i)
+
+    def helper(err, cpus):
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # a CPU went offline, say: run anywhere
+                pass
+        # NumPy 1 keeps the error state per thread, NumPy 2 in the context
+        with np.errstate(**err):
+            drain()
+
+    pool = _helper_pool(cpus - 1)
+    args = np.geterr(), _other_cpus()
+    # a helper raises nothing, so its future is not read: the call waits
+    # for the blocks, not for a helper that starts after they have ended
+    for _ in range(workers - 1):
+        pool.submit(contextvars.copy_context().run, helper, *args)
+    drain()
+    for _ in blocks:
+        ended.get()
+    if failed:
+        raise failed[min(failed)]

@@ -66,10 +66,11 @@ _A1_AT_KAPPA_MAX = _bessel.a1(KAPPA_MAX)
 # The wrapped Cauchy ascent, like each piece of fit_copula (which also takes
 # _ARMIJO from here), stops on a Newton decrement of at most _DECREMENT_TOL
 # times the total weight, or on a Kent-Tyler step that moves psi by less than
-# RTOL (1 - xi) plus about two ulps; the other Newton solves once their step
-# is below _NEWTON_TOL
+# RTOL (1 - xi) plus about two ulps or gains at most GAIN_TOL times the total
+# weight; the other Newton solves once their step is below _NEWTON_TOL
 _DECREMENT_TOL = 1e-10
 _KENT_TYLER_RTOL = 1e-10
+_KENT_TYLER_GAIN_TOL = 2.0**-52
 _NEWTON_TOL = 1e-12
 _MAX_ITER = 10_000
 _HESSIAN_FLOOR = 1e-12  # relative to the total weight
@@ -116,6 +117,13 @@ class Marginal:
 
     def cdf(self, x):
         raise NotImplementedError
+
+    def _cdf(self, x):
+        """``cdf(x)`` as an array, for :func:`to_copula_scale`.  The families
+        whose :meth:`_logpdf_and_u` reaches it compute it here, not in
+        ``cdf``, which the benchmark's tracer rebinds: the rows scored on
+        a thread pool must not open its spans."""
+        return np.asarray(self.cdf(x))
 
     def quantile(self, p):
         raise NotImplementedError
@@ -181,8 +189,10 @@ class CircularUniform(Marginal):
         return float_if_scalar(out)
 
     def cdf(self, x):
-        out = wrap_angle(np.asarray(x, dtype=float)) / TWO_PI
-        return float_if_scalar(out)
+        return float_if_scalar(self._cdf(x))
+
+    def _cdf(self, x):
+        return wrap_angle(np.asarray(x, dtype=float)) / TWO_PI
 
     def quantile(self, p):
         p = self._check_quantile_arg(p)
@@ -299,7 +309,11 @@ def _wrapped_cauchy_mle(theta, w):
     = sum w_j |y_j - e|^2 / 2W (e the unit vector along eta) so that no
     digits cancel.  The ascent stops once a Newton step's decrement is at
     most _DECREMENT_TOL W, or once a Kent-Tyler step moves psi by at most
-    _KENT_TYLER_RTOL (1 - xi) plus about two ulps.
+    _KENT_TYLER_RTOL (1 - xi) plus about two ulps, or raises the
+    log-likelihood by at most 2^-52 W, below its rounding (its terms hold
+    -W log 2 pi).  That last stop ends the crawl along a ridge where the
+    likelihood is flat to rounding, as for two antipodal pairs of angles
+    of nearly equal weights, where steps of 2.5e-10 each gain 1e-18.
     """
     total = w.sum()
     mu, xi = _weighted_circular_moment(theta, w)
@@ -307,6 +321,11 @@ def _wrapped_cauchy_mle(theta, w):
         return mu, xi, 0
     b = (1.0 - xi) / (1.0 + xi)
     cos_half, sin_half = np.cos(0.5 * theta), np.sin(0.5 * theta)
+
+    def gain(step, y, norm2):
+        # the log-likelihood's rise when the chart's centre moves to step
+        return total * math.log1p(-norm2) - float(w @ np.log1p(norm2 - 2.0 * (step @ y)))
+
     for iteration in range(1, _MAX_ITER + 1):
         # y_j = e^{i alpha_j}, with tan(alpha_j / 2) = tan((theta_j - mu) / 2) / b
         cm, sm = math.cos(0.5 * mu), math.sin(0.5 * mu)
@@ -323,10 +342,7 @@ def _wrapped_cauchy_mle(theta, w):
             step = (m @ s) / (2.0 * det)
             decrement = 2.0 * float(s @ step)
             norm2 = float(step @ step)
-            newton = norm2 < 1.0 and (
-                total * math.log1p(-norm2) - float(w @ np.log1p(norm2 - 2.0 * (step @ y)))
-                >= _ARMIJO * decrement
-            )
+            newton = norm2 < 1.0 and gain(step, y, norm2) >= _ARMIJO * decrement
         if newton:
             shrink = 1.0 - norm2  # 1 - |step|^2
         else:
@@ -335,6 +351,7 @@ def _wrapped_cauchy_mle(theta, w):
             root = math.sqrt(g * (2.0 - g))
             step = unit * ((1.0 - g) / (1.0 + root))
             shrink = (g + root) * (2.0 - g + root) / (1.0 + root) ** 2
+            flat = gain(step, y, float(step @ step)) <= _KENT_TYLER_GAIN_TOL * total
         # back from the chart: psi moves to xi + phi (1 - xi^2) / (1 + xi phi),
         # and 1 - |psi|^2 to (1 - xi^2) (1 - |phi|^2) / |1 + xi phi|^2
         phi = complex(step[0], step[1])
@@ -348,7 +365,7 @@ def _wrapped_cauchy_mle(theta, w):
         if newton:
             if decrement <= _DECREMENT_TOL * total:
                 break
-        elif abs(phi) * gap / abs(den) <= _KENT_TYLER_RTOL * (1.0 - xi) + 4e-16:
+        elif flat or abs(phi) * gap / abs(den) <= _KENT_TYLER_RTOL * (1.0 - xi) + 4e-16:
             break
     return mu, (1.0 - b) / (1.0 + b), iteration
 
@@ -650,8 +667,11 @@ class VonMises(Marginal):
         return y / TWO_PI + sine.reshape(y.shape)
 
     def cdf(self, x):
+        return float_if_scalar(self._cdf(x))
+
+    def _cdf(self, x):
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
-        return float_if_scalar(np.clip(self._cdf_offset(y), 0.0, 1.0))
+        return np.clip(self._cdf_offset(y), 0.0, 1.0)
 
     def quantile(self, p):
         nodes_cdf, nodes_y, slope, guide = _vonmises_start_table(self.kappa)
@@ -765,9 +785,12 @@ class Cardioid(Marginal):
         return y / TWO_PI + self.rho_c * np.sin(y) / np.pi
 
     def cdf(self, x):
+        return float_if_scalar(self._cdf(x))
+
+    def _cdf(self, x):
         # just below mu, where the CDF rounds up to 1 at rho_c < 0, it is 0
         y = wrap_angle(np.asarray(x, dtype=float) - self.mu)
-        return float_if_scalar(_below_full_turn(self._cdf_offset(y), 1.0))
+        return _below_full_turn(self._cdf_offset(y), 1.0)
 
     def quantile(self, p):
         # On [0, pi], F(y) = q reads y + 2 rho_c sin y = 2 pi q: Kepler's
@@ -960,9 +983,9 @@ class Weibull(Marginal):
 
 
 def to_copula_scale(marginal: Marginal, x) -> np.ndarray:
-    """The pseudo-observation u = 2*pi*F(x) of one marginal; the domain is
-    not checked."""
-    return TWO_PI * np.asarray(marginal.cdf(x))
+    """The pseudo-observation u = 2*pi*F(x) of one marginal, from its
+    private :meth:`Marginal._cdf`; the domain is not checked."""
+    return TWO_PI * np.asarray(marginal._cdf(x))
 
 
 FAMILIES: dict[str, type[Marginal]] = {

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import as_rng, float_if_triple, require_positive_density
+from ._util import as_rng, float_if_triple, for_row_blocks, require_positive_density
+from .copula import constants
 from .errors import ComponentCollapseError, InvalidParameterError
 from .fit import FitConfig, family_domains, fit_ifm, information_criteria
 from .marginals import family_class
@@ -63,13 +64,11 @@ class MixtureModel(JsonFile):
 
     def component_log_densities(self, data) -> np.ndarray:
         """(n, K) matrix of log(pi_k) + log f_k; -inf where f_k is zero."""
-        out = _log_f(self.components, data)
-        out += np.log(self.weights)
-        return out
+        return _log_f(self.components, data, np.log(self.weights))[0]
 
     def log_density(self, data):
         """Mixture log density at one triple or an (n, 3) block."""
-        return float_if_triple(data, log_sum_exp(self.component_log_densities(data)))
+        return float_if_triple(data, _log_f(self.components, data, np.log(self.weights))[1])
 
     def sample(self, n: int, seed=None, return_labels: bool = False):
         """Draw n observations; optionally also return component labels."""
@@ -125,23 +124,39 @@ def log_sum_exp(a) -> np.ndarray:
 def responsibilities(model: MixtureModel, data) -> np.ndarray:
     """Posterior component probabilities per row, computed in log space;
     raises on rows where every component has zero density."""
-    return _e_step(model.component_log_densities(data))[1]
+    return _e_step(*_log_f(model.components, data, np.log(model.weights)))[1]
 
 
-def _log_f(components, data) -> np.ndarray:
+def _log_f(components, data, log_weights=None):
     """(n, K) matrix of the component log densities log f_k, F-ordered so
-    that each component fills one contiguous column; the rows are checked
-    once, against the domains the components share."""
+    that each component fills one contiguous column, and None; with
+    ``log_weights``, log(pi_k) + log f_k and its :func:`log_sum_exp` per
+    row.  The rows are checked once, against the domains the components
+    share, and each component's copula constants formed once; then one
+    task of :func:`~twcm._util.for_row_blocks` per block of rows fills all
+    K columns of its block and sums them."""
     data = check_rows(data, components[0].domains)
-    out = np.empty((data.shape[0], len(components)), order="F")
-    for k, comp in enumerate(components):
-        comp._rows_log_density(data, out=out[:, k])
-    return out
+    n = data.shape[0]
+    out = np.empty((n, len(components)), order="F")
+    total = None if log_weights is None else np.empty(n)
+    ccs = [constants(comp.rho) for comp in components]
+
+    def score(rows):
+        block = out[rows]
+        for k, comp in enumerate(components):
+            comp._block_log_density(ccs[k], data[rows], block[:, k])
+        if total is not None:
+            block += log_weights
+            total[rows] = log_sum_exp(block)
+
+    for_row_blocks(n, score)
+    return out, total
 
 
-def _e_step(log_wd):
-    """Row log densities and responsibilities from the (n, K) log(pi_k) + log f_k."""
-    total = log_sum_exp(log_wd)
+def _e_step(log_wd, total=None):
+    """Row log densities and responsibilities from the (n, K) log(pi_k) +
+    log f_k and its :func:`log_sum_exp`, formed here if not given."""
+    total = log_sum_exp(log_wd) if total is None else total
     require_positive_density(total)
     return total, np.exp(log_wd - total[:, None])
 
@@ -245,7 +260,7 @@ def _em_single(data, k, families, rng, restart_index, max_iter):
                                  components=tuple(comps))
             # log f_j kept apart from log pi_j, so that a column reused
             # below adds up exactly as model.component_log_densities does
-            log_f = _log_f(comps, data)
+            log_f = _log_f(comps, data)[0]
             total, resp = _e_step(log_f + np.log(model.weights))
             if trace and total.sum() < trace[-1]:
                 # the refits together lowered the log-likelihood: keep only

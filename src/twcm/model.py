@@ -19,6 +19,7 @@ from ._util import (
     as_rng,
     float_if_scalar,
     float_if_triple,
+    for_row_blocks,
     require_positive_density,
 )
 from .copula import (
@@ -37,11 +38,6 @@ from .copula import (
 )
 from .errors import DomainError, InvalidParameterError
 from .marginals import CIRCULAR, Marginal, WrappedCauchy, marginal_from_dict, to_copula_scale
-
-
-# Rows per pass of the joint log density: its temporaries then take about
-# 2 MB, whatever the number of rows, and stay in cache between passes.
-_ROW_BLOCK = 16384
 
 
 class JsonFile:
@@ -109,21 +105,27 @@ class TwcmModel(JsonFile):
         """Joint log density at one triple or an (n, 3) block."""
         return float_if_triple(theta, self._rows_log_density(self.validate_data(theta)))
 
-    def _rows_log_density(self, data, out=None) -> np.ndarray:
-        """:meth:`log_density` of checked (n, 3) rows, written into ``out``
-        if given: 3 log 2pi plus the copula term plus the marginals' terms,
-        from one :func:`marginal_terms` call per block of _ROW_BLOCK rows.
-        Every step is elementwise, so the blocks change no bit."""
+    def _rows_log_density(self, data) -> np.ndarray:
+        """:meth:`log_density` of checked (n, 3) rows, by
+        :meth:`_block_log_density` on each block of at most _ROW_BLOCK rows,
+        on the threads of :func:`~twcm._util.for_row_blocks`.  Every step is
+        elementwise, so neither the blocks nor the threads change a bit.
+        The copula constants are formed once, on the calling thread."""
         cc = constants(self.rho)
-        out = np.empty(data.shape[0]) if out is None else out
-        for start in range(0, data.shape[0], _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            log_f, u = marginal_terms(self.marginals, data[rows])
-            part = np.add(3.0 * np.log(TWO_PI), log_density_columns(cc, self.rho, *u),
-                          out=out[rows])
-            for col in log_f:
-                part += col
+        out = np.empty(data.shape[0])
+        for_row_blocks(data.shape[0],
+                       lambda rows: self._block_log_density(cc, data[rows], out[rows]))
         return out
+
+    def _block_log_density(self, cc, data, out) -> None:
+        """Write the joint log density of checked rows ``data`` into
+        ``out``: 3 log 2pi plus the copula term, with the constants ``cc``
+        of rho, plus the marginals' terms, from one :func:`marginal_terms`
+        call."""
+        log_f, u = marginal_terms(self.marginals, data)
+        np.add(3.0 * np.log(TWO_PI), log_density_columns(cc, self.rho, *u), out=out)
+        for col in log_f:
+            out += col
 
     def density(self, theta):
         return float_if_scalar(np.exp(self.log_density(theta)))

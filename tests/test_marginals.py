@@ -2,6 +2,7 @@
 weighted maximum likelihood."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -952,6 +953,38 @@ class TestFit:
         assert iterations == steps == 1
         reference = self._wc_loglik(theta, w, ref_mu, ref_xi)
         assert self._wc_loglik(theta, w, mu, xi) >= reference - 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_wrapped_cauchy_flat_ridge_stops_at_once(self, eps):
+        # the pairs above, weighted 1 + eps s_j for each of the 16 sign
+        # patterns s: along their axis the likelihood is flat to rounding,
+        # and Kent-Tyler steps of 2.5e-10 gain 1e-18 each; at eps = 1e-9
+        # ten patterns took such steps up to the 10 000-iteration cap, until
+        # a step's gain below 2^-52 W, the log-likelihood's rounding, ended
+        # the ascent
+        theta = np.array([0.0, 1e-7, np.pi, np.pi + 1e-7])
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            w = 1.0 + eps * np.array(signs)
+            mu, xi, iterations = marginals._wrapped_cauchy_mle(theta, w)
+            assert iterations <= 2
+            start = self._wc_loglik(theta, w, *marginals._weighted_circular_moment(theta, w))
+            assert self._wc_loglik(theta, w, mu, xi) >= start - 1e-12 * abs(start)
+
+    def test_cardioid_line_search_halves_and_can_run_out(self, monkeypatch):
+        # 1000 angles within 0.05 of 0 and 10 at pi: the first Newton step
+        # from rho_c = 0.45 leaves the disk, and on the cap circle, where it
+        # is cut, the 10 far angles lose more than the rest gain, so the
+        # search halves it, as it does one later step; allowed one trial a
+        # step, it runs out of ascent and the fit stops at its start
+        theta = np.concatenate([np.linspace(-0.05, 0.05, 1000), np.full(10, np.pi)])
+        fit = Cardioid.fit(theta)
+        assert fit.rho_c == pytest.approx(0.49, abs=1e-3)
+        monkeypatch.setattr(marginals, "_MAX_HALVINGS", 2)
+        assert Cardioid.fit(theta) == fit
+        monkeypatch.setattr(marginals, "_MAX_HALVINGS", 1)
+        stopped = Cardioid.fit(theta)
+        assert stopped.rho_c == pytest.approx(0.45, rel=1e-15)
+        assert stopped.loglik(theta) < fit.loglik(theta)
 
     def test_cardioid_optimum_on_the_cap(self):
         # at this seed the unconstrained optimum lies beyond |rho_c| =

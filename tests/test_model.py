@@ -25,7 +25,8 @@ from twcm import (
     pairwise_phi,
     wc_closed_form_log_density,
 )
-from twcm.model import _ROW_BLOCK
+import twcm._util
+from twcm._util import _ROW_BLOCK
 from twcm.presets import independence_like_model, protein_model
 
 TWO_PI = 2.0 * np.pi
@@ -100,18 +101,30 @@ class TestJointDensity:
         else:
             np.testing.assert_array_equal(got, composed)
 
-    def test_log_density_memory_bounded(self):
-        # the rows are taken a block at a time, so the temporaries do not
-        # grow with n: 2e5 rows need their 1.6 MB result plus about 2 MB
-        data = M_CYL.sample(200_000, seed=6)
-        M_CYL.log_density(data[:10])
+    @staticmethod
+    def _log_density_peak(monkeypatch, workers, data):
+        """Peak traced memory of M_CYL.log_density(data) on ``workers``
+        threads, after a first call has built the tables and the pool."""
+        monkeypatch.setattr(twcm._util, "_worker_count", lambda: workers)
+        M_CYL.log_density(data)
         tracemalloc.start()
         try:
             M_CYL.log_density(data)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= data.shape[0] * 8 + 4 * 2**20
+
+    def test_log_density_memory_bounded(self, monkeypatch):
+        # the rows are taken a block at a time, so the temporaries do not
+        # grow with n: 2e5 rows need their 1.6 MB result plus about 2 MB
+        data = M_CYL.sample(200_000, seed=6)
+        assert self._log_density_peak(monkeypatch, 1, data) <= data.shape[0] * 8 + 4 * 2**20
+
+    def test_log_density_memory_bounded_per_thread(self, monkeypatch):
+        # each thread scores one block at a time: about 2 MB more a thread
+        data = M_CYL.sample(200_000, seed=6)
+        peak = self._log_density_peak(monkeypatch, 4, data)
+        assert peak <= data.shape[0] * 8 + (4 + 3 * 2) * 2**20
 
     def test_closed_form_equals_composed_path(self):
         theta = random_angles(1000, seed=3)
