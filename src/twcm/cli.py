@@ -24,12 +24,7 @@ import numpy as np
 
 from ._util import periodic_grid, wrap_angle
 from .ar2 import Ar2Params, simulate
-from .errors import (
-    ComponentCollapseError,
-    DomainError,
-    FitFailureError,
-    TwcmError,
-)
+from .errors import ComponentCollapseError, DomainError, TwcmError
 from .fit import (
     FitConfig,
     bootstrap_se,
@@ -528,7 +523,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("default")
             warnings.showwarning = _show_warning
             return args.func(args)
-    except (FitFailureError, ComponentCollapseError) as exc:
+    except ComponentCollapseError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
     except (TwcmError, OSError) as exc:

@@ -30,7 +30,11 @@ class DegenerateDataError(TwcmError):
 
 
 class FitFailureError(TwcmError):
-    """No feasible optimum was found."""
+    """No feasible optimum was found.
+
+    Nothing in the package raises it; it stays exported because the
+    benchmark's workloads (``perfbench/workloads.py``) count it among
+    their failed operations."""
 
 
 class ComponentCollapseError(TwcmError):

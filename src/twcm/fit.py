@@ -29,7 +29,7 @@ from .copula import (
     normalize_rho,
     require_valid,
 )
-from .errors import DomainError, FitFailureError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 from .marginals import (
     _ARMIJO,
     _DECREMENT_TOL,
@@ -473,7 +473,7 @@ def bootstrap_se(data, families, config: FitConfig = FitConfig()) -> BootstrapRe
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = fit_ifm(data[idx], families)
-        except (FitFailureError, InvalidParameterError):
+        except InvalidParameterError:
             failed += 1
             continue
         for name, value in parameter_vector(res).items():

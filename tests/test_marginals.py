@@ -643,7 +643,7 @@ class TestVonMisesAcrossKappa:
         # fitted, and the build evaluates the density only at their
         # _TABLE_DEGREE + 1 nodes each: at most 29 of them at any kappa,
         # 32 allowed here
-        coef, row = marginals._vonmises_cdf_table(kappa)
+        coef, row, _ = marginals._vonmises_cdf_table(kappa)
         assert coef.shape[0] == marginals._TABLE_DEGREE + 1
         assert 0 < coef.shape[1] == np.count_nonzero(row >= 0) <= 32
 
@@ -652,7 +652,7 @@ class TestVonMisesAcrossKappa:
         # the stored table leaves out the linear intervals; the CDF must be
         # bit for bit what Clenshaw's recurrence gives on the full table,
         # those intervals' two coefficients included
-        coef, row = marginals._vonmises_cdf_table(kappa)
+        coef, row, _ = marginals._vonmises_cdf_table(kappa)
         n = row.size
         h = TWO_PI / n
         full = np.zeros((marginals._TABLE_DEGREE + 1, n))
@@ -668,7 +668,7 @@ class TestVonMisesAcrossKappa:
 
     def test_table_storage_bounded_at_kappa_max(self):
         # only the fitted intervals (18 at KAPPA_MAX) are stored, not all 6284
-        coef, row = marginals._vonmises_cdf_table(marginals.KAPPA_MAX)
+        coef, row, _ = marginals._vonmises_cdf_table(marginals.KAPPA_MAX)
         assert coef.nbytes + row.nbytes <= 64 * 1024
 
     @pytest.mark.parametrize("kappa", np.geomspace(1e-3, marginals.KAPPA_MAX, 40))
