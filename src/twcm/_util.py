@@ -25,9 +25,9 @@ _UNIT_CONC_TOL = 1e-12
 # float64 arrays of at least this many angles may take wrap_angle's fast path
 _FAST_WRAP_MIN = 1024
 
-# The most rows in one task of for_row_blocks, which scores the rows of the
-# joint and mixture log densities: a block's temporaries take about 2 MB,
-# whatever the number of rows, and stay in cache.
+# The most rows in one task of for_row_blocks, whose one caller is the row
+# scorer model._score_rows: a block's temporaries take about 2 MB, whatever
+# the number of rows, and stay in cache.
 _ROW_BLOCK = 16384
 
 

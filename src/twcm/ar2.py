@@ -41,7 +41,7 @@ from .copula import (
 )
 from .errors import InvalidParameterError
 from .marginals import CIRCULAR, Marginal, to_copula_scale
-from .model import composed_cond_1given2
+from .model import _require_in_domain, composed_cond_1given2
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,7 @@ def transition_density(params: Ar2Params, theta_t, theta_tm1, theta_tm2):
     pair.
     """
     theta = np.stack(np.broadcast_arrays(theta_t, theta_tm1, theta_tm2), axis=-1)
+    _require_in_domain(theta, params.marginal.domain, "angles")
     return composed_cond_1given2(params.rho, (params.marginal,) * 3, theta, 1)
 
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import as_rng, float_if_triple, for_row_blocks, require_positive_density
-from .copula import constants
+from ._util import as_rng, float_if_triple, require_positive_density
 from .errors import ComponentCollapseError, InvalidParameterError
 from .fit import FitConfig, family_domains, fit_ifm, information_criteria
 from .marginals import family_class
-from .model import JsonFile, TwcmModel, check_rows
+from .model import JsonFile, TwcmModel, _score_rows, check_rows, log_sum_exp
 
 _WEIGHT_SUM_TOL = 1e-12
 _COLLAPSE_FRACTION = 1e-3
@@ -64,11 +63,11 @@ class MixtureModel(JsonFile):
 
     def component_log_densities(self, data) -> np.ndarray:
         """(n, K) matrix of log(pi_k) + log f_k; -inf where f_k is zero."""
-        return _log_f(self.components, data, np.log(self.weights))[0]
+        return _score_rows(self.components, data, np.log(self.weights))[0]
 
     def log_density(self, data):
         """Mixture log density at one triple or an (n, 3) block."""
-        return float_if_triple(data, _log_f(self.components, data, np.log(self.weights))[1])
+        return float_if_triple(data, _score_rows(self.components, data, np.log(self.weights))[1])
 
     def sample(self, n: int, seed=None, return_labels: bool = False):
         """Draw n observations; optionally also return component labels."""
@@ -95,62 +94,10 @@ class MixtureModel(JsonFile):
         )
 
 
-def log_sum_exp(a) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of an (n, K) array, by the formula of
-    ``scipy.special.logsumexp``: the terms equal to the row maximum stay
-    out of the sum, which is then log(1 + rest/count) + log(count) + max.
-    A row whose maximum is not finite gives that maximum (-inf where every
-    term is -inf).
-
-    One column at a time: the terms are added in column order, the order
-    in which ``np.sum(axis=1)`` adds them on an F-ordered array, as
-    :meth:`MixtureModel.component_log_densities` returns, and on fewer
-    than 8 columns; so on those the result equals SciPy's bit for bit."""
-    cols = np.asarray(a, dtype=float).T
-    a_max = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(a_max, col, out=a_max)
-    count = np.zeros_like(a_max)
-    rest = np.zeros_like(a_max)
-    with np.errstate(invalid="ignore"):
-        for col in cols:
-            is_max = col == a_max
-            count += is_max
-            rest += np.exp(np.where(is_max, -np.inf, col) - a_max)
-        out = np.log1p(rest / count) + np.log(count) + a_max
-    return np.where(np.isfinite(a_max), out, a_max)
-
-
 def responsibilities(model: MixtureModel, data) -> np.ndarray:
     """Posterior component probabilities per row, computed in log space;
     raises on rows where every component has zero density."""
-    return _e_step(*_log_f(model.components, data, np.log(model.weights)))[1]
-
-
-def _log_f(components, data, log_weights=None):
-    """(n, K) matrix of the component log densities log f_k, F-ordered so
-    that each component fills one contiguous column, and None; with
-    ``log_weights``, log(pi_k) + log f_k and its :func:`log_sum_exp` per
-    row.  The rows are checked once, against the domains the components
-    share, and each component's copula constants formed once; then one
-    task of :func:`~twcm._util.for_row_blocks` per block of rows fills all
-    K columns of its block and sums them."""
-    data = check_rows(data, components[0].domains)
-    n = data.shape[0]
-    out = np.empty((n, len(components)), order="F")
-    total = None if log_weights is None else np.empty(n)
-    ccs = [constants(comp.rho) for comp in components]
-
-    def score(rows):
-        block = out[rows]
-        for k, comp in enumerate(components):
-            comp._block_log_density(ccs[k], data[rows], block[:, k])
-        if total is not None:
-            block += log_weights
-            total[rows] = log_sum_exp(block)
-
-    for_row_blocks(n, score)
-    return out, total
+    return _e_step(*_score_rows(model.components, data, np.log(model.weights)))[1]
 
 
 def _e_step(log_wd, total=None):
@@ -260,7 +207,7 @@ def _em_single(data, k, families, rng, restart_index, max_iter):
                                  components=tuple(comps))
             # log f_j kept apart from log pi_j, so that a column reused
             # below adds up exactly as model.component_log_densities does
-            log_f = _log_f(comps, data)[0]
+            log_f = _score_rows(comps, data)[0]
             total, resp = _e_step(log_f + np.log(model.weights))
             if trace and total.sum() < trace[-1]:
                 # the refits together lowered the log-likelihood: keep only

@@ -102,30 +102,9 @@ class TwcmModel(JsonFile):
 
     # -- densities ---------------------------------------------------------
     def log_density(self, theta):
-        """Joint log density at one triple or an (n, 3) block."""
-        return float_if_triple(theta, self._rows_log_density(self.validate_data(theta)))
-
-    def _rows_log_density(self, data) -> np.ndarray:
-        """:meth:`log_density` of checked (n, 3) rows, by
-        :meth:`_block_log_density` on each block of at most _ROW_BLOCK rows,
-        on the threads of :func:`~twcm._util.for_row_blocks`.  Every step is
-        elementwise, so neither the blocks nor the threads change a bit.
-        The copula constants are formed once, on the calling thread."""
-        cc = constants(self.rho)
-        out = np.empty(data.shape[0])
-        for_row_blocks(data.shape[0],
-                       lambda rows: self._block_log_density(cc, data[rows], out[rows]))
-        return out
-
-    def _block_log_density(self, cc, data, out) -> None:
-        """Write the joint log density of checked rows ``data`` into
-        ``out``: 3 log 2pi plus the copula term, with the constants ``cc``
-        of rho, plus the marginals' terms, from one :func:`marginal_terms`
-        call."""
-        log_f, u = marginal_terms(self.marginals, data)
-        np.add(3.0 * np.log(TWO_PI), log_density_columns(cc, self.rho, *u), out=out)
-        for col in log_f:
-            out += col
+        """Joint log density at one triple or an (n, 3) block: the one
+        component of :func:`_score_rows`."""
+        return float_if_triple(theta, _score_rows((self,), theta)[0][:, 0])
 
     def density(self, theta):
         return float_if_scalar(np.exp(self.log_density(theta)))
@@ -134,12 +113,11 @@ class TwcmModel(JsonFile):
     def bivariate_density(self, pair: tuple[int, int], x_i, x_j):
         """Bivariate marginal density of coordinates ``pair`` (1-based)."""
         i, j = pair
-        mi, mj = self.marginals[i - 1], self.marginals[j - 1]
         kern = copula_bivariate_density(
-            to_copula_scale(mi, x_i), to_copula_scale(mj, x_j), pairwise_phi(self.rho, pair)
+            self._copula_scale(i, x_i), self._copula_scale(j, x_j), pairwise_phi(self.rho, pair)
         )
-        out = 4.0 * np.pi**2 * kern * mi.pdf(x_i) * mj.pdf(x_j)
-        return float_if_scalar(out)
+        mi, mj = self.marginals[i - 1], self.marginals[j - 1]
+        return float_if_scalar(4.0 * np.pi**2 * kern * mi.pdf(x_i) * mj.pdf(x_j))
 
     def cond_density_2given1(self, theta, given: int):
         """Density of the two remaining coordinates given coordinate
@@ -153,19 +131,23 @@ class TwcmModel(JsonFile):
     def cond_density_1given1(self, i: int, x_i, j: int, x_j):
         """Density of coordinate i at ``x_i`` given coordinate j at ``x_j``."""
         phi = pairwise_phi(self.rho, (min(i, j), max(i, j)))
-        mi, mj = self.marginals[i - 1], self.marginals[j - 1]
-        kern = copula_cond_1given1(to_copula_scale(mi, x_i), to_copula_scale(mj, x_j), phi)
-        return float_if_scalar(TWO_PI * kern * mi.pdf(x_i))
+        kern = copula_cond_1given1(self._copula_scale(i, x_i), self._copula_scale(j, x_j), phi)
+        return float_if_scalar(TWO_PI * kern * self.marginals[i - 1].pdf(x_i))
 
     def conditional_spec(self, i: int, theta_j, theta_k) -> ConditionalWCSpec:
         """Kernel parameters of coordinate i given the other two, whose
         values are passed in increasing coordinate order."""
         j, k = sorted({1, 2, 3} - {i})
         return conditional_spec(
-            self.rho, i,
-            to_copula_scale(self.marginals[j - 1], theta_j),
-            to_copula_scale(self.marginals[k - 1], theta_k),
+            self.rho, i, self._copula_scale(j, theta_j), self._copula_scale(k, theta_k)
         )
+
+    def _copula_scale(self, i: int, x):
+        """u_i = 2*pi*F_i(x) at values ``x`` of coordinate i (1-based),
+        which must lie in its domain, see :func:`_require_in_domain`."""
+        marginal = self.marginals[i - 1]
+        _require_in_domain(x, marginal.domain, f"coordinate {i}")
+        return to_copula_scale(marginal, x)
 
     def cond_density_1given2(self, theta, i: int):
         """Density of coordinate i given the other two; ``theta`` holds the
@@ -212,6 +194,14 @@ def inside_domain(data: np.ndarray, domains) -> bool:
     )
 
 
+def _require_in_domain(x, domain: str, name: str) -> None:
+    """Raise :class:`DomainError` if an entry of ``x`` lies outside the
+    coordinate ``domain``, by the predicate :func:`outside_domain` of
+    :func:`check_rows`."""
+    if outside_domain(np.asarray(x, dtype=float)[..., None], (domain,)).any():
+        raise DomainError(f"{name} outside the {domain} domain")
+
+
 def check_rows(data, domains) -> np.ndarray:
     """``data`` as a nonempty float (n, 3) array with every row inside the
     coordinate ``domains``; raises :class:`DomainError` naming the
@@ -234,6 +224,65 @@ def marginal_terms(marginals, data):
     u_i = 2*pi*F_i(theta_i) at (n, 3) rows, as a triple of log density
     columns and a triple of u columns; the domains are not checked."""
     return tuple(zip(*(m._logpdf_and_u(data[:, i]) for i, m in enumerate(marginals))))
+
+
+def log_sum_exp(a) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of an (n, K) array, by the formula of
+    ``scipy.special.logsumexp``: the terms equal to the row maximum stay
+    out of the sum, which is then log(1 + rest/count) + log(count) + max.
+    A row whose maximum is not finite gives that maximum (-inf where every
+    term is -inf).
+
+    One column at a time: the terms are added in column order, the order
+    in which ``np.sum(axis=1)`` adds them on an F-ordered array, as
+    :func:`_score_rows` returns, and on fewer than 8 columns; so on those
+    the result equals SciPy's bit for bit."""
+    cols = np.asarray(a, dtype=float).T
+    a_max = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(a_max, col, out=a_max)
+    count = np.zeros_like(a_max)
+    rest = np.zeros_like(a_max)
+    with np.errstate(invalid="ignore"):
+        for col in cols:
+            is_max = col == a_max
+            count += is_max
+            rest += np.exp(np.where(is_max, -np.inf, col) - a_max)
+        out = np.log1p(rest / count) + np.log(count) + a_max
+    return np.where(np.isfinite(a_max), out, a_max)
+
+
+def _score_rows(components, data, log_weights=None):
+    """The joint log density of each model in ``components`` at (n, 3)
+    rows, a model being a mixture of one: an (n, K) matrix, F-ordered so
+    that each component fills one contiguous column, and None; with
+    ``log_weights``, log(pi_k) + log f_k and its :func:`log_sum_exp` per row.
+
+    The rows are checked once and each component's copula constants formed
+    once, on the calling thread; then one task of
+    :func:`~twcm._util.for_row_blocks` per block of rows fills the K columns
+    of its block elementwise, so no thread changes a bit.  A task reads a
+    marginal through ``_logpdf_and_u`` alone, never its public ``cdf`` or
+    ``quantile``, which a tracer may wrap with one span stack."""
+    data = check_rows(data, components[0].domains)
+    n = data.shape[0]
+    out = np.empty((n, len(components)), order="F")
+    total = None if log_weights is None else np.empty(n)
+    ccs = [constants(comp.rho) for comp in components]
+
+    def score(rows):
+        block, x = out[rows], data[rows]
+        for comp, cc, col in zip(components, ccs, block.T):
+            log_f, u = marginal_terms(comp.marginals, x)
+            np.add(3.0 * np.log(TWO_PI), log_density_columns(cc, comp.rho, *u), out=col)
+            for term in log_f:
+                col += term
+        if total is not None:
+            block += log_weights
+            total[rows] = log_sum_exp(block)
+
+    for_row_blocks(n, score)
+    return out, total
 
 
 def copula_scale(marginals, theta) -> np.ndarray:

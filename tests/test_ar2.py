@@ -16,6 +16,7 @@ import twcm.ar2
 from twcm import (
     Ar2Params,
     CircularUniform,
+    DomainError,
     InvalidParameterError,
     RhoVector,
     SingularKernelError,
@@ -82,6 +83,15 @@ class TestParams:
 
 
 class TestTransitionDensity:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("lag", [0, 1, 2])
+    def test_raises_on_nonfinite_angles(self, bad, lag):
+        # as the model's conditionals do: not a NaN with a RuntimeWarning
+        angles = [np.array([0.5, 1.0]), 2.0, 3.0]
+        angles[lag] = bad
+        with pytest.raises(DomainError, match="^angles outside the circular domain$"):
+            transition_density(STATIONARY, *angles)
+
     @pytest.mark.parametrize(
         "marginal",
         [WC, VonMises(mu=1.0, kappa=4.0), CircularUniform()],
@@ -140,6 +150,11 @@ class TestTransitionDensity:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("n_chains", [0, -3])
+    def test_n_chains_must_be_positive(self, n_chains):
+        with pytest.raises(InvalidParameterError, match="^n_chains must be >= 1$"):
+            simulate(STATIONARY, 10, seed=0, n_chains=n_chains)
+
     def test_minimum_length_is_initial_pair(self):
         chain = simulate(STATIONARY, 2, seed=4)
         assert chain.shape == (2,)

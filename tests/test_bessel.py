@@ -90,6 +90,22 @@ def test_solve_stays_positive_and_inverts_a1_across_rbar():
     assert np.max(np.abs(a1 - rbars) / rbars) <= 1e-12
 
 
+def test_solve_just_below_the_cap_stays_below_it():
+    # the 20 000 floats rbar just below A1(KAPPA_MAX) reach kappa within
+    # 4.4 of the cap, where A1' is 5e-13; each ends below the cap without a
+    # warning (below KAPPA_MAX - 2.5e-4 measured), so the solve needs no cap
+    # of its own after the loop
+    rbar = marginals._A1_AT_KAPPA_MAX
+    kappas = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20000):
+            rbar = np.nextafter(rbar, 0.0).item()
+            kappas.append(marginals._solve_vonmises_kappa(rbar))
+    assert marginals.KAPPA_MAX - 5.0 < min(kappas)
+    assert max(kappas) < marginals.KAPPA_MAX - 2e-4
+
+
 @pytest.mark.parametrize(
     "kappa", [0.0, *np.geomspace(1e-9, marginals.KAPPA_MAX, 31).tolist()]
 )

@@ -32,7 +32,7 @@ from twcm import (
     validate_rho,
 )
 from twcm._util import periodic_grid, wc_kernel_log_density, wc_kernel_sample
-from twcm.copula import _bracket, amplitudes
+from twcm.copula import _bracket, amplitudes, conditional_phi
 from twcm.presets import buoy_mixture
 
 TWO_PI = 2.0 * np.pi
@@ -420,6 +420,11 @@ class TestKernels:
                 u[:, k - 1] = b
                 mass = copula_cond_1given2(u, RHO_PROTEIN, i).mean() * TWO_PI
                 assert mass == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_conditional_phi_rejects_a_bad_index(self, i):
+        with pytest.raises(InvalidParameterError, match=f"^invalid coordinate index {i}$"):
+            conditional_phi(RHO_PROTEIN, i, 1.0, 2.0)
 
     def test_unit_concentration_is_singular(self):
         with pytest.raises(SingularKernelError):

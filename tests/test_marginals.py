@@ -1001,10 +1001,17 @@ class TestFit:
         assert m.loglik(data) >= max(on_cap, true.loglik(data)) - 1e-9
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="unknown marginal family 'kato_jones'"):
             fit_mle("kato_jones", np.array([1.0, 2.0]))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="not a marginal family"):
             marginals.family_class(np.float64)
+
+    @pytest.mark.parametrize("family", [VonMises, VonMises(mu=0.0, kappa=1.0)],
+                             ids=["class", "instance"])
+    def test_family_given_by_class_or_instance(self, family):
+        x = VonMises(mu=1.0, kappa=4.0).sample(200, seed=3)
+        assert marginals.family_class(family) is VonMises
+        assert fit_mle(family, x) == fit_mle("von_mises", x)
 
     def test_empty_data_rejected(self):
         with pytest.raises(DomainError):

@@ -54,6 +54,19 @@ class TestMixtureModel:
         with pytest.raises(InvalidParameterError):
             MixtureModel(weights=(1.0, 0.0), components=(COMP_A, COMP_B))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: MixtureModel(weights=(1.0,), components=(COMP_A, COMP_B)),
+         "one weight per component is required"),
+        (lambda: MixtureModel(weights=((0.5, 0.5),), components=(COMP_A, COMP_B)),
+         "one weight per component is required"),
+        (lambda: MixtureModel(weights=(), components=()), "one weight per component is required"),
+        (lambda: em_fit(two_cluster_data(100)[0], 0, FAMS), "k must be >= 1"),
+        (lambda: select_k(two_cluster_data(100)[0], [], FAMS), "k_values must be nonempty"),
+    ], ids=["too_few_weights", "weights_2d", "no_components", "k=0", "no_k_values"])
+    def test_argument_checks(self, call, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            call()
+
     def test_mismatched_families_rejected(self):
         from twcm import CircularUniform
 

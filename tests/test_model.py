@@ -14,6 +14,7 @@ from twcm import (
     Cardioid,
     DegenerateDataError,
     DomainError,
+    InvalidParameterError,
     RhoVector,
     TwcmModel,
     VonMises,
@@ -195,6 +196,53 @@ class TestJointDensity:
             M_CYL.log_density(np.array([[1.0, 1.0, 1.0],
                                         [1.0, 1.0, 2.0],
                                         [1.0, 1.0, -5.0]]))
+
+
+# (law on M_CYL, coordinate it reads the bad value from); M_CYL's third
+# coordinate is linear
+DOMAIN_LAWS = {
+    "bivariate": (lambda m, x: m.bivariate_density((1, 3), 0.3, x), 3),
+    "bivariate_first": (lambda m, x: m.bivariate_density((1, 2), x, 0.3), 1),
+    "1given1": (lambda m, x: m.cond_density_1given1(1, 0.3, 2, x), 2),
+    "1given1_first": (lambda m, x: m.cond_density_1given1(3, x, 1, 0.3), 3),
+    "spec": (lambda m, x: m.conditional_spec(1, 0.3, x), 3),
+    "spec_first": (lambda m, x: m.conditional_spec(3, x, 0.3), 1),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("law", sorted(DOMAIN_LAWS))
+def test_laws_raise_on_values_outside_the_domain(law, bad):
+    # as log_density and the conditionals of full triples do: a non-finite
+    # value is a DomainError, not a NaN with a RuntimeWarning
+    call, coord = DOMAIN_LAWS[law]
+    domain = M_CYL.marginals[coord - 1].domain
+    with pytest.raises(DomainError, match=f"^coordinate {coord} outside the {domain} domain$"):
+        call(M_CYL, np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("law", ["bivariate", "1given1_first", "spec"])
+def test_laws_raise_on_nonpositive_linear_values(law, bad):
+    call, coord = DOMAIN_LAWS[law]
+    with pytest.raises(DomainError, match=f"^coordinate {coord} outside the linear domain$"):
+        call(M_CYL, bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TwcmModel(rho=RHO, marginals=WC_MARGS[:2]), "a model needs exactly 3 marginals"),
+    (lambda: wc_closed_form_log_density(RHO, WC_MARGS[:2], [1.0, 2.0, 3.0]),
+     "closed form needs three wrapped Cauchy marginals"),
+    (lambda: wc_closed_form_log_density(RHO, M_CYL.marginals, [1.0, 2.0, 3.0]),
+     "closed form needs three wrapped Cauchy marginals"),
+    (lambda: kato_pewsey_bivariate_density(1.0, *WC_MARGS[:2], 1.0, 2.0),
+     r"Kato-Pewsey form requires \|phi\| < 1"),
+    (lambda: kato_pewsey_bivariate_density(-1.5, *WC_MARGS[:2], 1.0, 2.0),
+     r"Kato-Pewsey form requires \|phi\| < 1"),
+], ids=["two_marginals", "closed_form_two", "closed_form_not_wc", "kp_phi_1", "kp_phi_-1.5"])
+def test_argument_checks(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        call()
 
 
 class TestBivariateMarginal:
