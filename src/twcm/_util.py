@@ -4,7 +4,8 @@ log density, one CDF and one Moebius draw: the log density and the CDF
 both read the sin and cos of one :class:`HalfOffset`, so that the marginal
 computes that pair once for both, and the log density serves every copula
 kernel too), the scalar-in, float-out return contract, the zero-density
-check, the row-weight check and the thread pool that scores blocks of rows."""
+check, the row-weight check and the thread pool that scores and draws
+blocks of rows."""
 
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ _UNIT_CONC_TOL = 1e-12
 # float64 arrays of at least this many angles may take wrap_angle's fast path
 _FAST_WRAP_MIN = 1024
 
-# The most rows in one task of for_row_blocks, whose one caller is the row
-# scorer model._score_rows: a block's temporaries take about 2 MB, whatever
-# the number of rows, and stay in cache.
+# The most rows in one task of for_row_blocks, whose callers score rows
+# (model._score_rows) and draw them (model._draw_rows, copula.copula_sample):
+# a block's temporaries take about 2 MB, whatever the number of rows, and
+# stay in cache.
 _ROW_BLOCK = 16384
 
 
@@ -210,7 +212,8 @@ def wc_kernel_log_density(x, center, conc):
 def wc_kernel_sample(center, conc, rng: np.random.Generator):
     """Draw from the wrapped Cauchy kernel by the Moebius transform of a
     fresh uniform angle, one draw per element of ``center`` broadcast
-    against ``conc``."""
+    against ``conc``.  The samplers draw their uniforms first and call
+    :func:`moebius_map` in blocks; the tests compare them with this."""
     xi = np.asarray(effective_concentration(conc), dtype=float)
     size = np.broadcast(np.asarray(center), xi).shape
     return moebius_map(center, xi, *half_angle_sincos(rng.random(size)))
@@ -256,7 +259,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _worker_count() -> int:
-    """Threads that score rows: one per CPU this process may run on."""
+    """Threads that score or draw rows: one per CPU this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -303,7 +306,13 @@ def for_row_blocks(n: int, fn) -> None:
     10^5 rows 8 blocks of 12 500).
 
     ``fn`` must write only its own rows and read nothing that another block
-    writes; then the result does not depend on the thread count.  Pool
+    writes; then the result does not depend on the thread count.  It must
+    not call a marginal's public ``cdf`` or ``quantile``, nor any function
+    that a tracer may wrap (``copula_sample``, ``conditional_phi``,
+    ``constants``, ...): a tracer keeps one stack of spans, which a pool
+    thread would corrupt.  So it reads a marginal through ``_cdf``,
+    ``_logpdf_and_u`` and ``_quantile`` alone, and takes whatever needs a
+    check or a per-model constant from its caller.  Pool
     threads run in a copy of the caller's context, under the caller's
     ``np.errstate``, on the CPUs but the caller's: a woken thread is
     otherwise often put on the waker's CPU, and the scheduler takes longer

@@ -31,8 +31,10 @@ from ._util import (
     as_rng,
     effective_concentration,
     float_if_scalar,
+    for_row_blocks,
+    half_angle_sincos,
+    moebius_map,
     wc_kernel_log_density,
-    wc_kernel_sample,
     wrap_angle,
 )
 from .errors import InvalidParameterError
@@ -254,10 +256,20 @@ class ConditionalWCSpec:
         return float(effective_concentration(self.delta))
 
 
+def _other_coordinates(i: int) -> tuple[int, int]:
+    """The two coordinates j < k other than the 1-based coordinate index
+    ``i``; raises :class:`InvalidParameterError` naming an ``i`` outside
+    1..3."""
+    if i not in (1, 2, 3):
+        raise InvalidParameterError(f"invalid coordinate index {i}")
+    j, k = sorted({1, 2, 3} - {i})
+    return j, k
+
+
 def conditional_links(rho: RhoVector, i: int) -> tuple[float, float]:
     """(a_j / a_i, a_k / a_i) = (rho_jk / rho_ik, rho_jk / rho_ij) for
     coordinate i given j < k, the other two."""
-    j, k = sorted({1, 2, 3} - {i})
+    j, k = _other_coordinates(i)
     a = amplitudes(rho)
     return a[j - 1] / a[i - 1], a[k - 1] / a[i - 1]
 
@@ -279,11 +291,10 @@ def conditional_phi(rho: RhoVector, i: int, u_j, u_k):
     phi_{i|jk} = -rho_jk (rho_ik^{-1} e^{i u_j} + rho_ij^{-1} e^{i u_k}).
     """
     require_valid(rho)
-    if i not in (1, 2, 3):
-        raise InvalidParameterError(f"invalid coordinate index {i}")
+    links = conditional_links(rho, i)
     u_j = np.asarray(u_j, dtype=float)
     u_k = np.asarray(u_k, dtype=float)
-    return phi_from_unit(conditional_links(rho, i), np.exp(1j * u_j), np.exp(1j * u_k))
+    return phi_from_unit(links, np.exp(1j * u_j), np.exp(1j * u_k))
 
 
 def conditional_spec(rho: RhoVector, i: int, u_j, u_k) -> ConditionalWCSpec:
@@ -297,7 +308,7 @@ def copula_log_cond_1given2(u, rho: RhoVector, i: int):
     """Log of the conditional copula density t_{1|2} of coordinate i at
     ``u[..., i-1]`` given the other two coordinates of the triple(s) ``u``."""
     u = np.asarray(u, dtype=float)
-    j, k = sorted({1, 2, 3} - {i})
+    j, k = _other_coordinates(i)
     ph = conditional_phi(rho, i, u[..., j - 1], u[..., k - 1])
     return wc_kernel_log_density(u[..., i - 1], np.angle(ph), np.abs(ph))
 
@@ -314,14 +325,46 @@ def copula_sample(n: int, rho: RhoVector, seed=None) -> np.ndarray:
     Sequential scheme: U1 uniform; U2 | U1 from the pairwise kernel with
     concentration phi_12 centered at U1; U3 | U1, U2 from the one-given-two
     kernel.  Each wrapped Cauchy draw is the Moebius transform of a fresh
-    uniform.  Deterministic for a fixed seed.
+    uniform.  Deterministic for a fixed seed, whatever the thread count:
+    the uniforms are drawn first, and :func:`_inverse_rosenblatt` maps them
+    block by block on :func:`~twcm._util.for_row_blocks`.
     """
+    _require_sample_count(n)
+    transform = _inverse_rosenblatt(rho)
+    v = as_rng(seed).random((3, n))
+    out = np.empty((n, 3))
+
+    def draw(rows):
+        for col, u in zip(out[rows].T, transform(v[:, rows])):
+            col[...] = u
+
+    for_row_blocks(n, draw)
+    return out
+
+
+def _require_sample_count(n: int) -> None:
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+
+
+def _inverse_rosenblatt(rho: RhoVector):
+    """The copula's exact sampler as a map of a (3, m) array of uniforms v
+    to the angles (u1, u2, u3) of m draws, the inverse of its Rosenblatt
+    transform (Rosenblatt 1952): u1 = 2 pi v1, u2 the Moebius draw from v2
+    at centre u1 and concentration phi_12, u3 the one from v3 at centre
+    arg phi_{3|12} and concentration |phi_{3|12}|.  ``rho`` is checked, and
+    phi_12 and the links of phi_{3|12} formed, here, on the calling thread;
+    the map is elementwise and calls nothing that a tracer wraps, so blocks
+    of rows may run on a thread pool."""
     require_valid(rho)
-    rng = as_rng(seed)
-    u1 = TWO_PI * rng.random(n)
-    u2 = wc_kernel_sample(u1, pairwise_phi(rho, (1, 2)), rng)
-    ph = conditional_phi(rho, 3, u1, u2)
-    u3 = wc_kernel_sample(np.angle(ph), np.abs(ph), rng)
-    return np.column_stack([u1, u2, u3])
+    xi12 = effective_concentration(pairwise_phi(rho, (1, 2)))
+    links = conditional_links(rho, 3)
+
+    def transform(v):
+        u1 = TWO_PI * v[0]
+        u2 = moebius_map(u1, xi12, *half_angle_sincos(v[1]))
+        ph = phi_from_unit(links, np.exp(1j * u1), np.exp(1j * u2))
+        xi3 = effective_concentration(np.abs(ph))
+        return u1, u2, moebius_map(np.angle(ph), xi3, *half_angle_sincos(v[2]))
+
+    return transform

@@ -129,6 +129,16 @@ class Marginal:
     def quantile(self, p):
         raise NotImplementedError
 
+    def _quantile(self, p):
+        """``quantile(p)`` as an array.  The families compute it here, not
+        in ``quantile``, which the benchmark's tracer rebinds: the rows
+        drawn on a thread pool must not open its spans."""
+        raise NotImplementedError
+
+    def _prepare_quantile(self) -> None:
+        """Build what :meth:`_quantile` reads from a cache, so that the rows
+        drawn on a thread pool find it built; nothing for most families."""
+
     def _logpdf_and_u(self, x):
         """``logpdf(x)`` and the pseudo-observation ``2 pi cdf(x)`` of an
         array ``x``: a coordinate's two terms of the joint density."""
@@ -196,9 +206,10 @@ class CircularUniform(Marginal):
         return wrap_angle(np.asarray(x, dtype=float)) / TWO_PI
 
     def quantile(self, p):
-        p = self._check_quantile_arg(p)
-        out = TWO_PI * p
-        return float_if_scalar(out)
+        return float_if_scalar(self._quantile(p))
+
+    def _quantile(self, p):
+        return TWO_PI * self._check_quantile_arg(p)
 
     @classmethod
     def fit(cls, data, weights=None):
@@ -251,9 +262,10 @@ class WrappedCauchy(Marginal):
         return wc_half_log_density(half, self.xi), TWO_PI * wc_half_cdf(half, self.xi)
 
     def quantile(self, p):
-        p = self._check_quantile_arg(p)
-        out = moebius_map(self.mu, self.xi, *half_angle_sincos(p))
-        return float_if_scalar(out)
+        return float_if_scalar(self._quantile(p))
+
+    def _quantile(self, p):
+        return moebius_map(self.mu, self.xi, *half_angle_sincos(self._check_quantile_arg(p)))
 
     @classmethod
     def fit(cls, data, weights=None):
@@ -598,7 +610,7 @@ def _symmetric_quantile(m: Marginal, p, start, step):
     # is 1/2 to rounding on a whole bracket about pi, a step may end
     # anywhere in it
     y = np.where(q == 0.0, 0.0, np.where(q == 0.5, np.pi, y))
-    return float_if_scalar(wrap_angle(m.mu + np.where(upper, TWO_PI - y, y)))
+    return wrap_angle(m.mu + np.where(upper, TWO_PI - y, y))
 
 
 def _newton_delta(m: Marginal, y, q, dens):
@@ -682,6 +694,12 @@ class VonMises(Marginal):
         return np.clip(self._cdf_offset(y), 0.0, 1.0)
 
     def quantile(self, p):
+        return float_if_scalar(self._quantile(p))
+
+    def _prepare_quantile(self) -> None:
+        _vonmises_start_table(self.kappa)  # which builds the CDF table
+
+    def _quantile(self, p):
         nodes_cdf, nodes_y, slope, guide = _vonmises_start_table(self.kappa)
         kappa = self.kappa
         log_norm = _vonmises_cdf_table(kappa)[2]
@@ -799,6 +817,9 @@ class Cardioid(Marginal):
         return _below_full_turn(self._cdf_offset(y), 1.0)
 
     def quantile(self, p):
+        return float_if_scalar(self._quantile(p))
+
+    def _quantile(self, p):
         # On [0, pi], F(y) = q reads y + 2 rho_c sin y = 2 pi q: Kepler's
         # equation E - e sin E = M with e = 2 |rho_c|, in E = y, M = 2 pi q
         # where rho_c <= 0 and E = pi - y, M = pi - 2 pi q where rho_c > 0.
@@ -940,9 +961,11 @@ class Weibull(Marginal):
         return logpdf, TWO_PI * -np.expm1(-zn)
 
     def quantile(self, p):
+        return float_if_scalar(self._quantile(p))
+
+    def _quantile(self, p):
         p = self._check_quantile_arg(p)
-        out = self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
-        return float_if_scalar(out)
+        return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
 
     @classmethod
     def fit(cls, data, weights=None):

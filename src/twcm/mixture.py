@@ -18,7 +18,7 @@ from ._util import as_rng, float_if_triple, require_positive_density
 from .errors import ComponentCollapseError, InvalidParameterError
 from .fit import FitConfig, family_domains, fit_ifm, information_criteria
 from .marginals import family_class
-from .model import JsonFile, TwcmModel, _score_rows, check_rows, log_sum_exp
+from .model import JsonFile, TwcmModel, _draw_rows, _score_rows, check_rows, log_sum_exp
 
 _WEIGHT_SUM_TOL = 1e-12
 _COLLAPSE_FRACTION = 1e-3
@@ -73,11 +73,7 @@ class MixtureModel(JsonFile):
         """Draw n observations; optionally also return component labels."""
         rng = as_rng(seed)
         labels = rng.choice(self.k, size=n, p=np.asarray(self.weights))
-        out = np.empty((n, 3))
-        for j, comp in enumerate(self.components):
-            mask = labels == j
-            if mask.any():
-                out[mask] = comp.sample(int(mask.sum()), rng)
+        out = _draw_rows(self.components, rng, n, labels)
         return (out, labels) if return_labels else out
 
     def to_dict(self) -> dict:

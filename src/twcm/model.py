@@ -25,12 +25,14 @@ from ._util import (
 from .copula import (
     ConditionalWCSpec,
     RhoVector,
+    _inverse_rosenblatt,
+    _other_coordinates,
+    _require_sample_count,
     conditional_spec,
     constants,
     copula_bivariate_density,
     copula_cond_1given1,
     copula_cond_1given2,
-    copula_sample,
     log_density_columns,
     normalize_rho,
     pairwise_phi,
@@ -121,8 +123,10 @@ class TwcmModel(JsonFile):
 
     def cond_density_2given1(self, theta, given: int):
         """Density of the two remaining coordinates given coordinate
-        ``given`` (1-based); ``theta`` holds the full triple(s)."""
-        data = self.validate_data(theta)
+        ``given`` (1-based); ``theta`` holds the full triple(s), which
+        :meth:`log_density` checks."""
+        _other_coordinates(given)
+        data = np.atleast_2d(np.asarray(theta, dtype=float))
         out = np.exp(self.log_density(data)) / self.marginals[given - 1].pdf(
             data[:, given - 1]
         )
@@ -137,7 +141,7 @@ class TwcmModel(JsonFile):
     def conditional_spec(self, i: int, theta_j, theta_k) -> ConditionalWCSpec:
         """Kernel parameters of coordinate i given the other two, whose
         values are passed in increasing coordinate order."""
-        j, k = sorted({1, 2, 3} - {i})
+        j, k = _other_coordinates(i)
         return conditional_spec(
             self.rho, i, self._copula_scale(j, theta_j), self._copula_scale(k, theta_k)
         )
@@ -157,12 +161,10 @@ class TwcmModel(JsonFile):
 
     # -- sampling -----------------------------------------------------------
     def sample(self, n: int, seed=None) -> np.ndarray:
-        """Exact sampling: copula draw, then theta_i = F_i^{-1}(u_i / 2pi)."""
-        rng = as_rng(seed)
-        u = copula_sample(n, self.rho, rng)
-        return np.column_stack(
-            [m.quantile(u[:, i] / TWO_PI) for i, m in enumerate(self.marginals)]
-        )
+        """Exact sampling: copula draw, then theta_i = F_i^{-1}(u_i / 2pi);
+        the one component of :func:`_draw_rows`."""
+        _require_sample_count(n)
+        return _draw_rows((self,), as_rng(seed), n)
 
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> dict:
@@ -283,6 +285,55 @@ def _score_rows(components, data, log_weights=None):
 
     for_row_blocks(n, score)
     return out, total
+
+
+def _draw_rows(components, rng, n: int, labels=None) -> np.ndarray:
+    """``n`` rows, row r drawn from ``components[labels[r]]``, a model
+    being a mixture of one (no ``labels``): an (n, 3) array.
+
+    Every uniform is drawn first, on the calling thread, in the order in
+    which drawing each component's rows in turn reads the stream: for the
+    m_j rows of component j, in component order, one (3, m_j) array, the
+    three uniforms of :func:`~twcm.copula._inverse_rosenblatt` per row.
+    Each component's sampler is set up and its marginals' quantile tables
+    built there too.  Then one task of :func:`~twcm._util.for_row_blocks`
+    per block of those rows maps them to the copula scale and through each
+    marginal's ``_quantile``, never its public ``quantile``, which a tracer
+    may wrap with one span stack, and writes them to their rows, those of
+    each component in row order; so no thread changes a bit."""
+    if labels is None:
+        counts, order = [n], None
+    else:
+        k = len(components)
+        counts = np.bincount(labels, minlength=k).tolist()
+        # the rows of each component in turn, each in row order: a stable
+        # sort of labels of the narrowest type, which NumPy radix-sorts,
+        # held in the narrowest index type, half the memory of intp
+        order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+        order = order.astype(np.min_scalar_type(n - 1))
+    parts, start = [], 0
+    for comp, count in zip(components, counts):
+        if count:
+            for m in comp.marginals:
+                m._prepare_quantile()
+            parts.append((start, start + count, rng.random((3, count)),
+                          _inverse_rosenblatt(comp.rho), comp.marginals))
+        start += count
+    out = np.empty((n, 3))
+
+    def draw(rows):
+        for first, stop, v, transform, marginals in parts:
+            lo, hi = max(rows.start, first), min(rows.stop, stop)
+            if lo >= hi:
+                continue
+            dest = slice(lo, hi) if order is None else order[lo:hi]
+            u = transform(v[:, lo - first:hi - first])
+            for i, (m, u_i) in enumerate(zip(marginals, u)):
+                out[dest, i] = m._quantile(u_i / TWO_PI)
+
+    if n:
+        for_row_blocks(n, draw)
+    return out
 
 
 def copula_scale(marginals, theta) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Mixture/EM checks: responsibilities, recovery on synthetic clustered
 data, BIC selection, and degeneracy handling."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -99,6 +100,22 @@ class TestMixtureModel:
         a = TRUE_MIX.sample(100, seed=1)
         b = TRUE_MIX.sample(100, seed=1)
         np.testing.assert_array_equal(a, b)
+
+    def test_sample_memory_bounded(self, monkeypatch):
+        # the uniforms (3 a row), the (n, 3) result, the int64 labels and
+        # each component's rows in turn as uint32, 60 bytes a row, and one
+        # block's temporaries: 12 + 1.4 MB (16 MB when each component was
+        # drawn apart and set by a mask)
+        mix, n = buoy_mixture(), 200_000
+        monkeypatch.setattr(twcm._util, "_worker_count", lambda: 1)
+        mix.sample(n, seed=6)
+        tracemalloc.start()
+        try:
+            mix.sample(n, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * n + 4 * 2**20
 
     def test_domains_and_parameter_count(self):
         # the CLI scores single models and mixtures through these two

@@ -27,6 +27,7 @@ from twcm import (
     wc_closed_form_log_density,
 )
 import twcm._util
+import twcm.model
 from twcm._util import _ROW_BLOCK
 from twcm.presets import independence_like_model, protein_model
 
@@ -103,14 +104,14 @@ class TestJointDensity:
             np.testing.assert_array_equal(got, composed)
 
     @staticmethod
-    def _log_density_peak(monkeypatch, workers, data):
-        """Peak traced memory of M_CYL.log_density(data) on ``workers``
-        threads, after a first call has built the tables and the pool."""
+    def _peak(monkeypatch, workers, fn):
+        """Peak traced memory of ``fn()`` on ``workers`` threads, after a
+        first call has built the tables and the pool."""
         monkeypatch.setattr(twcm._util, "_worker_count", lambda: workers)
-        M_CYL.log_density(data)
+        fn()
         tracemalloc.start()
         try:
-            M_CYL.log_density(data)
+            fn()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,13 +120,23 @@ class TestJointDensity:
         # the rows are taken a block at a time, so the temporaries do not
         # grow with n: 2e5 rows need their 1.6 MB result plus about 2 MB
         data = M_CYL.sample(200_000, seed=6)
-        assert self._log_density_peak(monkeypatch, 1, data) <= data.shape[0] * 8 + 4 * 2**20
+        peak = self._peak(monkeypatch, 1, lambda: M_CYL.log_density(data))
+        assert peak <= data.shape[0] * 8 + 4 * 2**20
 
     def test_log_density_memory_bounded_per_thread(self, monkeypatch):
         # each thread scores one block at a time: about 2 MB more a thread
         data = M_CYL.sample(200_000, seed=6)
-        peak = self._log_density_peak(monkeypatch, 4, data)
+        peak = self._peak(monkeypatch, 4, lambda: M_CYL.log_density(data))
         assert peak <= data.shape[0] * 8 + (4 + 3 * 2) * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sample_memory_bounded(self, monkeypatch, workers):
+        # the uniforms (3 a row) and the (n, 3) result, 48 bytes a row, and
+        # a block's temporaries a thread, about 2.5 MB; 9.6 + 2.5 MB drawn
+        # on one thread (27 MB when the draw built full-length temporaries)
+        n = 200_000
+        peak = self._peak(monkeypatch, workers, lambda: M_CYL.sample(n, seed=6))
+        assert peak <= 48 * n + (4 + 3 * (workers - 1)) * 2**20
 
     def test_closed_form_equals_composed_path(self):
         theta = random_angles(1000, seed=3)
@@ -243,6 +254,35 @@ def test_laws_raise_on_nonpositive_linear_values(law, bad):
 def test_argument_checks(call, message):
     with pytest.raises(InvalidParameterError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+@pytest.mark.parametrize("law", ["spec", "1given2", "2given1"])
+def test_conditionals_reject_a_bad_coordinate_index(law, i):
+    triple = np.array([1.0, 2.0, 3.0])
+    call = {
+        "spec": lambda: M_WC.conditional_spec(i, 1.0, 2.0),
+        "1given2": lambda: M_WC.cond_density_1given2(triple, i),
+        "2given1": lambda: M_WC.cond_density_2given1(triple, i),
+    }[law]
+    with pytest.raises(InvalidParameterError, match=f"^invalid coordinate index {i}$"):
+        call()
+
+
+def test_cond_density_2given1_checks_the_rows_once(monkeypatch):
+    calls = []
+    orig = twcm.model.check_rows
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(twcm.model, "check_rows", counted)
+    theta = random_angles(100, seed=4)
+    expected = np.exp(M_WC.log_density(theta)) / M_WC.marginals[1].pdf(theta[:, 1])
+    calls.clear()
+    np.testing.assert_array_equal(M_WC.cond_density_2given1(theta, 2), expected)
+    assert len(calls) == 1
 
 
 class TestBivariateMarginal:

@@ -1,7 +1,8 @@
-"""The thread pool that scores blocks of rows: results bit for bit those of
-one thread at any thread count, errors and NumPy's error state carried
-over from the caller, fork safety, and no pool where one block or one CPU
-is all there is."""
+"""The thread pool that scores and draws blocks of rows: results bit for bit
+those of one thread at any thread count, draws bit for bit those of the
+one-thread sampler that draws each component's uniforms as it goes, errors
+and NumPy's error state carried over from the caller, fork safety, and no
+pool where one block or one CPU is all there is."""
 
 import multiprocessing
 import os
@@ -15,13 +16,22 @@ import numpy as np
 import pytest
 
 import twcm
-from twcm import _util, cli, em_fit, responsibilities
-from twcm._util import _ROW_BLOCK, for_row_blocks
+from twcm import RhoVector, _util, cli, copula_sample, em_fit, responsibilities
+from twcm._util import _ROW_BLOCK, TWO_PI, as_rng, for_row_blocks, wc_kernel_sample
+from twcm.copula import conditional_phi, pairwise_phi
 from twcm.marginals import FAMILIES
-from twcm.presets import buoy_mixture, protein_model
+from twcm.presets import buoy_mixture, independence_like_model, protein_model
 
 WORKER_COUNTS = (1, 2, 4)
 BUOY_FAMS = ("wrapped_cauchy", "wrapped_cauchy", "weibull")
+# one row, one whole block, one block and a row, many blocks
+DRAW_SIZES = (1, _ROW_BLOCK, _ROW_BLOCK + 1, 5 * _ROW_BLOCK + 3)
+SAMPLER_RHOS = {
+    "protein": protein_model().rho,
+    "independence_like": independence_like_model().rho,
+    **{f"buoy{j}": comp.rho for j, comp in enumerate(buoy_mixture().components)},
+    "edge": RhoVector(-1e3, 1e-3, -1.0),
+}
 
 
 @pytest.fixture
@@ -50,6 +60,78 @@ def at_each_count(workers, fn):
 def assert_all_equal(results):
     for got in results[1:]:
         np.testing.assert_array_equal(got, results[0], strict=True)
+
+
+def reference_copula_sample(n, rho, rng):
+    """The sampler drawing as it goes, one thread: u1, then u2 | u1 and
+    u3 | u1, u2, each a kernel draw from a fresh uniform."""
+    u1 = TWO_PI * rng.random(n)
+    u2 = wc_kernel_sample(u1, pairwise_phi(rho, (1, 2)), rng)
+    ph = conditional_phi(rho, 3, u1, u2)
+    u3 = wc_kernel_sample(np.angle(ph), np.abs(ph), rng)
+    return np.column_stack([u1, u2, u3])
+
+
+def reference_model_sample(model, n, rng):
+    u = reference_copula_sample(n, model.rho, rng)
+    return np.column_stack([m.quantile(u[:, i] / TWO_PI) for i, m in enumerate(model.marginals)])
+
+
+def reference_mixture_sample(mix, n, seed):
+    """Labels first, then each component's rows in turn, set by a mask."""
+    rng = as_rng(seed)
+    labels = rng.choice(mix.k, size=n, p=np.asarray(mix.weights))
+    out = np.empty((n, 3))
+    for j, comp in enumerate(mix.components):
+        mask = labels == j
+        if mask.any():
+            out[mask] = reference_model_sample(comp, int(mask.sum()), rng)
+    return out, labels
+
+
+def assert_bytes_equal(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_protein_sample_at_every_thread_count(workers, n):
+    model = protein_model()
+    expected = reference_model_sample(model, n, np.random.default_rng(n))
+    for got in at_each_count(workers, lambda: model.sample(n, seed=n)):
+        assert_bytes_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_buoy_mixture_sample_at_every_thread_count(workers, n):
+    mix = buoy_mixture()
+    expected, labels = reference_mixture_sample(mix, n, n)
+    for got in at_each_count(workers, lambda: mix.sample(n, seed=n)):
+        assert_bytes_equal(got, expected)
+    for got, got_labels in at_each_count(
+            workers, lambda: mix.sample(n, seed=n, return_labels=True)):
+        assert_bytes_equal(got, expected)
+        assert_bytes_equal(got_labels, labels)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("rho", sorted(SAMPLER_RHOS))
+def test_copula_sample_at_every_thread_count(workers, rho, n):
+    expected = reference_copula_sample(n, SAMPLER_RHOS[rho], np.random.default_rng(n))
+    for got in at_each_count(workers, lambda: copula_sample(n, SAMPLER_RHOS[rho], seed=n)):
+        assert_bytes_equal(got, expected)
+
+
+def test_a_mixture_draws_no_rows_of_an_unlabelled_component(workers):
+    # a component that no label picks draws no uniforms, as in the reference
+    mix = buoy_mixture()
+    mix = twcm.MixtureModel(weights=(1.0 - 1e-12, 1e-12), components=mix.components[:2])
+    n = 2 * _ROW_BLOCK
+    expected, labels = reference_mixture_sample(mix, n, 3)
+    assert not labels.any()
+    for got in at_each_count(workers, lambda: mix.sample(n, seed=3)):
+        assert_bytes_equal(got, expected)
+    assert mix.sample(0, seed=3).shape == (0, 3)
 
 
 def test_protein_log_density_at_every_thread_count(workers):
@@ -95,19 +177,29 @@ def test_cli_loglik_and_grid_at_every_thread_count(workers, tmp_path):
 
 
 def test_no_family_calls_cdf_or_quantile_from_a_pool_thread(workers, monkeypatch):
-    # the benchmark's tracer rebinds them and keeps one stack of spans, so
-    # the rows scored on a pool thread must call neither
+    # the benchmark's tracer rebinds them, and the copula functions below
+    # in every twcm namespace that holds them, and keeps one stack of
+    # spans, so the rows scored or drawn on a pool thread must call none
     off_main = []
+
+    def on_main_only(orig, name):
+        def traced(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return orig(*args, **kwargs)
+        return traced
+
     for cls in FAMILIES.values():
         for name in ("cdf", "quantile"):
-            orig = getattr(cls, name)
-
-            def traced(self, *args, _orig=orig, _name=name, **kwargs):
-                if threading.current_thread() is not threading.main_thread():
-                    off_main.append((type(self).__name__, _name))
-                return _orig(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, name, traced)
+            monkeypatch.setattr(cls, name, on_main_only(getattr(cls, name),
+                                                        f"{cls.__name__}.{name}"))
+    for name in ("copula_sample", "conditional_phi", "constants"):
+        orig = getattr(twcm.copula, name)
+        traced = on_main_only(orig, name)
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "twcm"]:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, traced)
     workers(4)
     models = [protein_model(), *buoy_mixture().components,
               twcm.TwcmModel(rho=twcm.RhoVector(9.18, -1.17, -0.09),
@@ -115,6 +207,9 @@ def test_no_family_calls_cdf_or_quantile_from_a_pool_thread(workers, monkeypatch
                                         twcm.VonMises(2.0, 0.5)))]
     for model in models:
         model.log_density(model.sample(4 * _ROW_BLOCK, seed=6))
+    mix = buoy_mixture()
+    mix.log_density(mix.sample(4 * _ROW_BLOCK, seed=6))
+    twcm.copula_sample(4 * _ROW_BLOCK, protein_model().rho, seed=6)
     assert off_main == []
 
 
