@@ -321,7 +321,9 @@ def for_row_blocks(n: int, fn) -> None:
     then raises the exception of the first failing block in row order.
     One block, one CPU, or a call from a pool thread itself (whose tasks
     could wait on each other) runs the blocks in order on the calling
-    thread alone."""
+    thread alone; no rows make no block and no call."""
+    if n < 1:
+        return
     count = -(-n // _ROW_BLOCK)
     cpus = 1 if count < 2 or getattr(_in_pool, "active", False) else _worker_count()
     workers = min(cpus, count)

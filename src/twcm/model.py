@@ -331,8 +331,7 @@ def _draw_rows(components, rng, n: int, labels=None) -> np.ndarray:
             for i, (m, u_i) in enumerate(zip(marginals, u)):
                 out[dest, i] = m._quantile(u_i / TWO_PI)
 
-    if n:
-        for_row_blocks(n, draw)
+    for_row_blocks(n, draw)
     return out
 
 

@@ -246,6 +246,14 @@ def test_blocks_are_equal_and_fill_whole_rounds(workers, n, count):
     assert len(seen) % threads == 0
 
 
+@pytest.mark.parametrize("count", [1, 4])
+def test_no_rows_make_no_block(workers, count):
+    workers(count)
+    seen = []
+    for_row_blocks(0, seen.append)
+    assert seen == []
+
+
 def test_the_first_failing_block_in_row_order_is_raised(workers):
     workers(4)
 
