@@ -28,8 +28,9 @@ _FAST_WRAP_MIN = 1024
 
 # The most rows in one task of for_row_blocks, whose callers score rows
 # (model._score_rows) and draw them (model._draw_rows, copula.copula_sample):
-# a block's temporaries take about 2 MB, whatever the number of rows, and
-# stay in cache.
+# a block's temporaries take about 2.1 MiB (tracemalloc, scoring protein
+# rows on one thread, less the result), whatever the number of rows.  The
+# von Mises tables are read a whole block at a time too.
 _ROW_BLOCK = 16384
 
 

@@ -46,6 +46,7 @@ from numpy.polynomial.chebyshev import chebvander
 
 from . import _bessel
 from ._util import (
+    _ROW_BLOCK,
     TWO_PI,
     HalfOffset,
     _below_full_turn,
@@ -385,11 +386,13 @@ def _wrapped_cauchy_mle(theta, w):
     return mu, (1.0 - b) / (1.0 + b), iteration
 
 
-# The CDF table has _TABLE_DEGREE + 1 coefficients an interval and is
-# evaluated over blocks of _SERIES_BLOCK values.  _TURN_GAP is
-# 2 pi - TWO_PI, the sliver of the period that the float period leaves out.
+# The CDF table has _TABLE_DEGREE + 1 coefficients an interval.  Its read
+# gathers them _GATHER_ROWS at a time, in four calls, into a (4, B) array
+# where all of them would take (15, B), 1.9 MiB for a row block.
+# _TURN_GAP is 2 pi - TWO_PI, the sliver of the period that the float
+# period leaves out.
 _TABLE_DEGREE = 14
-_SERIES_BLOCK = 4096
+_GATHER_ROWS = 4
 _TURN_GAP = 2.4492935982947064e-16
 
 # Both von Mises tables treat w = kappa (1 - cos y) > _TAIL_W as the flat
@@ -484,44 +487,63 @@ def _vonmises_cdf_table(kappa: float) -> tuple[np.ndarray, np.ndarray, float]:
 def _table_sine(y, table: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
     """S(y) from :func:`_vonmises_cdf_table` at a flat array y in [0, 2 pi].
 
-    Each block of _SERIES_BLOCK values gathers its intervals' coefficients
-    in one ``take`` from the coefficient-major table, so that each
-    coefficient of the block is one contiguous row, and runs Clenshaw's
-    recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on every value by itself,
-    so a value's result does not depend on the rest of the array.  On a
-    linear interval j the recurrence would reduce to c_1 t + c_0, with
-    c_1 = -h / 4 pi and c_0 = 1/2 - (a_j + h / 2) / 2 pi; that is computed
-    instead, bit for bit.
+    Each block of _ROW_BLOCK values, so a row pool task's values in one
+    pass, runs Clenshaw's recurrence b_k = c_k + 2 t b_{k+1} - b_{k+2} on
+    three arrays in turn, on every value by itself, so that a value's
+    result does not depend on the rest of the array.  The recurrence reads
+    the coefficient-major table a few rows at a time
+    (:func:`_gathered_rows`), so a block's temporaries stay near 1.4 MiB.
+    On a linear interval j the recurrence would reduce to
+    c_1 t + c_0, with c_1 = -h / 4 pi and c_0 = 1/2 - (a_j + h / 2) / 2 pi;
+    that is computed instead, bit for bit.
     """
     coef, row, _ = table
     n = row.size
     h = TWO_PI / n
     out = np.empty_like(y)
-    for start in range(0, y.size, _SERIES_BLOCK):
-        block = y[start:start + _SERIES_BLOCK]
+    for start in range(0, y.size, _ROW_BLOCK):
+        block = y[start:start + _ROW_BLOCK]
         # fmin maps NaN to the last interval, and t keeps it NaN
         j = np.fmin(block * (n / TWO_PI), n - 1).astype(np.intp)
-        k = row[j]
-        # one gather, (15, B): the recurrence reads a contiguous row c[i] at
-        # a time, and may overwrite c[_TABLE_DEGREE], which it reads first
-        c = coef.take(k, axis=1)
-        t = (block - j * h) * (2.0 / h) - 1.0
+        k = row.take(j)
+        t = block - j * h
+        t *= 2.0 / h
+        t -= 1.0
         t2 = 2.0 * t
-        b1, b2, tmp = c[_TABLE_DEGREE], np.zeros_like(t), np.empty_like(t)
-        for i in range(_TABLE_DEGREE - 1, 0, -1):
+        rows = _gathered_rows(coef, k)
+        # b_14 = c_14 and b_13 = 2 t b_14 + c_13: b_15 = 0 is not subtracted.
+        # b2 becomes tmp in turn, so it must not be a view of gathered rows
+        b2 = next(rows).copy()
+        b1 = t2 * b2
+        b1 += next(rows)
+        tmp = np.empty_like(t)
+        for _ in range(_TABLE_DEGREE - 2):
             np.multiply(t2, b1, out=tmp)
             tmp -= b2
-            tmp += c[i]
+            tmp += next(rows)
             b1, b2, tmp = tmp, b1, b2
-        b1 *= t
-        b1 -= b2
-        b1 += c[0]
+        s = out[start:start + block.size]
+        np.multiply(b1, t, out=s)
+        s -= b2
+        s += next(rows)
         linear = k < 0
         if linear.any():
             jl = j[linear]
-            b1[linear] = (-0.5 * h / TWO_PI) * t[linear] + (0.5 - (jl * h + 0.5 * h) / TWO_PI)
-        out[start:start + block.size] = b1
+            s[linear] = (-0.5 * h / TWO_PI) * t[linear] + (0.5 - (jl * h + 0.5 * h) / TWO_PI)
     return out
+
+
+def _gathered_rows(coef, k):
+    """The rows of ``coef`` at the columns ``k``, from the last row to the
+    first, gathered _GATHER_ROWS at a time into one reused array: each row
+    yielded is overwritten once _GATHER_ROWS more have been."""
+    c = np.empty((_GATHER_ROWS, k.size))
+    for top in range(coef.shape[0], 0, -_GATHER_ROWS):
+        part = c[:min(top, _GATHER_ROWS)]
+        # "wrap" reads k's -1 as the default "raise" does, and gathers
+        # straight into part, where "raise" would gather into a copy first
+        coef[top - part.shape[0]:top].take(k, axis=1, out=part, mode="wrap")
+        yield from part[::-1]
 
 
 def _vonmises_density(y, kappa: float, log_total: float):
@@ -623,15 +645,16 @@ def _inverse_pieces(q, y, f, kappa: float):
 
 def _half_inverse(q, table):
     """y in [0, pi] with F(y) = q for q in [0, 1/2], from the table of
-    :func:`_vonmises_inverse_table`: each block of _SERIES_BLOCK values
-    finds its intervals by :func:`_guided_interval`, gathers their rows in
-    one ``take`` and runs Horner's rule on each value by itself, clipped
-    to the interval's [y_j, y_j+1]."""
+    :func:`_vonmises_inverse_table`: each block of _ROW_BLOCK values (so a
+    row pool task's values in one pass) finds its intervals by
+    :func:`_guided_interval`, gathers their rows in one ``take``, (9, B),
+    1.1 MiB for a whole block, and runs Horner's rule on each value by
+    itself, clipped to the interval's [y_j, y_j+1]."""
     cdf, guide, coef = table
     flat = q.ravel()
     out = np.empty_like(flat)
-    for start in range(0, flat.size, _SERIES_BLOCK):
-        block = flat[start:start + _SERIES_BLOCK]
+    for start in range(0, flat.size, _ROW_BLOCK):
+        block = flat[start:start + _ROW_BLOCK]
         c = coef.take(_guided_interval(block, cdf, guide), axis=1)
         t = block - c[7]
         t *= c[8]
@@ -713,8 +736,10 @@ class VonMises(Marginal):
     :func:`_vonmises_cdf_table`).  The log density reads its normaliser
     log(2 pi I0(kappa)) - kappa from the same table: the log of the total
     mass it integrates, within 1.5 eps.  Evaluation costs 15
-    coefficients a value (degree 14) whatever kappa is, in O(n) memory.
-    Tables are built once per kappa and cached.
+    coefficients a value (degree 14) whatever kappa is; the table is read
+    a row block of 16 384 values at a time, with about 1.4 MiB of
+    temporaries whatever n is.  Tables are built once per kappa and
+    cached.
 
     The quantile reads a per-kappa table of the inverse CDF on the
     half-period (:func:`_vonmises_inverse_table`, PINV): a guide table

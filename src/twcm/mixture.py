@@ -70,7 +70,9 @@ class MixtureModel(JsonFile):
         return float_if_triple(data, _score_rows(self.components, data, np.log(self.weights))[1])
 
     def sample(self, n: int, seed=None, return_labels: bool = False):
-        """Draw n observations; optionally also return component labels."""
+        """Draw n >= 0 observations; optionally also return component labels."""
+        if n < 0:
+            raise InvalidParameterError(f"sample count n must be >= 0, got {n}")
         rng = as_rng(seed)
         labels = rng.choice(self.k, size=n, p=np.asarray(self.weights))
         out = _draw_rows(self.components, rng, n, labels)

@@ -591,8 +591,11 @@ class TestExitCodes:
           "--restarts", "0"], None),
         (["synth", "--preset", "protein", "--n", "3", "--seed", "-1"], None),
         (["synth", "--preset", "buoy", "--n", "2"], "-3"),
+        (["synth", "--preset", "protein", "--n", "-1"], None),
+        (["synth", "--preset", "buoy", "--n", "-1"], None),
     ], ids=["unknown-family", "missing-param", "param-without-value", "rho", "env-seed",
-            "pair", "given", "k-range", "restarts", "negative-seed", "negative-env-seed"])
+            "pair", "given", "k-range", "restarts", "negative-seed", "negative-env-seed",
+            "protein-negative-n", "buoy-negative-n"])
     def test_malformed_argument_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                   argv, seed_env):
         model, data = tmp_path / "m.json", tmp_path / "d.csv"

@@ -133,6 +133,39 @@ def _full_table_sine(y, table):
     return b1 * t - b2 + c[0]
 
 
+def _sub_block_table_sine(y, table):
+    """The CDF table's read before it took a whole row block at a time, the
+    reference for :func:`marginals._table_sine`: blocks of 4096 values,
+    each gathering all 15 coefficient rows in one ``take`` and running
+    Clenshaw's recurrence from b_15 = 0."""
+    coef, row, _ = table
+    n = row.size
+    h = TWO_PI / n
+    out = np.empty_like(y)
+    for start in range(0, y.size, 4096):
+        part = y[start:start + 4096]
+        j = np.fmin(part * (n / TWO_PI), n - 1).astype(np.intp)
+        k = row[j]
+        c = coef.take(k, axis=1)
+        t = (part - j * h) * (2.0 / h) - 1.0
+        t2 = 2.0 * t
+        b1, b2, tmp = c[-1], np.zeros_like(t), np.empty_like(t)
+        for i in range(c.shape[0] - 2, 0, -1):
+            np.multiply(t2, b1, out=tmp)
+            tmp -= b2
+            tmp += c[i]
+            b1, b2, tmp = tmp, b1, b2
+        b1 *= t
+        b1 -= b2
+        b1 += c[0]
+        linear = k < 0
+        if linear.any():
+            jl = j[linear]
+            b1[linear] = (-0.5 * h / TWO_PI) * t[linear] + (0.5 - (jl * h + 0.5 * h) / TWO_PI)
+        out[start:start + part.size] = b1
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _start_table(kappa: float):
     """Node CDF values and angles of :func:`_start_plus_step_quantile`: on
@@ -694,12 +727,13 @@ class TestVonMisesAcrossKappa:
         m = VonMises(mu=0.0, kappa=kappa)
         np.testing.assert_allclose(m.cdf(y), untrimmed, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "kappa",
+    SERIES_KAPPAS = (
         [0.0, 1e-3, 0.8, 5.0, 17.3, 27.6, 84.4, 1e3, 1230.9, 1e4, 1e5, marginals.KAPPA_MAX]
         # two kappa of np.geomspace(1e-3, KAPPA_MAX, 400) above 2e5
-        + [float(np.geomspace(1e-3, marginals.KAPPA_MAX, 400)[i]) for i in (386, 391)],
+        + [float(np.geomspace(1e-3, marginals.KAPPA_MAX, 400)[i]) for i in (386, 391)]
     )
+
+    @pytest.mark.parametrize("kappa", SERIES_KAPPAS)
     def test_table_matches_series(self, kappa):
         # the table's sine part, the integral of the density less y / 2 pi,
         # against the series on every 50-digit coefficient, summed in long
@@ -709,6 +743,21 @@ class TestVonMisesAcrossKappa:
         y = _table_test_points(table[1].size)
         exact = _reference_sine(y, _reference_coefficients(kappa))
         np.testing.assert_allclose(marginals._table_sine(y, table), exact, rtol=0, atol=6e-16)
+
+    @pytest.mark.parametrize("kappa", SERIES_KAPPAS)
+    def test_whole_block_read_matches_sub_blocks(self, kappa):
+        # the read of a whole row block, its coefficient rows gathered a few
+        # at a time and b_15 = 0 not subtracted, gives the bits of 4096-value
+        # sub-blocks each gathering every row: at random points, every
+        # interval end and one ulp either side of it, 0, pi, 2 pi and NaN,
+        # more than one row block of them
+        table = marginals._vonmises_cdf_table(kappa)
+        y = np.concatenate([
+            _table_test_points(table[1].size), [TWO_PI, np.nan],
+            TWO_PI * np.random.default_rng(30).random(marginals._ROW_BLOCK),
+        ])
+        got = marginals._table_sine(y, table)
+        assert got.tobytes() == _sub_block_table_sine(y, table).tobytes()
 
     @pytest.mark.parametrize("kappa", [84.4, 1e5, marginals.KAPPA_MAX])
     def test_table_stores_few_fitted_intervals(self, kappa):
@@ -758,7 +807,7 @@ class TestVonMisesAcrossKappa:
     @pytest.mark.parametrize("method", ["cdf", "quantile"])
     def test_blocked_series_matches_block_by_block(self, method):
         fn = getattr(VonMises(mu=1.0, kappa=84.4), method)
-        block = marginals._SERIES_BLOCK
+        block = marginals._ROW_BLOCK
         scale = TWO_PI if method == "cdf" else 1.0
         data = scale * np.random.default_rng(22).random((3, block + 77))
 
@@ -773,10 +822,34 @@ class TestVonMisesAcrossKappa:
         assert isinstance(scalar, float)
         assert scalar == fn(data[1, 2:3])[0]
 
+    def test_half_inverse_finds_a_row_block_in_one_pass(self, monkeypatch):
+        # _ROW_BLOCK values, a row pool task, take one guide-table search
+        # and one gather; one value more takes a second
+        table = marginals._vonmises_inverse_table(84.4)
+        calls = []
+        guided = marginals._guided_interval
+
+        def counted(q, cdf, guide):
+            calls.append(q.size)
+            return guided(q, cdf, guide)
+
+        monkeypatch.setattr(marginals, "_guided_interval", counted)
+        q = 0.5 * np.random.default_rng(31).random(marginals._ROW_BLOCK + 1)
+        marginals._half_inverse(q[:-1], table)
+        assert calls == [marginals._ROW_BLOCK]
+        marginals._half_inverse(q, table)
+        assert calls[1:] == [marginals._ROW_BLOCK, 1]
+
     def test_cdf_memory_bounded_at_one_million_points(self):
         m = VonMises(mu=2.0, kappa=84.4)
         x = TWO_PI * np.random.default_rng(23).random(1_000_000)
         assert self._peak_mb(lambda: m.cdf(x)) <= 64.0
+
+    def test_quantile_memory_bounded_at_one_million_points(self):
+        # a block's (9, B) gather grows with the row block, not with n
+        m = VonMises(mu=2.0, kappa=84.4)
+        p = np.random.default_rng(32).random(1_000_000)
+        assert self._peak_mb(lambda: m.quantile(p)) <= 64.0
 
     def test_memory_bounded_at_kappa_1e5(self):
         m = VonMises(mu=2.0, kappa=1e5)

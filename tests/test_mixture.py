@@ -63,7 +63,9 @@ class TestMixtureModel:
         (lambda: MixtureModel(weights=(), components=()), "one weight per component is required"),
         (lambda: em_fit(two_cluster_data(100)[0], 0, FAMS), "k must be >= 1"),
         (lambda: select_k(two_cluster_data(100)[0], [], FAMS), "k_values must be nonempty"),
-    ], ids=["too_few_weights", "weights_2d", "no_components", "k=0", "no_k_values"])
+        (lambda: TRUE_MIX.sample(-1, seed=1), "sample count n must be >= 0, got -1"),
+    ], ids=["too_few_weights", "weights_2d", "no_components", "k=0", "no_k_values",
+            "negative_n"])
     def test_argument_checks(self, call, message):
         with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             call()

@@ -118,13 +118,14 @@ class TestJointDensity:
 
     def test_log_density_memory_bounded(self, monkeypatch):
         # the rows are taken a block at a time, so the temporaries do not
-        # grow with n: 2e5 rows need their 1.6 MB result plus about 2 MB
+        # grow with n: 2e5 rows need their 1.6 MB result plus about 1.9 MiB
         data = M_CYL.sample(200_000, seed=6)
         peak = self._peak(monkeypatch, 1, lambda: M_CYL.log_density(data))
         assert peak <= data.shape[0] * 8 + 4 * 2**20
 
     def test_log_density_memory_bounded_per_thread(self, monkeypatch):
-        # each thread scores one block at a time: about 2 MB more a thread
+        # each thread scores one block at a time: at most about 1.9 MiB
+        # more a thread, so four threads at their peak at once fit the bound
         data = M_CYL.sample(200_000, seed=6)
         peak = self._peak(monkeypatch, 4, lambda: M_CYL.log_density(data))
         assert peak <= data.shape[0] * 8 + (4 + 3 * 2) * 2**20
@@ -132,8 +133,8 @@ class TestJointDensity:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_sample_memory_bounded(self, monkeypatch, workers):
         # the uniforms (3 a row) and the (n, 3) result, 48 bytes a row, and
-        # a block's temporaries a thread, about 2.5 MB; 9.6 + 2.5 MB drawn
-        # on one thread (27 MB when the draw built full-length temporaries)
+        # a block's temporaries a thread, about 2 MiB; 9.6 + 2.1 MB drawn on
+        # one thread (27 MB when the draw built full-length temporaries)
         n = 200_000
         peak = self._peak(monkeypatch, workers, lambda: M_CYL.sample(n, seed=6))
         assert peak <= 48 * n + (4 + 3 * (workers - 1)) * 2**20
